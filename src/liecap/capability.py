@@ -143,26 +143,31 @@ _SCRAMBLES_PER_ALGEBRA = 10
 _SEED_BASE = 20_300  # fixed; changing it would change the corpus
 
 
-def _named_bases() -> list[tuple[str, LieAlgebra]]:
-    base: list[tuple[str, LieAlgebra]] = []
+def named_members() -> list[tuple[str, LieAlgebra]]:
+    """The catalog's members in their canonical bases, in catalog order:
+    A(n), H(m) and H(m)+A(k) for small parameters, then H(1)+H(1), the
+    lone dim [L, L] = 2 member."""
+    members: list[tuple[str, LieAlgebra]] = []
     for n in range(1, 7):
-        base.append((f"A({n})", abelian(n)))
+        members.append((f"A({n})", abelian(n)))
     for m in range(1, 4):
-        base.append((f"H({m})", heisenberg(m)))
+        members.append((f"H({m})", heisenberg(m)))
     for m in range(1, 4):
         for k in range(1, 4):
-            base.append((f"H({m})+A({k})", direct_sum(heisenberg(m), abelian(k))))
-    return base
+            members.append((f"H({m})+A({k})", direct_sum(heisenberg(m), abelian(k))))
+    members.append(("H(1)+H(1)", direct_sum(heisenberg(1), heisenberg(1))))
+    return members
 
 
 def catalog() -> list[tuple[str, LieAlgebra]]:
-    """The frozen corpus: the named algebras, ten seeded scrambles of
-    each, and H(1)+H(1) as the lone dim [L, L] = 2 member."""
+    """The frozen corpus: the named members, each but H(1)+H(1) followed
+    by ten seeded scrambles of it."""
+    *scrambled, last = named_members()
     members: list[tuple[str, LieAlgebra]] = []
-    for idx, (name, algebra) in enumerate(_named_bases()):
+    for idx, (name, algebra) in enumerate(scrambled):
         members.append((name, algebra))
         for s in range(_SCRAMBLES_PER_ALGEBRA):
             seed = _SEED_BASE + 100 * idx + s
             members.append((f"{name} scramble{s}", scramble(algebra, seed)))
-    members.append(("H(1)+H(1)", direct_sum(heisenberg(1), heisenberg(1))))
+    members.append(last)
     return members

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from . import exterior
-from .capability import CapabilityDisagreement, catalog, decide_capability
+from .capability import CapabilityDisagreement, decide_capability, named_members
 from .decompose import DecompositionCheckError, heisenberg_decompose
 from .exterior import ConstructionError
 from .linalg import Subspace
@@ -78,15 +78,28 @@ def parse_expression(text: str) -> LieAlgebra:
     return algebra
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """``object_pairs_hook`` that rejects a repeated key in a JSON object;
+    plain ``json.loads`` keeps the last value silently."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_algebra_file(path: str) -> LieAlgebra:
     try:
         raw = Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: not valid JSON ({e})") from None
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     dim = doc.get("dim")
@@ -114,7 +127,8 @@ def load_algebra_file(path: str) -> LieAlgebra:
             raise InputError(f"{where}: 'coeffs' must be an object")
         parsed: dict[int, Fraction] = {}
         for key, val in coeffs.items():
-            if not isinstance(key, str) or not key.isdigit():
+            # str.isdigit alone accepts digits such as "²" that int() rejects
+            if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
                 raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
             k = int(key)
             if not 0 <= k < dim:
@@ -344,8 +358,7 @@ def _verify_checks() -> list[dict[str, Any]]:
             exterior.exterior_center(heisenberg(m)) == heisenberg(m).derived_subalgebra(),
         )
 
-    named = [(name, algebra) for name, algebra in catalog() if "scramble" not in name]
-    for name, algebra in named:
+    for name, algebra in named_members():
         zc = exterior.exterior_center(algebra)
         quotient, _ = algebra.quotient(zc)
         add(

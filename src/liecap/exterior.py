@@ -1,24 +1,25 @@
 """Constructive non-abelian exterior squares.
 
-For an n-dimensional algebra L the exterior square L ^ L is realized as
-a quotient of the n^2-dimensional span of formal symbols e_i (x) e_j by
-three relation families, instantiated at all basis triples (i, j, k):
+For an n-dimensional algebra L the exterior square L ^ L is realized,
+following Ellis (JPAA 46, 1987), as the cokernel of the Chevalley-
+Eilenberg boundary d3: Lambda^3 L -> Lambda^2 L,
 
-  (R1)  [e_i,e_j] (x) e_k  -  e_i (x) [e_j,e_k]  +  e_j (x) [e_i,e_k]
-  (R2)  e_i (x) [e_j,e_k]  -  [e_k,e_i] (x) e_j  +  [e_j,e_i] (x) e_k
-  (R3)  e_i (x) e_i,   and   e_i (x) e_j + e_j (x) e_i  for i < j
+  L ^ L  =  Lambda^2 L / im d3,
+  d3(x ^ y ^ z)  =  [x,y] ^ z  +  [y,z] ^ x  +  [z,x] ^ y,
 
-where a bracket inside a slot is expanded through the structure
-constants.  The commutator map sends the class of e_i (x) e_j to
-[e_i, e_j]; the multiplier is its kernel, so
+with one relation row d3(e_i ^ e_j ^ e_k) per basis triple i < j < k,
+written in the lexicographic basis e_i ^ e_j (i < j) of Lambda^2 L, and
+a bracket inside a slot expanded through the structure constants.  The
+commutator map d2 sends the class of e_i ^ e_j to [e_i, e_j]; the
+multiplier M(L) = H_2(L) = ker d2 / im d3 is its kernel, so
 
   dim M(L) = dim(L ^ L) - dim [L, L].
 
-Every construction self-checks that each relation vector maps to zero
-under the symbol-level commutator map (this is equivalent to the Jacobi
-identity, so a failure signals a defect, and raises).  The quotient is
-taken with canonical coordinates (non-pivot columns of the relation
-RREF), which makes all reported bases and projections deterministic.
+Every construction self-checks that d2 o d3 = 0, that is, each relation
+row dies under e_i ^ e_j -> [e_i, e_j] (this is the Jacobi identity, so
+a failure signals a defect, and raises).  The quotient is taken with
+canonical coordinates (non-pivot columns of the relation RREF), which
+makes all reported bases and projections deterministic.
 
 This module never consults the closed-form tables; it is the
 independent witness the formulas are checked against.
@@ -26,12 +27,12 @@ independent witness the formulas are checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (
-    Fraction,
     Matrix,
     SpanBuilder,
     Subspace,
@@ -53,7 +54,8 @@ class ConstructionError(RuntimeError):
 class ExteriorSquare:
     """The exterior square of ``source`` in canonical quotient coordinates.
 
-    ``projection`` maps the n^2 symbol coordinates onto the quotient;
+    ``projection`` maps the C(n,2) coordinates of Lambda^2 L (basis
+    e_i ^ e_j, i < j, in lexicographic order) onto the quotient;
     ``commutator_map`` maps quotient coordinates to coordinates in the
     derived subalgebra (it is surjective by construction).
     """
@@ -73,19 +75,16 @@ class ExteriorSquare:
         yv = vector(y)
         if len(xv) != n or len(yv) != n:
             raise ValueError("vector length does not match algebra dimension")
-        tensor = [Fraction(0)] * (n * n)
-        for i, a in enumerate(xv):
-            if a:
-                base = i * n
-                for j, b in enumerate(yv):
-                    if b:
-                        tensor[base + j] = a * b
-        return self.projection.mul_vec(tensor)
+        coords = [xv[i] * yv[j] - xv[j] * yv[i] for i, j in itertools.combinations(range(n), 2)]
+        return self.projection.mul_vec(coords)
 
     def basis_wedge(self, i: int, j: int) -> Vector:
-        """Class of e_i ^ e_j; just a column of the projection."""
+        """Class of e_i ^ e_j: a column of the projection, negated when
+        i > j, and zero when i = j."""
         n = self.source.dim
-        return self.projection.column(i * n + j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError("basis index out of range")
+        return _wedge_column(self.projection, n, i, j)
 
     def commutator(self, w) -> Vector:
         """Image of a quotient vector under the commutator map, given in
@@ -120,89 +119,57 @@ def _integer_brackets(algebra: LieAlgebra) -> list[list[list[int]]]:
     return out
 
 
-def _relation_rows(algebra: LieAlgebra, ibr: list[list[list[int]]]) -> list[list[int]]:
-    """All relation vectors as normalized integer rows, deduplicated.
+def _wedge_index(n: int, i: int, j: int) -> int:
+    """Position of e_i ^ e_j (i < j) in the lexicographic basis of Lambda^2 L."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
-    Deduplication only removes repeated rows (the families overlap
-    heavily); the spanned relation subspace is unchanged.
-    """
-    n = algebra.dim
-    seen: set[tuple[int, ...]] = set()
+
+def _wedge_column(projection: Matrix, n: int, i: int, j: int) -> Vector:
+    """Class of e_i ^ e_j under ``projection``: its column for i < j,
+    the negated column of e_j ^ e_i for i > j, zero for i = j."""
+    if i == j:
+        return zero_vector(projection.rows)
+    if i < j:
+        return projection.column(_wedge_index(n, i, j))
+    # the projection is sparse: leave its zeros as they are
+    return tuple(-x if x else x for x in projection.column(_wedge_index(n, j, i)))
+
+
+def _d3_rows(ibr: list[list[list[int]]]) -> list[list[int]]:
+    """d3(e_i ^ e_j ^ e_k) for every i < j < k, as normalized integer rows
+    in the lexicographic Lambda^2 basis; zero rows are dropped."""
+    n = len(ibr)
+    # wedge_with[k]: (l, column of e_l ^ e_k, sign) for every l != k
+    wedge_with = [
+        [(l, _wedge_index(n, min(l, k), max(l, k)), 1 if l < k else -1) for l in range(n) if l != k]
+        for k in range(n)
+    ]
     rows: list[list[int]] = []
-
-    def push(entries: dict[int, int]) -> None:
-        if not entries:
-            return
-        dense = [0] * (n * n)
-        for col, val in entries.items():
-            dense[col] = val
+    for i, j, k in itertools.combinations(range(n), 3):
+        dense = [0] * (n * (n - 1) // 2)
+        # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i + [e_k,e_i] ^ e_j
+        for c, last in ((ibr[i][j], k), (ibr[j][k], i), (ibr[k][i], j)):
+            for l, col, sign in wedge_with[last]:
+                v = c[l]
+                if v:
+                    dense[col] += sign * v
         row = _normalize_int(dense)
-        if row is None:
-            return
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
+        if row is not None:
             rows.append(row)
-
-    nz = [[any(ibr[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not (nz[i][j] or nz[j][k] or nz[i][k]):
-                    continue
-                c_ij = ibr[i][j]
-                c_jk = ibr[j][k]
-                c_ik = ibr[i][k]
-                # R1: [e_i,e_j](x)e_k - e_i(x)[e_j,e_k] + e_j(x)[e_i,e_k]
-                entries: dict[int, int] = {}
-                for l, v in enumerate(c_ij):
-                    if v:
-                        col = l * n + k
-                        entries[col] = entries.get(col, 0) + v
-                for l, v in enumerate(c_jk):
-                    if v:
-                        col = i * n + l
-                        entries[col] = entries.get(col, 0) - v
-                for l, v in enumerate(c_ik):
-                    if v:
-                        col = j * n + l
-                        entries[col] = entries.get(col, 0) + v
-                push(entries)
-                # R2: e_i(x)[e_j,e_k] - [e_k,e_i](x)e_j + [e_j,e_i](x)e_k
-                entries = {}
-                for l, v in enumerate(c_jk):
-                    if v:
-                        col = i * n + l
-                        entries[col] = entries.get(col, 0) + v
-                for l, v in enumerate(ibr[k][i]):
-                    if v:
-                        col = l * n + j
-                        entries[col] = entries.get(col, 0) - v
-                for l, v in enumerate(ibr[j][i]):
-                    if v:
-                        col = l * n + k
-                        entries[col] = entries.get(col, 0) + v
-                push(entries)
-
-    for i in range(n):
-        push({i * n + i: 1})
-        for j in range(i + 1, n):
-            push({i * n + j: 1, j * n + i: 1})
     return rows
 
 
-def _check_relations_die(n: int, ibr: list[list[list[int]]], rows: list[list[int]]) -> None:
-    """Self-check: every relation must vanish under the symbol-level
-    commutator map e_i (x) e_j -> [e_i, e_j].  A failure means the
+def _check_d2_kills(ibr: list[list[list[int]]], rows: list[list[int]]) -> None:
+    """Self-check d2 o d3 = 0: every relation row must vanish under the
+    commutator map e_i ^ e_j -> [e_i, e_j].  A failure means the
     construction (or the input constants) is defective."""
+    n = len(ibr)
+    brackets = [ibr[i][j] for i, j in itertools.combinations(range(n), 2)]
     for row in rows:
         image = [0] * n
-        for col, val in enumerate(row):
+        for val, c in zip(row, brackets):
             if val:
-                i, j = divmod(col, n)
-                c = ibr[i][j]
-                for t in range(n):
-                    x = c[t]
+                for t, x in enumerate(c):
                     if x:
                         image[t] += val * x
         if any(image):
@@ -215,18 +182,19 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     algebra.require_valid()
     n = algebra.dim
     ibr = _integer_brackets(algebra)
-    rows = _relation_rows(algebra, ibr)
-    _check_relations_die(n, ibr, rows)
+    rows = _d3_rows(ibr)
+    _check_d2_kills(ibr, rows)
 
-    sb = SpanBuilder(n * n)
+    pairs = list(itertools.combinations(range(n), 2))
+    sb = SpanBuilder(len(pairs))
     for row in rows:
-        sb.add_int_row(list(row))
+        sb.add_int_row(row)
     quotient = _quotient_from_builder(sb)
 
     derived = algebra.derived_subalgebra()
     columns: list[Vector] = []
     for col in quotient.section_cols:
-        coords = derived.coordinates(algebra.bracket_basis(*divmod(col, n)))
+        coords = derived.coordinates(algebra.bracket_basis(*pairs[col]))
         if coords is None:
             raise ConstructionError("basis bracket escapes the derived subalgebra")
         columns.append(coords)
@@ -239,7 +207,7 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
 
     return ExteriorSquare(
         source=algebra,
-        ambient_dim=n * n,
+        ambient_dim=len(pairs),
         relation_rank=sb.rank,
         quotient_dim=quotient.dim,
         projection=quotient.projection,
@@ -264,11 +232,10 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     is capable exactly when this is zero."""
     ext = exterior_square(algebra)
     n = algebra.dim
-    q = ext.quotient_dim
-    rows = []
+    rows: list[Vector] = []
     for j in range(n):
-        for s in range(q):
-            rows.append([ext.projection.data[s][i * n + j] for i in range(n)])
+        # the rows of x -> x ^ e_j; column i is the class of e_i ^ e_j
+        rows.extend(zip(*(_wedge_column(ext.projection, n, i, j) for i in range(n))))
     if not rows:
         return Subspace.full(n)
     return kernel_basis(Matrix.from_rows(rows, cols=n))

@@ -1,10 +1,13 @@
 """Shared helpers: small independent oracles the library results are
-checked against.  These deliberately avoid the library's own elimination
-code paths."""
+checked against.  The linear-algebra oracles deliberately avoid the
+library's own elimination code paths; the exterior-square oracle is an
+independent construction that shares only that (separately tested)
+elimination core with the library."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +69,78 @@ def raw_jacobi_residual(dim: int, table: dict, i: int, j: int, k: int) -> list[F
         for t, x in enumerate(term):
             total[t] += x
     return total
+
+
+def symbol_exterior_square(algebra):
+    """(dim L ^ L, dim M(L), Z^(L)) from the n^2-symbol construction.
+
+    L ^ L is the span of the symbols e_i (x) e_j (column i*n + j) modulo
+    three relation families at all basis triples (i, j, k):
+
+      (R1)  [e_i,e_j] (x) e_k  -  e_i (x) [e_j,e_k]  +  e_j (x) [e_i,e_k]
+      (R2)  e_i (x) [e_j,e_k]  -  [e_k,e_i] (x) e_j  +  [e_j,e_i] (x) e_k
+      (R3)  e_i (x) e_i,   and   e_i (x) e_j + e_j (x) e_i  for i < j
+
+    Z^(L) is the kernel of the stacked maps x -> x (x) e_j, read in the
+    quotient coordinates given by the non-pivot columns of the relation
+    RREF.
+    """
+    from liecap.linalg import Matrix, SpanBuilder, Subspace, kernel_basis
+
+    n = algebra.dim
+    den = 1
+    for c in algebra.brackets.values():
+        for x in c:
+            den = math.lcm(den, x.denominator)
+    br = [[[int(x * den) for x in algebra.bracket_basis(i, j)] for j in range(n)] for i in range(n)]
+
+    sb = SpanBuilder(n * n)
+    seen = set()  # the families overlap heavily
+
+    def push(terms):
+        row = [0] * (n * n)
+        for sign, left, right in terms:
+            # sign * left (x) right, with either slot a vector or a basis index
+            lv = left if isinstance(left, list) else [int(t == left) for t in range(n)]
+            rv = right if isinstance(right, list) else [int(t == right) for t in range(n)]
+            for a, x in enumerate(lv):
+                if x:
+                    for b, y in enumerate(rv):
+                        if y:
+                            row[a * n + b] += sign * x * y
+        g = math.gcd(*row)
+        if g == 0:
+            return
+        if next(v for v in row if v) < 0:
+            g = -g
+        key = tuple(v // g for v in row)
+        if key not in seen:
+            seen.add(key)
+            sb.add_int_row(list(key))
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        push([(1, br[i][j], k), (-1, i, br[j][k]), (1, j, br[i][k])])
+        push([(1, i, br[j][k]), (-1, br[k][i], j), (1, br[j][i], k)])
+    for i in range(n):
+        push([(1, i, i)])
+        for j in range(i + 1, n):
+            push([(1, i, j), (1, j, i)])
+
+    quotient_dim = n * n - sb.rank
+    pivots = sb.pivot_cols()
+    reduced = dict(zip(pivots, sb.rref_rows()))
+    free = [f for f in range(n * n) if f not in reduced]
+    # coordinate f of the class of a symbol vector v: v[f] - sum_p r_p[f] v[p]
+    rows = []
+    for j in range(n):
+        for f in free:
+            row = []
+            for i in range(n):
+                col = i * n + j
+                row.append(Fraction(col == f) if col not in reduced else -reduced[col][f])
+            rows.append(row)
+    center = kernel_basis(Matrix.from_rows(rows, cols=n)) if rows else Subspace.full(n)
+    return quotient_dim, quotient_dim - algebra.derived_subalgebra().dim, center
 
 
 @pytest.fixture(scope="session")

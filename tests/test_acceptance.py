@@ -6,13 +6,13 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from liecap.capability import decide_capability
 from liecap.decompose import heisenberg_decompose
 from liecap.exterior import (
+    _d3_rows,
     _integer_brackets,
-    _relation_rows,
     exterior_center,
     exterior_square,
     exterior_square_dim,
@@ -223,19 +223,22 @@ def test_criterion_11_basis_invariance(frozen_catalog):
 
 
 def test_criterion_12_commutator_self_check(frozen_catalog):
-    # the construction aborts if any relation survives the symbol-level
-    # commutator map; re-run that accumulation here, independently
+    # the construction aborts unless d2 o d3 = 0, that is, unless every
+    # relation d3(e_i ^ e_j ^ e_k) dies under e_a ^ e_b -> [e_a, e_b];
+    # re-run that accumulation here, independently
     checked = 0
     for name, algebra in frozen_catalog:
         exterior_square(algebra)  # internal gate must not raise
         n = algebra.dim
         ibr = _integer_brackets(algebra)
-        for row in _relation_rows(algebra, ibr):
+        pairs = list(combinations(range(n), 2))
+        for row in _d3_rows(ibr):
+            assert len(row) == len(pairs), name
             image = [0] * n
             for col, val in enumerate(row):
                 if val:
-                    i, j = divmod(col, n)
-                    for t, x in enumerate(ibr[i][j]):
+                    a, b = pairs[col]
+                    for t, x in enumerate(ibr[a][b]):
                         if x:
                             image[t] += val * x
             assert not any(image), name

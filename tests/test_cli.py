@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,11 +142,13 @@ def test_verify_paper_json(capsys):
         ({"dim": 2, "brackets": [{"i": 0, "j": 5, "coeffs": {"0": "1"}}]}, "i < j"),
         ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"7": "1"}}]}, "range"),
         ({"dim": -1, "brackets": []}, "dim"),
+        ({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"²": "1"}}]}, "basis index"),
+        ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1", "2": "5"}}]}', "duplicate key"),
     ],
 )
 def test_file_diagnostics(tmp_path, capsys, doc, message):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run(capsys, "analyze", str(path))
     assert code == EXIT_INVALID
     assert message in err
@@ -170,3 +173,33 @@ def test_heisenberg_zero_rejected(capsys):
     code, _, err = run(capsys, "analyze", "H(0)")
     assert code == EXIT_USAGE
     assert "m >= 1" in err
+
+
+# --json output of analyze (every named catalog member, seeded scrambles)
+# and of verify-paper, pinned byte for byte: a change to how L ^ L is
+# built may change its internal coordinates, never this output.
+PINNED = json.loads((Path(__file__).parent / "pinned_cli_output.json").read_text())
+
+
+@pytest.mark.parametrize("expression", list(PINNED["analyze"]))
+def test_analyze_json_is_pinned(capsys, expression):
+    code, out, _ = run(capsys, "analyze", expression, "--json")
+    assert code == EXIT_OK
+    assert out == PINNED["analyze"][expression]
+
+
+@pytest.mark.parametrize("scramble_args", list(PINNED["scramble"]))
+def test_scrambled_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, scramble_args):
+    expression, seed = scramble_args.split(" --seed ")
+    _, scrambled, _ = run(capsys, "scramble", expression, "--seed", seed)
+    monkeypatch.chdir(tmp_path)  # the report echoes the path it was given
+    Path("scrambled.json").write_text(scrambled)
+    code, out, _ = run(capsys, "analyze", "scrambled.json", "--json")
+    assert code == EXIT_OK
+    assert out == PINNED["scramble"][scramble_args]
+
+
+def test_verify_paper_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == EXIT_OK
+    assert out == PINNED["verify-paper"]

@@ -1,5 +1,6 @@
-"""Exterior squares built from relations: dimensions, wedge algebra,
-the exterior center and the ideal-collapse identities."""
+"""Exterior squares built as Lambda^2 L / im d3: dimensions, wedge
+algebra, the exterior center, the ideal-collapse identities, and a
+differential check against the n^2-symbol construction."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import symbol_exterior_square
+
 from liecap.exterior import (
     ConstructionError,
-    _check_relations_die,
+    _check_d2_kills,
     _integer_brackets,
     exterior_center,
     exterior_square,
@@ -65,7 +68,7 @@ def test_multiplier_dims(algebra, expected):
 
 def test_field_sanity():
     sq = exterior_square(heisenberg(2))
-    assert sq.ambient_dim == 25
+    assert sq.ambient_dim == 10  # C(5, 2)
     assert sq.relation_rank + sq.quotient_dim == sq.ambient_dim
     assert sq.projection.rows == sq.quotient_dim
     assert sq.projection.cols == sq.ambient_dim
@@ -249,8 +252,23 @@ def test_central_collapse_exactness(seed):
 def test_self_check_catches_bad_relation():
     L = heisenberg(1)
     ibr = _integer_brackets(L)
-    # e_0 (x) e_1 alone is not a relation: it maps onto z
-    bogus = [0] * 9
-    bogus[1] = 1
+    # e_0 ^ e_1 (first in the basis e_0^e_1, e_0^e_2, e_1^e_2) is not in
+    # im d3: d2 maps it onto z
+    bogus = [1, 0, 0]
     with pytest.raises(ConstructionError):
-        _check_relations_die(3, ibr, [bogus])
+        _check_d2_kills(ibr, [bogus])
+
+
+def test_d3_construction_matches_symbol_oracle(frozen_catalog):
+    sl2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})  # e, f, h
+    r2 = LieAlgebra(2, {(0, 1): (0, 1)})  # [x, y] = y
+    not_nilpotent = [
+        ("sl2", sl2),
+        ("r2", r2),
+        ("r2+r2", direct_sum(r2, r2)),
+        ("sl2+A(2)", direct_sum(sl2, abelian(2))),
+    ]
+    for name, algebra in frozen_catalog + not_nilpotent:
+        sq = exterior_square(algebra)
+        got = (sq.quotient_dim, sq.multiplier_dim(), exterior_center(algebra))
+        assert got == symbol_exterior_square(algebra), name
