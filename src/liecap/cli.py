@@ -44,9 +44,10 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-_EXPR_RE = re.compile(r"^\s*[AH]\(\d+\)(\s*\+\s*[AH]\(\d+\))*\s*$")
-_TERM_RE = re.compile(r"([AH])\((\d+)\)")
+# ASCII digits only: \d would also match digits such as "٣"
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")
+_TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
 
 
 class InputError(Exception):
@@ -98,6 +99,10 @@ def load_algebra_file(path: str) -> LieAlgebra:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: not valid JSON ({e})") from None
+    except ValueError:
+        # the other ValueError json raises: an integer literal longer than
+        # the int-string conversion limit (4,300 digits by default)
+        raise InputError(f"{path}: an integer literal has too many digits") from None
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
@@ -130,13 +135,19 @@ def load_algebra_file(path: str) -> LieAlgebra:
             # str.isdigit alone accepts digits such as "²" that int() rejects
             if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
                 raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
-            k = int(key)
+            try:
+                k = int(key)
+            except ValueError:  # longer than the int-string conversion limit
+                raise InputError(f"{where}: coefficient key has too many digits") from None
             if not 0 <= k < dim:
                 raise InputError(f"{where}: coefficient index {k} out of range")
             if isinstance(val, int) and not isinstance(val, bool):
                 parsed[k] = Fraction(val)
             elif isinstance(val, str) and _RATIONAL_RE.match(val):
-                parsed[k] = Fraction(val)
+                try:
+                    parsed[k] = Fraction(val)
+                except ValueError:  # longer than the int-string conversion limit
+                    raise InputError(f"{where}: coefficient {k} has too many digits") from None
             else:
                 raise InputError(f"{where}: coefficient {val!r} is not an exact rational string")
         entries.append((i, j, parsed))

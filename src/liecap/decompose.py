@@ -119,15 +119,21 @@ def symplectic_basis(form: AlternatingForm) -> tuple[list[tuple[Vector, Vector]]
     f-orthogonal to each other, plus the radical of the form.  Pair
     selection is deterministic: vectors are scanned in ascending index
     order and the first nonzero pairing wins.
+
+    Each working vector v keeps the Gram column G e_i of the unit vector
+    e_i it started from.  v - e_i is a combination of the pairs found so
+    far, and every x the pass evaluates f(x, v) at is f-orthogonal to
+    those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
+    with a column that never needs updating.
     """
     n = form.dim
-    working: list[Vector] = [unit_vector(n, i) for i in range(n)]
+    working: list[tuple[Vector, Vector]] = [(unit_vector(n, i), form.matrix.column(i)) for i in range(n)]
     pairs: list[tuple[Vector, Vector]] = []
     while True:
         hit = None
         for ai in range(len(working)):
             for bi in range(ai + 1, len(working)):
-                if form.value(working[ai], working[bi]):
+                if dot(working[ai][0], working[bi][1]):
                     hit = (ai, bi)
                     break
             if hit:
@@ -135,20 +141,25 @@ def symplectic_basis(form: AlternatingForm) -> tuple[list[tuple[Vector, Vector]]
         if hit is None:
             break
         ai, bi = hit
-        a = working[ai]
-        c = form.value(a, working[bi])
-        b = vec_scale(1 / c, working[bi])  # now f(a, b) = 1
+        a, ga = working[ai]
+        v, gv = working[bi]
+        inv = 1 / dot(a, gv)
+        b, gb = vec_scale(inv, v), vec_scale(inv, gv)  # now f(a, b) = 1
         rest = []
-        for t, v in enumerate(working):
+        for t, (v, gv) in enumerate(working):
             if t in (ai, bi):
                 continue
             # project v onto the f-complement of the new pair
-            v = vec_add(v, vec_scale(form.value(v, a), b))
-            v = vec_sub(v, vec_scale(form.value(v, b), a))
-            rest.append(v)
+            s = dot(v, ga)
+            if s:
+                v = vec_add(v, vec_scale(s, b))
+            s = dot(v, gb)
+            if s:
+                v = vec_sub(v, vec_scale(s, a))
+            rest.append((v, gv))
         pairs.append((a, b))
         working = rest
-    radical = Subspace.span(n, working)
+    radical = Subspace.span(n, (v for v, _ in working))
     if 2 * len(pairs) + radical.dim != n:
         raise DecompositionCheckError("symplectic reduction lost rank")
     return pairs, radical
@@ -160,7 +171,9 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
     Abelian input raises AbelianAlgebraError (there is no H(0));
     dim [L, L] >= 2 is outside the scope of this routine and raises
-    ValueError.
+    ValueError.  The certified decomposition is computed once per
+    algebra and returned again by later calls; a rejection is raised
+    afresh each time.
     """
     algebra.require_valid()
     derived_dim = algebra.derived_subalgebra().dim
@@ -170,7 +183,10 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
         raise ValueError("decomposition requires dim [L, L] = 1")
     if not algebra.is_nilpotent():
         raise ValueError("decomposition requires a nilpotent algebra")
+    return algebra._memo("_decomposition", lambda: _certified_decomposition(algebra))
 
+
+def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     form, z = induced_form(algebra)
     pairs, radical = symplectic_basis(form)
     m = len(pairs)

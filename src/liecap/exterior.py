@@ -176,9 +176,15 @@ def _check_d2_kills(ibr: list[list[list[int]]], rows: list[list[int]]) -> None:
             raise ConstructionError("relation vector survives the commutator map")
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived caller does not keep every algebra it ever
+# asked about alive; verify-paper uses 31 distinct algebras.
+_SQUARE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
-    """Build L ^ L with its commutator map.  Cached per algebra."""
+    """Build L ^ L with its commutator map.  Cached per algebra, for the
+    most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
     ibr = _integer_brackets(algebra)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .linalg import (
     Fraction,
@@ -36,6 +36,7 @@ class InvalidAlgebraError(ValueError):
 
 
 _UNCHECKED = object()
+T = TypeVar("T")
 
 
 class LieAlgebra:
@@ -43,10 +44,12 @@ class LieAlgebra:
 
     Instances are immutable and hashable; equality compares dimensions
     and bracket tables (labels are presentation only).  All derived
-    computations are exact and deterministic.
+    computations are exact and deterministic; the Jacobi verdict, the
+    derived subalgebra, the lower central series and the H(m) + A(k)
+    decomposition are computed at most once per instance.
     """
 
-    __slots__ = ("dim", "labels", "_table", "_key", "_hash", "_jacobi")
+    __slots__ = ("dim", "labels", "_table", "_key", "_hash", "_jacobi", "_derived", "_series", "_decomposition")
 
     def __init__(
         self,
@@ -77,7 +80,8 @@ class LieAlgebra:
         key = (dim, tuple(sorted(table.items())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_jacobi", _UNCHECKED)
+        for slot in ("_jacobi", "_derived", "_series", "_decomposition"):
+            object.__setattr__(self, slot, _UNCHECKED)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LieAlgebra is immutable")
@@ -90,6 +94,15 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"<LieAlgebra dim={self.dim} brackets={len(self._table)}>"
+
+    def _memo(self, slot: str, compute: Callable[[], T]) -> T:
+        """The value held in ``slot``, computed on first use.  A value is
+        stored only when ``compute`` returns, never when it raises."""
+        value = getattr(self, slot)
+        if value is _UNCHECKED:
+            value = compute()
+            object.__setattr__(self, slot, value)
+        return value
 
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
@@ -149,8 +162,9 @@ class LieAlgebra:
         the same square factor, so vanishing is unaffected) and the
         verdict is cached on the instance.
         """
-        if self._jacobi is not _UNCHECKED:
-            return self._jacobi
+        return self._memo("_jacobi", self._first_jacobi_violation)
+
+    def _first_jacobi_violation(self) -> tuple[int, int, int] | None:
         n = self.dim
         denom = 1
         for c in self._table.values():
@@ -194,7 +208,6 @@ class LieAlgebra:
                     break
             if violation:
                 break
-        object.__setattr__(self, "_jacobi", violation)
         return violation
 
     def require_valid(self) -> None:
@@ -206,10 +219,7 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         """[L, L]: the span of all basis brackets."""
-        sb = SpanBuilder(self.dim)
-        for c in self._table.values():
-            sb.add(c)
-        return sb.subspace()
+        return self._memo("_derived", lambda: Subspace.span(self.dim, self._table.values()))
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, via the kernel of the stacked
@@ -236,16 +246,19 @@ class LieAlgebra:
         return sb.subspace()
 
     def lower_central_series(self) -> list[Subspace]:
-        """L^1 = L, L^{i+1} = [L, L^i], listed until it stabilizes."""
+        """L^1 = L, L^{i+1} = [L, L^i], listed until it stabilizes.
+        Each call returns a fresh list."""
+        return list(self._memo("_series", self._series_terms))
+
+    def _series_terms(self) -> tuple[Subspace, ...]:
         series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self.bracket_span(series[-1])
-            if nxt == series[-1]:
-                break
+        nxt = self.derived_subalgebra()  # L^2 = [L, L]
+        while nxt != series[-1]:
             series.append(nxt)
             if nxt.is_zero():
                 break
-        return series
+            nxt = self.bracket_span(nxt)
+        return tuple(series)
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].is_zero()

@@ -45,7 +45,9 @@ def zero_vector(n: int) -> Vector:
 def unit_vector(n: int, i: int) -> Vector:
     if not 0 <= i < n:
         raise ValueError(f"unit index {i} out of range for dimension {n}")
-    return tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
+    v = [Fraction(0)] * n  # one shared zero: identity matrices stay small
+    v[i] = Fraction(1)
+    return tuple(v)
 
 
 def vec_add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:

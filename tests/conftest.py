@@ -2,7 +2,8 @@
 checked against.  The linear-algebra oracles deliberately avoid the
 library's own elimination code paths; the exterior-square oracle is an
 independent construction that shares only that (separately tested)
-elimination core with the library."""
+elimination core with the library, and the symplectic-basis oracle is
+the direct matrix-vector form of the library's Gram-column pass."""
 
 from __future__ import annotations
 
@@ -141,6 +142,46 @@ def symbol_exterior_square(algebra):
             rows.append(row)
     center = kernel_basis(Matrix.from_rows(rows, cols=n)) if rows else Subspace.full(n)
     return quotient_dim, quotient_dim - algebra.derived_subalgebra().dim, center
+
+
+def matrix_symplectic_basis(form):
+    """Symplectic Gram-Schmidt taking every form value f(x, y) as
+    x . (G y), a full Gram matrix-vector product.
+
+    The same pair selection as the library (ascending scan, first
+    nonzero pairing wins), without its Gram-column shortcut; the
+    differential tests compare the two on pairs and radical.
+    """
+    from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale, vec_sub
+
+    n = form.dim
+    working = [unit_vector(n, i) for i in range(n)]
+    pairs = []
+    while True:
+        hit = None
+        for ai in range(len(working)):
+            for bi in range(ai + 1, len(working)):
+                if form.value(working[ai], working[bi]):
+                    hit = (ai, bi)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        ai, bi = hit
+        a = working[ai]
+        c = form.value(a, working[bi])
+        b = vec_scale(1 / c, working[bi])
+        rest = []
+        for t, v in enumerate(working):
+            if t in (ai, bi):
+                continue
+            v = vec_add(v, vec_scale(form.value(v, a), b))
+            v = vec_sub(v, vec_scale(form.value(v, b), a))
+            rest.append(v)
+        pairs.append((a, b))
+        working = rest
+    return pairs, Subspace.span(n, working)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from liecap.exterior import (
     multiplier_dim,
     quotient_exterior_dim,
 )
-from liecap.lie import abelian, direct_sum, heisenberg, scramble
+from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 from liecap.linalg import Subspace, vec_add, zero_vector
 from liecap.multiplier import direct_sum_multiplier_dim
 
@@ -225,9 +225,14 @@ def test_criterion_11_basis_invariance(frozen_catalog):
 def test_criterion_12_commutator_self_check(frozen_catalog):
     # the construction aborts unless d2 o d3 = 0, that is, unless every
     # relation d3(e_i ^ e_j ^ e_k) dies under e_a ^ e_b -> [e_a, e_b];
-    # re-run that accumulation here, independently
+    # re-run that accumulation here, independently.  Every catalog member
+    # is 2-step nilpotent, where d2 kills all of [L, L] ^ L whatever d3
+    # does, so two deeper algebras are added
+    filiform = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
+    sl2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+    corpus = frozen_catalog + [("filiform(4) scrambled", scramble(filiform, 1)), ("sl2", sl2)]
     checked = 0
-    for name, algebra in frozen_catalog:
+    for name, algebra in corpus:
         exterior_square(algebra)  # internal gate must not raise
         n = algebra.dim
         ibr = _integer_brackets(algebra)
@@ -243,6 +248,6 @@ def test_criterion_12_commutator_self_check(frozen_catalog):
                             image[t] += val * x
             assert not any(image), name
         checked += 1
-    ok = checked == len(frozen_catalog)
+    ok = checked == len(corpus)
     _report(12, ok, f"every relation dies under the commutator map on all {checked} constructions")
-    assert checked == len(frozen_catalog)
+    assert checked == len(corpus)

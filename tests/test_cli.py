@@ -144,6 +144,24 @@ def test_verify_paper_json(capsys):
         ({"dim": -1, "brackets": []}, "dim"),
         ({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"²": "1"}}]}, "basis index"),
         ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1", "2": "5"}}]}', "duplicate key"),
+        # integers past Python's int-string conversion limit (4,300 digits)
+        pytest.param('{"dim": ' + "1" * 5000 + ', "brackets": []}', "too many digits", id="long-dim"),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"1" * 5000: "1"}}]},
+            "too many digits",
+            id="long-key",
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1" * 5000}}]},
+            "too many digits",
+            id="long-coefficient",
+        ),
+        # a non-ASCII decimal digit is not an exact rational string
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "\u0663"}}]},
+            "rational",
+            id="arabic-indic-coefficient",
+        ),
     ],
 )
 def test_file_diagnostics(tmp_path, capsys, doc, message):
@@ -166,6 +184,15 @@ def test_unknown_input_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "B(3)")
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "analyze", "/no/such/file.json")
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("expression", ["A(\u0663)", "H(\u0661)+A(2)", "A(\uff13)"])
+def test_non_ascii_digits_are_not_expressions(capsys, expression):
+    code, _, err = run(capsys, "analyze", expression)
+    assert code == EXIT_USAGE
+    assert "not a builtin expression" in err
+    code, _, _ = run(capsys, "scramble", expression, "--seed", "1")
     assert code == EXIT_USAGE
 
 

@@ -4,14 +4,17 @@ certified decomposition round trip."""
 from __future__ import annotations
 
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
 
-from conftest import rank_by_minors
+from conftest import matrix_symplectic_basis, rank_by_minors
+from liecap import decompose
 from liecap.decompose import (
     AbelianAlgebraError,
     AlternatingForm,
+    DecompositionCheckError,
     heisenberg_decompose,
     induced_form,
     symplectic_basis,
@@ -76,6 +79,7 @@ def test_symplectic_basis_random_skew(seed):
     form = AlternatingForm(Matrix.from_rows(skew))
     rank = rank_by_minors(skew)
     pairs, radical = symplectic_basis(form)
+    assert (pairs, radical) == matrix_symplectic_basis(form)
     assert 2 * len(pairs) == rank
     assert 2 * len(pairs) + radical.dim == 6
     assert radical == kernel_basis(form.matrix)
@@ -150,3 +154,77 @@ def test_decompose_round_trip_under_scrambles(m, k):
         assert (dec.m, dec.k) == (m, k)
         rewritten = scrambled.change_basis(dec.basis_change)
         assert dict(rewritten.brackets) == expected
+
+
+def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
+    # the same pairs and radical as taking every form value from a full
+    # Gram matrix-vector product, on every member with dim [L, L] = 1
+    checked = 0
+    for name, algebra in frozen_catalog:
+        if algebra.derived_subalgebra().dim != 1:
+            continue
+        form, _ = induced_form(algebra)
+        assert symplectic_basis(form) == matrix_symplectic_basis(form), name
+        checked += 1
+    assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
+
+
+def test_lower_central_series_returns_a_fresh_list():
+    L = scramble(direct_sum(heisenberg(2), abelian(1)), 3)
+    first = L.lower_central_series()
+    dims = [s.dim for s in first]
+    first.clear()
+    second = L.lower_central_series()
+    assert [s.dim for s in second] == dims == [6, 1, 0]
+    second.append(second[0])
+    assert [s.dim for s in L.lower_central_series()] == dims
+
+
+@pytest.mark.parametrize(
+    "algebra, error",
+    [(abelian(3), AbelianAlgebraError), (direct_sum(heisenberg(1), heisenberg(1)), ValueError)],
+    ids=["A(3)", "H(1)+H(1)"],
+)
+def test_decompose_rejection_is_raised_afresh(algebra, error):
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            heisenberg_decompose(algebra)
+        raised.append(info.value)
+    assert all(type(e) is error for e in raised)
+    assert len({str(e) for e in raised}) == 1
+    assert len({id(e) for e in raised}) == 3
+    # a re-raised cached exception would grow its traceback on every raise
+    assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
+
+
+def test_decomposition_is_certified_once(monkeypatch):
+    L = scramble(direct_sum(heisenberg(2), abelian(2)), 77)
+    calls = {"change_basis": 0, "induced_form": 0}
+    change_basis, induced = LieAlgebra.change_basis, decompose.induced_form
+
+    def counted_change_basis(self, p):
+        calls["change_basis"] += 1
+        return change_basis(self, p)
+
+    def counted_induced_form(algebra):
+        calls["induced_form"] += 1
+        return induced(algebra)
+
+    monkeypatch.setattr(LieAlgebra, "change_basis", counted_change_basis)
+    monkeypatch.setattr(decompose, "induced_form", counted_induced_form)
+    first = heisenberg_decompose(L)
+    assert heisenberg_decompose(L) is first
+    assert heisenberg_decompose(L) is first
+    assert calls == {"change_basis": 1, "induced_form": 1}
+
+
+def test_failed_certification_is_not_memoized(monkeypatch):
+    L = scramble(heisenberg(2), 78)
+    monkeypatch.setattr(LieAlgebra, "change_basis", lambda self, p: abelian(self.dim))
+    for _ in range(2):
+        with pytest.raises(DecompositionCheckError):
+            heisenberg_decompose(L)
+    monkeypatch.undo()
+    dec = heisenberg_decompose(L)
+    assert (dec.m, dec.k) == (2, 0)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from conftest import symbol_exterior_square
 from liecap.exterior import (
     ConstructionError,
     _check_d2_kills,
+    _d3_rows,
     _integer_brackets,
+    _wedge_index,
     exterior_center,
     exterior_square,
     exterior_square_dim,
@@ -27,7 +30,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Subspace, unit_vector, vec_add, zero_vector
+from liecap.linalg import Subspace, _normalize_int, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -257,6 +260,61 @@ def test_self_check_catches_bad_relation():
     bogus = [1, 0, 0]
     with pytest.raises(ConstructionError):
         _check_d2_kills(ibr, [bogus])
+
+
+def _d3_rows_without(ibr, dropped):
+    """d3(e_i ^ e_j ^ e_k) for i < j < k with the term number ``dropped``
+    (0, 1 or 2; None keeps all three) of
+    [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i + [e_k,e_i] ^ e_j left out."""
+    n = len(ibr)
+    rows = []
+    for i, j, k in combinations(range(n), 3):
+        row = [0] * (n * (n - 1) // 2)
+        for term, (c, last) in enumerate(((ibr[i][j], k), (ibr[j][k], i), (ibr[k][i], j))):
+            if term == dropped:
+                continue
+            for l, x in enumerate(c):
+                if x and l != last:
+                    row[_wedge_index(n, min(l, last), max(l, last))] += x if l < last else -x
+        rows.append(row)
+    return rows
+
+
+FILIFORM_4 = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})  # [e1,e2]=e3, [e1,e3]=e4
+SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})  # e, f, h
+
+
+@pytest.mark.parametrize(
+    "algebra, caught",
+    [
+        # every double bracket [[e_i,e_j],e_k] of three distinct basis
+        # vectors vanishes here, so no single dropped term is visible ...
+        (FILIFORM_4, ()),
+        # ... but in a random basis each one is
+        (scramble(FILIFORM_4, 1), (0, 1, 2)),
+        (SL2, (1, 2)),  # term 0 is [e,f] ^ h = h ^ h = 0
+        (scramble(SL2, 1), (0, 1, 2)),
+    ],
+    ids=["filiform4", "filiform4-scrambled", "sl2", "sl2-scrambled"],
+)
+def test_self_check_catches_dropped_d3_term(algebra, caught):
+    # on a 2-step nilpotent algebra d2 kills all of [L, L] ^ L, so the
+    # d2 o d3 = 0 gate can only catch a defective d3 on deeper algebras
+    ibr = _integer_brackets(algebra)
+    full = _d3_rows_without(ibr, None)
+    assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(ibr)
+    _check_d2_kills(ibr, full)
+    for dropped in (0, 1, 2):
+        if dropped in caught:
+            with pytest.raises(ConstructionError):
+                _check_d2_kills(ibr, _d3_rows_without(ibr, dropped))
+        else:
+            _check_d2_kills(ibr, _d3_rows_without(ibr, dropped))
+
+
+def test_exterior_square_cache_is_bounded():
+    maxsize = exterior_square.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10_000
 
 
 def test_d3_construction_matches_symbol_oracle(frozen_catalog):
