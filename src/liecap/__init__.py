@@ -35,10 +35,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     kernel_basis,
-    quotient_map,
     rref,
-    solve,
-    subspace_intersection,
 )
 from .multiplier import (
     MultiplierReport,
@@ -86,10 +83,7 @@ __all__ = [
     "kernel_basis",
     "multiplier_dim",
     "quotient_exterior_dim",
-    "quotient_map",
     "rref",
     "scramble",
-    "solve",
-    "subspace_intersection",
     "symplectic_basis",
 ]

@@ -96,9 +96,8 @@ def induced_form(algebra: LieAlgebra) -> tuple[AlternatingForm, Vector]:
     z = derived.basis.row(0)
     pivot = next(k for k, v in enumerate(z) if v)
     # z must be central or the structure constants are inconsistent
-    for i in range(algebra.dim):
-        if any(algebra._ad(i, z)):
-            raise DecompositionCheckError("derived generator is not central")
+    if any(any(row) for row in algebra._ad_rows([z])):
+        raise DecompositionCheckError("derived generator is not central")
     n = algebra.dim
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

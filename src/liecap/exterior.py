@@ -28,7 +28,6 @@ independent witness the formulas are checked against.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +51,10 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExteriorSquare:
-    """The exterior square of ``source`` in canonical quotient coordinates.
+    """The exterior square of an algebra of dimension ``dim`` in
+    canonical quotient coordinates.  It holds nothing else of the
+    algebra: the cache in ``exterior_square`` hands one instance to
+    every equal algebra, whatever its labels.
 
     ``projection`` maps the C(n,2) coordinates of Lambda^2 L (basis
     e_i ^ e_j, i < j, in lexicographic order) onto the quotient;
@@ -60,7 +62,7 @@ class ExteriorSquare:
     derived subalgebra (it is surjective by construction).
     """
 
-    source: LieAlgebra
+    dim: int
     ambient_dim: int
     relation_rank: int
     quotient_dim: int
@@ -70,7 +72,7 @@ class ExteriorSquare:
 
     def wedge(self, x, y) -> Vector:
         """Class of x ^ y in quotient coordinates."""
-        n = self.source.dim
+        n = self.dim
         xv = vector(x)
         yv = vector(y)
         if len(xv) != n or len(yv) != n:
@@ -81,7 +83,7 @@ class ExteriorSquare:
     def basis_wedge(self, i: int, j: int) -> Vector:
         """Class of e_i ^ e_j: a column of the projection, negated when
         i > j, and zero when i = j."""
-        n = self.source.dim
+        n = self.dim
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("basis index out of range")
         return _wedge_column(self.projection, n, i, j)
@@ -93,30 +95,6 @@ class ExteriorSquare:
 
     def multiplier_dim(self) -> int:
         return self.quotient_dim - self.derived.dim
-
-
-def _integer_brackets(algebra: LieAlgebra) -> list[list[list[int]]]:
-    """All basis brackets scaled by one common denominator.
-
-    A uniform scaling multiplies every relation row by the same nonzero
-    constant, so spans are unchanged and the hot loops can stay on int.
-    """
-    n = algebra.dim
-    den = 1
-    for c in algebra.brackets.values():
-        for x in c:
-            d = x.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-    out = []
-    for i in range(n):
-        out.append(
-            [
-                [x.numerator * (den // x.denominator) for x in algebra.bracket_basis(i, j)]
-                for j in range(n)
-            ]
-        )
-    return out
 
 
 def _wedge_index(n: int, i: int, j: int) -> int:
@@ -135,10 +113,10 @@ def _wedge_column(projection: Matrix, n: int, i: int, j: int) -> Vector:
     return tuple(-x if x else x for x in projection.column(_wedge_index(n, j, i)))
 
 
-def _d3_rows(ibr: list[list[list[int]]]) -> list[list[int]]:
+def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[list[int]]:
     """d3(e_i ^ e_j ^ e_k) for every i < j < k, as normalized integer rows
-    in the lexicographic Lambda^2 basis; zero rows are dropped."""
-    n = len(ibr)
+    in the lexicographic Lambda^2 basis, from the integer bracket table
+    of ``LieAlgebra._integer_table``; zero rows are dropped."""
     # wedge_with[k]: (l, column of e_l ^ e_k, sign) for every l != k
     wedge_with = [
         [(l, _wedge_index(n, min(l, k), max(l, k)), 1 if l < k else -1) for l in range(n) if l != k]
@@ -146,29 +124,32 @@ def _d3_rows(ibr: list[list[list[int]]]) -> list[list[int]]:
     ]
     rows: list[list[int]] = []
     for i, j, k in itertools.combinations(range(n), 3):
+        # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i + [e_k,e_i] ^ e_j, with [e_k,e_i] = -[e_i,e_k]
+        terms = ((table.get((i, j)), k, 1), (table.get((j, k)), i, 1), (table.get((i, k)), j, -1))
+        if all(c is None for c, _, _ in terms):
+            continue
         dense = [0] * (n * (n - 1) // 2)
-        # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i + [e_k,e_i] ^ e_j
-        for c, last in ((ibr[i][j], k), (ibr[j][k], i), (ibr[k][i], j)):
-            for l, col, sign in wedge_with[last]:
-                v = c[l]
-                if v:
-                    dense[col] += sign * v
+        for c, last, sign in terms:
+            if c is not None:
+                for l, col, s in wedge_with[last]:
+                    v = c[l]
+                    if v:
+                        dense[col] += sign * s * v
         row = _normalize_int(dense)
         if row is not None:
             rows.append(row)
     return rows
 
 
-def _check_d2_kills(ibr: list[list[list[int]]], rows: list[list[int]]) -> None:
+def _check_d2_kills(n: int, table: dict[tuple[int, int], list[int]], rows: list[list[int]]) -> None:
     """Self-check d2 o d3 = 0: every relation row must vanish under the
     commutator map e_i ^ e_j -> [e_i, e_j].  A failure means the
     construction (or the input constants) is defective."""
-    n = len(ibr)
-    brackets = [ibr[i][j] for i, j in itertools.combinations(range(n), 2)]
+    brackets = [table.get(pair) for pair in itertools.combinations(range(n), 2)]
     for row in rows:
         image = [0] * n
         for val, c in zip(row, brackets):
-            if val:
+            if val and c is not None:
                 for t, x in enumerate(c):
                     if x:
                         image[t] += val * x
@@ -187,9 +168,9 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
-    ibr = _integer_brackets(algebra)
-    rows = _d3_rows(ibr)
-    _check_d2_kills(ibr, rows)
+    _, table, _ = algebra._integer_table()
+    rows = _d3_rows(n, table)
+    _check_d2_kills(n, table, rows)
 
     pairs = list(itertools.combinations(range(n), 2))
     sb = SpanBuilder(len(pairs))
@@ -212,7 +193,7 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
 
     return ExteriorSquare(
-        source=algebra,
+        dim=n,
         ambient_dim=len(pairs),
         relation_rank=sb.rank,
         quotient_dim=quotient.dim,

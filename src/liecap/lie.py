@@ -11,9 +11,10 @@ rejected with a witness.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .linalg import (
     Fraction,
@@ -121,20 +122,36 @@ class LieAlgebra:
         c = self._table.get((j, i))
         return zero_vector(self.dim) if c is None else tuple(-x for x in c)
 
-    def _ad(self, i: int, v: Sequence[Fraction]) -> Vector:
-        """[e_i, v] for a coordinate vector v."""
-        out = [Fraction(0)] * self.dim
-        for (a, b), c in self._table.items():
-            coef = None
-            if a == i:
-                coef = v[b]
-            elif b == i:
-                coef = -v[a]
-            if coef:
-                for k, x in enumerate(c):
-                    if x:
-                        out[k] += coef * x
-        return tuple(out)
+    def _integer_table(
+        self,
+    ) -> tuple[int, dict[tuple[int, int], list[int]], list[list[tuple[int, int, list[int]]]]]:
+        """The brackets over one common denominator d, as ``(d, table, ad)``.
+
+        ``table[(i, j)]`` is d [e_i, e_j] as ints for the stored i < j,
+        and the adjoint index ``ad[i]`` lists ``(j, sign, c)`` with
+        [e_i, e_j] = sign c / d for every nonzero bracket at e_i.  It is
+        recomputed on each call rather than kept on the instance: every
+        consumer runs once per algebra.
+        """
+        d, rows = _over_common_denominator(self._table.values())
+        table = dict(zip(self._table, rows))
+        ad: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(self.dim)]
+        for (a, b), c in table.items():
+            ad[a].append((b, 1, c))
+            ad[b].append((a, -1, c))
+        return d, table, ad
+
+    def _ad_rows(self, vectors: Iterable[Sequence[Fraction]]) -> Iterator[list[int]]:
+        """A positive integer multiple of [e_i, v] for every v in
+        ``vectors`` and every basis index i, in that order: enough for
+        spans, containment and zero tests."""
+        _, _, ad = self._integer_table()
+        _, ints = _over_common_denominator(vectors)
+        for w in ints:
+            for entries in ad:
+                out = [0] * self.dim
+                _accumulate(out, entries, w, 1)
+                yield out
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
@@ -165,50 +182,24 @@ class LieAlgebra:
         return self._memo("_jacobi", self._first_jacobi_violation)
 
     def _first_jacobi_violation(self) -> tuple[int, int, int] | None:
-        n = self.dim
-        denom = 1
-        for c in self._table.values():
-            for x in c:
-                denom = lcm(denom, x.denominator)
-        table = {key: tuple(int(x * denom) for x in c) for key, c in self._table.items()}
-        ad: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
-        for (a, b), c in table.items():
-            ad[a].append((b, 1, c))
-            ad[b].append((a, -1, c))
-
-        def accumulate(out: list[int], i: int, v: tuple[int, ...], sign: int) -> None:
-            for other, s, c in ad[i]:
-                coef = sign * s * v[other]
-                if coef:
-                    for t, x in enumerate(c):
-                        if x:
-                            out[t] += coef * x
-
-        violation: tuple[int, int, int] | None = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = table.get((i, j))
-                for k in range(j + 1, n):
-                    bjk = table.get((j, k))
-                    bik = table.get((i, k))
-                    if bij is None and bjk is None and bik is None:
-                        continue
-                    out = [0] * n
-                    if bjk is not None:
-                        accumulate(out, i, bjk, 1)
-                    if bik is not None:
-                        # [e_k, e_i] = -[e_i, e_k]
-                        accumulate(out, j, bik, -1)
-                    if bij is not None:
-                        accumulate(out, k, bij, 1)
-                    if any(out):
-                        violation = (i, j, k)
-                        break
-                if violation:
-                    break
-            if violation:
-                break
-        return violation
+        _, table, ad = self._integer_table()
+        for i, j, k in combinations(range(self.dim), 3):
+            bij = table.get((i, j))
+            bjk = table.get((j, k))
+            bik = table.get((i, k))
+            if bij is None and bjk is None and bik is None:
+                continue
+            out = [0] * self.dim
+            if bjk is not None:
+                _accumulate(out, ad[i], bjk, 1)
+            if bik is not None:
+                # [e_k, e_i] = -[e_i, e_k]
+                _accumulate(out, ad[j], bik, -1)
+            if bij is not None:
+                _accumulate(out, ad[k], bij, 1)
+            if any(out):
+                return (i, j, k)
+        return None
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -222,27 +213,29 @@ class LieAlgebra:
         return self._memo("_derived", lambda: Subspace.span(self.dim, self._table.values()))
 
     def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}, via the kernel of the stacked
-        adjoint equations."""
+        """{x : [x, y] = 0 for all y}: the kernel of the equations
+        [x, e_j]_k = 0, eliminated on ints before the kernel is taken."""
         n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n * n)]
-        for (a, b), c in self._table.items():
-            for k, v in enumerate(c):
-                if v:
-                    rows[b * n + k][a] += v
-                    rows[a * n + k][b] -= v
-        return kernel_basis(Matrix.from_rows(rows, cols=n))
+        _, _, ad = self._integer_table()
+        sb = SpanBuilder(n)
+        for entries in ad:
+            # row k of e_j holds d [e_j, e_i]_k = -d [e_i, e_j]_k at column i
+            for k in range(n):
+                row = [0] * n
+                for i, sign, c in entries:
+                    row[i] = sign * c[k]
+                if any(row):
+                    sb.add_int_row(row)
+        return kernel_basis(Matrix.from_rows(sb.rref_rows(), cols=n))
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         sb = SpanBuilder(self.dim)
-        for i in range(self.dim):
-            for row in s.basis.data:
-                v = self._ad(i, row)
-                if any(v):
-                    sb.add(v)
+        for row in self._ad_rows(s.basis.data):
+            if any(row):
+                sb.add_int_row(row)
         return sb.subspace()
 
     def lower_central_series(self) -> list[Subspace]:
@@ -269,20 +262,16 @@ class LieAlgebra:
     def is_ideal(self, s: Subspace) -> bool:
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        return all(
-            s.contains(self._ad(i, row))
-            for i in range(self.dim)
-            for row in s.basis.data
-        )
+        sb = SpanBuilder(self.dim)
+        for row in s.basis.data:
+            sb.add(row)
+        # a row outside S enlarges the span
+        return not any(sb.add_int_row(row) for row in self._ad_rows(s.basis.data))
 
     def is_central_ideal(self, s: Subspace) -> bool:
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        return all(
-            not any(self._ad(i, row))
-            for i in range(self.dim)
-            for row in s.basis.data
-        )
+        return not any(any(row) for row in self._ad_rows(s.basis.data))
 
     # -- constructions -------------------------------------------------------
 
@@ -314,23 +303,10 @@ class LieAlgebra:
         n = self.dim
         if p.rows != n or p.cols != n:
             raise ValueError("change of basis matrix has wrong shape")
-        pinv_t = p.inverse().transpose()
         # rescale everything to integers and undo the scaling once per entry
-        dp = 1
-        for row in p.data:
-            for x in row:
-                dp = lcm(dp, x.denominator)
-        pi = [[int(x * dp) for x in row] for row in p.data]
-        dq = 1
-        for row in pinv_t.data:
-            for x in row:
-                dq = lcm(dq, x.denominator)
-        qi = [[int(x * dq) for x in row] for row in pinv_t.data]
-        dt = 1
-        for c in self._table.values():
-            for x in c:
-                dt = lcm(dt, x.denominator)
-        ti = {key: [int(x * dt) for x in c] for key, c in self._table.items()}
+        dq, qi = _over_common_denominator(p.inverse().transpose().data)
+        dp, pi = _over_common_denominator(p.data)
+        dt, ti, _ = self._integer_table()
         scale = Fraction(1, dp * dp * dt * dq)
         consts: dict[tuple[int, int], Vector] = {}
         for i in range(n):
@@ -349,6 +325,23 @@ class LieAlgebra:
                         scale * sum(qr[t] * w[t] for t in range(n)) for qr in qi
                     )
         return LieAlgebra(self.dim, consts)
+
+
+def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(d, [d * row, ...])`` for the lcm d of every denominator in rows."""
+    rows = list(rows)
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _accumulate(out: list[int], entries: list[tuple[int, int, list[int]]], w: Sequence[int], sign: int) -> None:
+    """out += sign d [e_i, w] for the adjoint index ``entries`` of e_i."""
+    for j, s, c in entries:
+        coef = sign * s * w[j]
+        if coef:
+            for t, x in enumerate(c):
+                if x:
+                    out[t] += coef * x
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 Everything else in this package reduces to the primitives here: reduced
 row echelon form, kernels, canonical quotient projections and subspace
-arithmetic, all over ``fractions.Fraction``.  There are no floats and no
+membership, all over ``fractions.Fraction``.  There are no floats and no
 tolerances; two values are equal exactly when their reduced fractions
 are equal, and every function is deterministic.
 
-The elimination core works on integer rows (each incoming row is scaled
-by the lcm of its denominators, then divided by its gcd), so the hot
-loops run on plain ``int``.  Results are converted back to fractions at
-the end.  This is an implementation detail only; every public value is
-an exact rational.
+The elimination core, ``SpanBuilder``, works on integer rows, so the hot
+loops run on plain ``int``.  ``add_int_row`` takes rows that are already
+integers: the commutator, center and exterior-square code feeds it rows
+computed from ``LieAlgebra``'s one integer table of structure constants
+(every bracket over one common denominator).  ``add`` scales a rational
+row by the lcm of its own denominators first.  Each stored row is
+divided by its gcd, and results are converted back to fractions at the
+end.  This is an implementation detail only; every public value is an
+exact rational.
 """
 
 from __future__ import annotations
@@ -239,10 +243,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
-
     def row(self, i: int) -> Vector:
         return self.data[i]
 
@@ -257,13 +257,6 @@ class Matrix:
         if len(w) != self.cols:
             raise ValueError("vector length does not match matrix columns")
         return tuple(dot(r, w) for r in self.data)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix shape mismatch")
-        tcols = other.transpose().data
-        data = tuple(tuple(dot(r, c) for c in tcols) for r in self.data)
-        return Matrix(self.rows, other.cols, data)
 
     def rank(self) -> int:
         sb = SpanBuilder(self.cols)
@@ -367,26 +360,8 @@ class Subspace:
         return coords if rebuilt == w else None
 
 
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(a.ambient_dim)
-    if a == b:
-        return a
-    stacked = Matrix.from_rows(list(a.basis.data) + list(b.basis.data), cols=a.ambient_dim)
-    coeffs = kernel_basis(stacked.transpose())
-    vectors = []
-    for w in coeffs.basis.data:
-        v = zero_vector(a.ambient_dim)
-        for c, r in zip(w[: a.dim], a.basis.data):
-            v = vec_add(v, vec_scale(c, r))
-        vectors.append(v)
-    return Subspace.span(a.ambient_dim, vectors)
-
-
 # ---------------------------------------------------------------------------
-# echelon form, kernels, quotients, solving
+# echelon form, kernels, quotients
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -453,32 +428,6 @@ def _quotient_from_builder(sb: SpanBuilder) -> Quotient:
         rows.append(row)
     projection = Matrix(len(section), ambient_dim, tuple(tuple(r) for r in rows))
     return Quotient(len(section), projection, section)
-
-
-def quotient_map(ambient_dim: int, relations: Iterable[Sequence[Scalar]]) -> tuple[int, Matrix]:
-    """Dimension of Q^ambient modulo span(relations) and the canonical
-    projection onto it.  Quotient coordinates are read off the non-pivot
-    columns of the relation RREF, so the projection is unique."""
-    q = quotient_with_section(ambient_dim, relations)
-    return q.dim, q.projection
-
-
-def solve(m: Matrix, rhs: Sequence[Scalar]) -> Vector | None:
-    """One exact solution of m x = rhs (free variables set to 0), or None."""
-    b = vector(rhs)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    sb = SpanBuilder(m.cols + 1)
-    for r, v in zip(m.data, b):
-        sb.add(tuple(r) + (v,))
-    pivots = sb.pivot_cols()
-    if m.cols in pivots:
-        return None
-    reduced = sb.rref_rows()
-    x = [Fraction(0)] * m.cols
-    for t, p in enumerate(pivots):
-        x[p] = reduced[t][m.cols]
-    return tuple(x)
 
 
 def random_invertible(n: int, rng: random.Random) -> Matrix:

@@ -2,8 +2,9 @@
 checked against.  The linear-algebra oracles deliberately avoid the
 library's own elimination code paths; the exterior-square oracle is an
 independent construction that shares only that (separately tested)
-elimination core with the library, and the symplectic-basis oracle is
-the direct matrix-vector form of the library's Gram-column pass."""
+elimination core with the library, the symplectic-basis oracle is the
+direct matrix-vector form of the library's Gram-column pass, and the
+commutator oracle works in ``Fraction`` from the public bracket alone."""
 
 from __future__ import annotations
 
@@ -182,6 +183,91 @@ def matrix_symplectic_basis(form):
         pairs.append((a, b))
         working = rest
     return pairs, Subspace.span(n, working)
+
+
+class FractionBracketOracle:
+    """The commutator computations of ``LieAlgebra`` redone in
+    ``Fraction`` arithmetic from the public ``bracket`` alone: ``ad``
+    reads the basis brackets [e_i, e_j] once and extends them linearly,
+    and ``change_basis`` brackets the new basis vectors directly.  Used
+    for a differential test of the library's integer table."""
+
+    def __init__(self, algebra):
+        from liecap.linalg import unit_vector
+
+        self.n = n = algebra.dim
+        self.bracket = algebra.bracket
+        self.spans = {}
+        units = [unit_vector(n, i) for i in range(n)]
+        # basis[i][j]: the nonzero (t, coefficient) pairs of [e_i, e_j]
+        self.basis = [[[] for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = [(t, x) for t, x in enumerate(algebra.bracket(units[i], units[j])) if x]
+                self.basis[i][j] = c
+                self.basis[j][i] = [(t, -x) for t, x in c]
+
+    def ad(self, i, v):
+        """[e_i, v] = sum_j v_j [e_i, e_j]."""
+        out = [Fraction(0)] * self.n
+        for c, b in zip(v, self.basis[i]):
+            if c:
+                for t, x in b:
+                    out[t] += c * x
+        return out
+
+    def center(self):
+        """{x : [x, e_j] = 0 for all j}: row (j, t) holds the t-th
+        coefficients of [e_i, e_j] over i."""
+        from liecap.linalg import Matrix, Subspace, kernel_basis
+
+        n = self.n
+        rows = []
+        for j in range(n):
+            block = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for t, x in self.basis[i][j]:
+                    block[t][i] = x
+            rows.extend(block)
+        return kernel_basis(Matrix.from_rows(rows, cols=n)) if rows else Subspace.full(n)
+
+    def bracket_span(self, s):
+        """[L, S] = span{[e_i, v] : v in a basis of S}, kept per S."""
+        from liecap.linalg import Subspace
+
+        if s not in self.spans:
+            self.spans[s] = Subspace.span(self.n, [self.ad(i, v) for i in range(self.n) for v in s.basis.data])
+        return self.spans[s]
+
+    def lower_central_series(self):
+        from liecap.linalg import Subspace
+
+        series = [Subspace.full(self.n)]
+        nxt = self.bracket_span(series[0])
+        while nxt != series[-1]:
+            series.append(nxt)
+            if nxt.is_zero():
+                break
+            nxt = self.bracket_span(nxt)
+        return series
+
+    def is_ideal(self, s):
+        return s.contains_subspace(self.bracket_span(s))
+
+    def is_central_ideal(self, s):
+        return self.bracket_span(s).is_zero()
+
+    def change_basis(self, p):
+        """Brackets of the rows f_i of p, written in the f basis: the
+        coordinates y of w = sum_k y_k f_k solve p^T y = w."""
+        from liecap.lie import LieAlgebra
+
+        to_f = p.inverse().transpose()
+        f = p.data
+        consts = {
+            (i, j): to_f.mul_vec(self.bracket(f[i], f[j])) for i in range(self.n) for j in range(i + 1, self.n)
+        }
+        return LieAlgebra(self.n, consts)
 
 
 @pytest.fixture(scope="session")

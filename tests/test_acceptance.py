@@ -12,7 +12,6 @@ from liecap.capability import decide_capability
 from liecap.decompose import heisenberg_decompose
 from liecap.exterior import (
     _d3_rows,
-    _integer_brackets,
     exterior_center,
     exterior_square,
     exterior_square_dim,
@@ -235,15 +234,14 @@ def test_criterion_12_commutator_self_check(frozen_catalog):
     for name, algebra in corpus:
         exterior_square(algebra)  # internal gate must not raise
         n = algebra.dim
-        ibr = _integer_brackets(algebra)
+        _, table, _ = algebra._integer_table()
         pairs = list(combinations(range(n), 2))
-        for row in _d3_rows(ibr):
+        for row in _d3_rows(n, table):
             assert len(row) == len(pairs), name
             image = [0] * n
             for col, val in enumerate(row):
                 if val:
-                    a, b = pairs[col]
-                    for t, x in enumerate(ibr[a][b]):
+                    for t, x in enumerate(table.get(pairs[col], ())):
                         if x:
                             image[t] += val * x
             assert not any(image), name

@@ -55,7 +55,7 @@ def test_alternating_form_rejects_non_skew():
 
 
 def test_symplectic_basis_zero_form():
-    form = AlternatingForm(Matrix.zero(3, 3))
+    form = AlternatingForm(Matrix.from_rows([[0, 0, 0]] * 3))
     pairs, radical = symplectic_basis(form)
     assert pairs == []
     assert radical.dim == 3

@@ -1,0 +1,44 @@
+"""The README's Python API example runs and gives the values its
+comments state."""
+
+from __future__ import annotations
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# expression -> the value its README comment starts with
+STATED = {
+    "multiplier_dim(L)": 20,
+    "sq.quotient_dim": 21,
+    "sq.commutator(w)": (Fraction(1, 1),),
+    "is_capable(L)": False,
+    "(dec.m, dec.k)": (2, 3),
+}
+
+
+def _api_example() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Python API") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_api_example_values():
+    source = _api_example()
+    lines = source.splitlines()
+    namespace: dict = {}
+    seen = {}
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            if code in STATED:
+                comment = lines[stmt.end_lineno - 1].split("#", 1)[1].strip()
+                assert comment.startswith(repr(STATED[code])), (code, comment)
+                seen[code] = value
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert seen == STATED

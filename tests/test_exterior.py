@@ -18,7 +18,6 @@ from liecap.exterior import (
     ConstructionError,
     _check_d2_kills,
     _d3_rows,
-    _integer_brackets,
     _wedge_index,
     exterior_center,
     exterior_square,
@@ -253,13 +252,21 @@ def test_central_collapse_exactness(seed):
 
 
 def test_self_check_catches_bad_relation():
-    L = heisenberg(1)
-    ibr = _integer_brackets(L)
+    _, table, _ = heisenberg(1)._integer_table()
     # e_0 ^ e_1 (first in the basis e_0^e_1, e_0^e_2, e_1^e_2) is not in
     # im d3: d2 maps it onto z
     bogus = [1, 0, 0]
     with pytest.raises(ConstructionError):
-        _check_d2_kills(ibr, [bogus])
+        _check_d2_kills(3, table, [bogus])
+
+
+def _dense_brackets(table, n):
+    """ibr[i][j] = d [e_i, e_j] for every i, j, from the integer table."""
+    ibr = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), c in table.items():
+        ibr[i][j] = c
+        ibr[j][i] = [-x for x in c]
+    return ibr
 
 
 def _d3_rows_without(ibr, dropped):
@@ -300,16 +307,28 @@ SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}) 
 def test_self_check_catches_dropped_d3_term(algebra, caught):
     # on a 2-step nilpotent algebra d2 kills all of [L, L] ^ L, so the
     # d2 o d3 = 0 gate can only catch a defective d3 on deeper algebras
-    ibr = _integer_brackets(algebra)
+    n = algebra.dim
+    _, table, _ = algebra._integer_table()
+    ibr = _dense_brackets(table, n)
     full = _d3_rows_without(ibr, None)
-    assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(ibr)
-    _check_d2_kills(ibr, full)
+    assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(n, table)
+    _check_d2_kills(n, table, full)
     for dropped in (0, 1, 2):
         if dropped in caught:
             with pytest.raises(ConstructionError):
-                _check_d2_kills(ibr, _d3_rows_without(ibr, dropped))
+                _check_d2_kills(n, table, _d3_rows_without(ibr, dropped))
         else:
-            _check_d2_kills(ibr, _d3_rows_without(ibr, dropped))
+            _check_d2_kills(n, table, _d3_rows_without(ibr, dropped))
+
+
+def test_cached_square_carries_no_algebra():
+    # equal algebras share one cached square, whatever their labels, so
+    # the square must hold nothing of the algebra that built it
+    first = exterior_square(abelian(3))
+    second = exterior_square(LieAlgebra(3, {}))
+    assert second is first
+    assert second.dim == 3
+    assert not any(isinstance(v, LieAlgebra) for v in vars(second).values())
 
 
 def test_exterior_square_cache_is_bounded():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_jacobi_residual
+from conftest import FractionBracketOracle, raw_jacobi_residual
 from liecap.lie import (
     InvalidAlgebraError,
     LieAlgebra,
@@ -273,3 +273,49 @@ def test_scramble_is_seed_deterministic():
 
 def test_abelian_scramble_stays_abelian():
     assert scramble(abelian(4), 12) == abelian(4)
+
+
+SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})  # e, f, h
+R2 = LieAlgebra(2, {(0, 1): (0, 1)})  # [x, y] = y
+FILIFORM_4 = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})  # [e1,e2]=e3, [e1,e3]=e4
+
+
+def _assert_matches_oracle(name, algebra, rng, verdicts):
+    oracle = FractionBracketOracle(algebra)
+    n = algebra.dim
+    center = oracle.center()
+    assert algebra.center() == center, name
+    series = oracle.lower_central_series()
+    assert algebra.lower_central_series() == series, name
+    random_line = Subspace.span(n, [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]])
+    for s in series + [center, Subspace.span(n, [unit_vector(n, 0)]), random_line]:
+        assert algebra.bracket_span(s) == oracle.bracket_span(s), name
+        assert algebra.is_ideal(s) == oracle.is_ideal(s), name
+        assert algebra.is_central_ideal(s) == oracle.is_central_ideal(s), name
+        verdicts.add((algebra.is_ideal(s), algebra.is_central_ideal(s)))
+    p = random_invertible(n, rng)
+    rewritten = algebra.change_basis(p)
+    assert rewritten == oracle.change_basis(p), name
+    return rewritten
+
+
+def test_integer_commutator_code_matches_fraction_oracle(frozen_catalog):
+    # the center, the series, the ideal tests and change_basis all run on
+    # one integer table.  Most catalog members are scrambles, whose table
+    # has a denominator to clear, but every member is 2-step nilpotent:
+    # the last four (and their rewrites) have [L, [L, L]] != 0
+    rng = random.Random(2010)
+    deeper = [
+        ("sl2", SL2),
+        ("r2", R2),
+        ("sl2+A(2)", direct_sum(SL2, abelian(2))),
+        ("filiform(4) scrambled", scramble(FILIFORM_4, 1)),
+    ]
+    verdicts = set()
+    for name, algebra in frozen_catalog:
+        _assert_matches_oracle(name, algebra, rng, verdicts)
+    for name, algebra in deeper:
+        rewritten = _assert_matches_oracle(name, algebra, rng, verdicts)
+        _assert_matches_oracle(f"{name} rewritten", rewritten, rng, verdicts)
+    # every combination of the two verdicts occurs (a central ideal is an ideal)
+    assert verdicts == {(True, True), (True, False), (False, False)}
