@@ -9,18 +9,20 @@ For the classified families the verdict has a closed form:
   * H(m) + A(k) is capable exactly when m = 1 (any k), so in particular
     H(1) is capable and H(m) is not for m >= 2.
 
-Everything nilpotent with dim [L, L] = 1 lands in the second family via
-the certified decomposition.  Outside these families (dim [L, L] >= 2,
-or not nilpotent) classification returns "unclassified" and only the
-constructive verdict is available.
+``classify`` is the one place the family is decided, by value: dim
+[L, L] = 0 is abelian, and only a nilpotent algebra with dim [L, L] = 1
+reaches the certified decomposition, which places it in the second
+family.  Outside these families (dim [L, L] >= 2, or not nilpotent) it
+returns "unclassified" and only the constructive verdict is available.
+The closed-form multipliers and the ``analyze`` report read its verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import exterior
-from .decompose import AbelianAlgebraError, heisenberg_decompose
+from .decompose import heisenberg_decompose
 from .lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 
 
@@ -47,7 +49,8 @@ class ClassVerdict:
 
 
 def classify(algebra: LieAlgebra) -> ClassVerdict:
-    """Closed-form classification; never constructs an exterior square."""
+    """Closed-form classification; never constructs an exterior square.
+    An error raised by the decomposition is a defect and propagates."""
     algebra.require_valid()
     if not algebra.is_nilpotent():
         return ClassVerdict(
@@ -55,27 +58,19 @@ def classify(algebra: LieAlgebra) -> ClassVerdict:
             reasons=("not nilpotent: no closed-form capability criterion applies",),
         )
     n = algebra.dim
-    try:
-        dec = heisenberg_decompose(algebra)
-    except AbelianAlgebraError:
-        if n == 0:
-            return ClassVerdict(
-                family="abelian",
-                n=0,
-                capable=True,
-                reasons=("the zero algebra is the central quotient of any abelian algebra",),
-            )
-        return ClassVerdict(
-            family="abelian",
-            n=n,
-            capable=n >= 2,
-            reasons=(f"A({n}): abelian algebras are capable exactly when dim >= 2",),
-        )
-    except ValueError:
+    derived_dim = algebra.derived_subalgebra().dim
+    if derived_dim >= 2:
         return ClassVerdict(
             family="unclassified",
             reasons=("dim [L, L] >= 2: outside the classified families",),
         )
+    if derived_dim == 0:
+        if n == 0:
+            reason = "the zero algebra is the central quotient of any abelian algebra"
+        else:
+            reason = f"A({n}): abelian algebras are capable exactly when dim >= 2"
+        return ClassVerdict(family="abelian", n=n, capable=n != 1, reasons=(reason,))
+    dec = heisenberg_decompose(algebra)
     return ClassVerdict(
         family="heisenberg-sum",
         m=dec.m,
@@ -96,44 +91,23 @@ def decide_capability(algebra: LieAlgebra, mode: str = "both") -> ClassVerdict:
     verdict = classify(algebra)
     if mode == "classify":
         return verdict
-    constructed = exterior.is_capable(algebra)
+    return _with_construction(verdict, exterior.is_capable(algebra), mode)
+
+
+def _with_construction(verdict: ClassVerdict, constructed: bool, mode: str) -> ClassVerdict:
+    """Combine the closed-form verdict with the constructed one ("oracle"
+    or "both" mode); ``constructed`` is whether Z^(L) is zero."""
     if mode == "oracle":
-        reason = (
-            "constructed exterior center is zero"
-            if constructed
-            else "constructed exterior center is nonzero"
-        )
-        return ClassVerdict(
-            family=verdict.family,
-            n=verdict.n,
-            m=verdict.m,
-            k=verdict.k,
-            capable=constructed,
-            reasons=(reason,),
-        )
+        reason = f"constructed exterior center is {'zero' if constructed else 'nonzero'}"
+        return replace(verdict, capable=constructed, reasons=(reason,))
     if verdict.capable is None:
-        return ClassVerdict(
-            family=verdict.family,
-            n=verdict.n,
-            m=verdict.m,
-            k=verdict.k,
-            capable=constructed,
-            reasons=verdict.reasons + ("verdict taken from the constructed exterior center",),
-            oracle_agreement=None,
-        )
+        reasons = verdict.reasons + ("verdict taken from the constructed exterior center",)
+        return replace(verdict, capable=constructed, reasons=reasons)
     if verdict.capable != constructed:
         raise CapabilityDisagreement(
             f"closed form says capable={verdict.capable}, construction says {constructed}"
         )
-    return ClassVerdict(
-        family=verdict.family,
-        n=verdict.n,
-        m=verdict.m,
-        k=verdict.k,
-        capable=verdict.capable,
-        reasons=verdict.reasons,
-        oracle_agreement=True,
-    )
+    return replace(verdict, oracle_agreement=True)
 
 
 # ---------------------------------------------------------------------------

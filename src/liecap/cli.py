@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any
 
 from . import exterior
-from .capability import CapabilityDisagreement, decide_capability, named_members
-from .decompose import DecompositionCheckError, heisenberg_decompose
+from .capability import CapabilityDisagreement, _with_construction, classify, decide_capability, named_members
+from .decompose import DecompositionCheckError
 from .exterior import ConstructionError
 from .linalg import Subspace
 from .lie import (
@@ -181,7 +181,6 @@ def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:
 def build_report(algebra: LieAlgebra, source: str, method: str) -> dict[str, Any]:
     derived = algebra.derived_subalgebra()
     series = algebra.lower_central_series()
-    nilpotent = series[-1].is_zero()
     report: dict[str, Any] = {
         "input": {"source": source, "dim": algebra.dim, "labels": list(algebra.labels)},
         "validation": {"ok": True},
@@ -190,35 +189,31 @@ def build_report(algebra: LieAlgebra, source: str, method: str) -> dict[str, Any
             "derived": derived.dim,
             "center": algebra.center().dim,
             "lower_central_series": [s.dim for s in series],
-            "nilpotent": nilpotent,
+            "nilpotent": series[-1].is_zero(),
         },
     }
 
+    verdict = classify(algebra)
     decomposition = None
-    if nilpotent and derived.dim == 1:
-        dec = heisenberg_decompose(algebra)
-        decomposition = {"m": dec.m, "k": dec.k}
+    if verdict.family == "heisenberg-sum":
+        decomposition = {"m": verdict.m, "k": verdict.k}
     report["decomposition"] = decomposition
 
     formula_m = formula_ext = None
-    if method in ("formula", "both"):
-        try:
-            rep = classified_multiplier(algebra)
-            formula_m, formula_ext = rep.dim_multiplier, rep.dim_exterior_square
-        except ValueError:
-            pass
+    if method in ("formula", "both") and verdict.family != "unclassified":
+        rep = classified_multiplier(algebra)
+        formula_m, formula_ext = rep.dim_multiplier, rep.dim_exterior_square
     oracle_m = oracle_ext = center_dim = None
     if method in ("oracle", "both"):
         ext = exterior.exterior_square(algebra)
         oracle_m, oracle_ext = ext.multiplier_dim(), ext.quotient_dim
         center_dim = exterior.exterior_center(algebra).dim
+        verdict = _with_construction(verdict, center_dim == 0, method)
 
     report["multiplier_dim"] = {"formula": formula_m, "oracle": oracle_m}
     report["exterior_square_dim"] = {"formula": formula_ext, "oracle": oracle_ext}
     report["exterior_center_dim"] = center_dim
 
-    mode = {"formula": "classify", "oracle": "oracle", "both": "both"}[method]
-    verdict = decide_capability(algebra, mode)
     report["capability"] = {
         "capable": verdict.capable,
         "family": verdict.family,

@@ -256,9 +256,6 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].is_zero()
 
-    def is_abelian(self) -> bool:
-        return not self._table
-
     def is_ideal(self, s: Subspace) -> bool:
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")

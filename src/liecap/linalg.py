@@ -264,9 +264,6 @@ class Matrix:
             sb.add(r)
         return sb.rank
 
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.data)
-
     def inverse(self) -> "Matrix":
         """Exact inverse; raises ValueError on a non-square or singular matrix."""
         if self.rows != self.cols:

@@ -1,10 +1,11 @@
-"""Closed-form Schur multiplier dimensions for the classified families."""
+"""Closed-form Schur multiplier dimensions for the classified families;
+``classified_multiplier`` reads the family from ``capability.classify``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import AbelianAlgebraError, heisenberg_decompose
+from .capability import classify
 from .lie import LieAlgebra
 
 
@@ -44,28 +45,24 @@ class MultiplierReport:
 
 
 def classified_multiplier(algebra: LieAlgebra) -> MultiplierReport:
-    """Closed-form multiplier dimension for nilpotent algebras with
-    dim [L, L] <= 1, routed through the H(m) + A(k) decomposition.
+    """Closed-form multiplier dimension for the family ``classify`` finds.
 
-    Anything with dim [L, L] >= 2 (or non-nilpotent) has no closed form
-    here and raises ValueError; use the constructive path instead.
+    An unclassified algebra (dim [L, L] >= 2, or not nilpotent) has no
+    closed form here and raises ValueError; use the constructive path
+    instead.
     """
-    algebra.require_valid()
-    if not algebra.is_nilpotent():
-        raise ValueError("no closed form: algebra is not nilpotent")
-    n = algebra.dim
-    try:
-        dec = heisenberg_decompose(algebra)
-    except AbelianAlgebraError:
-        dim_m = abelian_multiplier_dim(n)
-        return MultiplierReport(f"A({n})", dim_m, dim_m, "closed-form")
-    except ValueError:
-        raise ValueError("no closed form: dim [L, L] >= 2") from None
+    verdict = classify(algebra)
+    if verdict.family == "unclassified":
+        raise ValueError(f"no closed form: {verdict.reasons[0]}")
+    if verdict.family == "abelian":
+        dim_m = abelian_multiplier_dim(verdict.n)
+        return MultiplierReport(f"A({verdict.n})", dim_m, dim_m, "closed-form")
+    m, k = verdict.m, verdict.k
     dim_m = direct_sum_multiplier_dim(
-        heisenberg_multiplier_dim(dec.m),
-        abelian_multiplier_dim(dec.k),
-        2 * dec.m,
-        dec.k,
+        heisenberg_multiplier_dim(m),
+        abelian_multiplier_dim(k),
+        2 * m,
+        k,
     )
     # dim(L ^ L) = dim M(L) + dim [L, L] for any finite-dimensional L
-    return MultiplierReport(f"H({dec.m})+A({dec.k})", dim_m, dim_m + 1, "closed-form")
+    return MultiplierReport(f"H({m})+A({k})", dim_m, dim_m + 1, "closed-form")

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import pytest
 
+from liecap import capability
 from liecap.capability import (
     catalog,
     classify,
     decide_capability,
 )
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
+from liecap.multiplier import classified_multiplier
 
 
 def test_classify_abelian():
@@ -70,6 +72,23 @@ def test_classify_mode_never_constructs():
     v = decide_capability(heisenberg(3), mode="classify")
     assert v.capable is False
     assert v.oracle_agreement is None
+
+
+def test_decomposition_defect_is_not_relabelled(monkeypatch):
+    # classify decides the family by value, so an error inside the
+    # decomposition of a dim [L, L] = 1 algebra is a defect: it must not
+    # become "unclassified" or a silent fall-back to the oracle verdict
+    def broken(algebra):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(capability, "heisenberg_decompose", broken)
+    L = direct_sum(heisenberg(1), abelian(1))
+    with pytest.raises(ValueError, match="matrix is singular"):
+        classify(L)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        classified_multiplier(L)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        decide_capability(L, mode="both")
 
 
 def test_catalog_shape(frozen_catalog):

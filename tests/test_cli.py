@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from liecap.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main, parse_expression
+from liecap import exterior
+from liecap.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_report, main, parse_expression
+from liecap.lie import abelian, direct_sum, heisenberg, scramble
 
 
 def run(capsys, *argv):
@@ -200,6 +202,26 @@ def test_heisenberg_zero_rejected(capsys):
     code, _, err = run(capsys, "analyze", "H(0)")
     assert code == EXIT_USAGE
     assert "m >= 1" in err
+
+
+@pytest.mark.parametrize("method, calls", [("both", 1), ("oracle", 1), ("formula", 0)])
+@pytest.mark.parametrize(
+    "algebra",
+    [scramble(direct_sum(heisenberg(2), abelian(1)), 81), direct_sum(heisenberg(1), heisenberg(1))],
+    ids=["classified", "unclassified"],
+)
+def test_exterior_center_is_built_once_per_report(monkeypatch, algebra, method, calls):
+    built = []
+    exterior_center = exterior.exterior_center
+
+    def counted_exterior_center(alg):
+        built.append(alg)
+        return exterior_center(alg)
+
+    monkeypatch.setattr(exterior, "exterior_center", counted_exterior_center)
+    report = build_report(algebra, "input", method)
+    assert len(built) == calls
+    assert (report["exterior_center_dim"] is None) == (calls == 0)
 
 
 # --json output of analyze (every named catalog member, seeded scrambles)
