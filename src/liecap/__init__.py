@@ -35,7 +35,6 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     kernel_basis,
-    rref,
 )
 from .multiplier import (
     MultiplierReport,
@@ -83,7 +82,6 @@ __all__ = [
     "kernel_basis",
     "multiplier_dim",
     "quotient_exterior_dim",
-    "rref",
     "scramble",
     "symplectic_basis",
 ]

@@ -92,13 +92,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def load_algebra_file(path: str) -> LieAlgebra:
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot read {path}: {e}") from None
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: not valid JSON ({e})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except ValueError:
         # the other ValueError json raises: an integer literal longer than
         # the int-string conversion limit (4,300 digits by default)
@@ -141,6 +145,8 @@ def load_algebra_file(path: str) -> LieAlgebra:
                 raise InputError(f"{where}: coefficient key has too many digits") from None
             if not 0 <= k < dim:
                 raise InputError(f"{where}: coefficient index {k} out of range")
+            if k in parsed:  # "1" and "01" name one index
+                raise InputError(f"{where}: coefficient index {k} is given twice")
             if isinstance(val, int) and not isinstance(val, bool):
                 parsed[k] = Fraction(val)
             elif isinstance(val, str) and _RATIONAL_RE.match(val):

@@ -20,7 +20,6 @@ from .linalg import (
     Subspace,
     Vector,
     dot,
-    kernel_basis,
     unit_vector,
     vec_add,
     vec_scale,
@@ -58,12 +57,6 @@ class AlternatingForm:
 
     def value(self, x, y) -> Fraction:
         return dot(x, self.matrix.mul_vec(y))
-
-    def radical(self) -> Subspace:
-        return kernel_basis(self.matrix)
-
-    def rank(self) -> int:
-        return self.matrix.rank()
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,6 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     for j in range(n):
         # the rows of x -> x ^ e_j; column i is the class of e_i ^ e_j
         rows.extend(zip(*(_wedge_column(ext.projection, n, i, j) for i in range(n))))
-    if not rows:
-        return Subspace.full(n)
     return kernel_basis(Matrix.from_rows(rows, cols=n))
 
 

@@ -23,7 +23,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
-    kernel_basis,
+    _quotient_from_builder,
     quotient_with_section,
     random_invertible,
     unit_vector,
@@ -214,7 +214,8 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: the kernel of the equations
-        [x, e_j]_k = 0, eliminated on ints before the kernel is taken."""
+        [x, e_j]_k = 0, eliminated once on ints and read off the
+        canonical quotient section."""
         n = self.dim
         _, _, ad = self._integer_table()
         sb = SpanBuilder(n)
@@ -226,7 +227,7 @@ class LieAlgebra:
                     row[i] = sign * c[k]
                 if any(row):
                     sb.add_int_row(row)
-        return kernel_basis(Matrix.from_rows(sb.rref_rows(), cols=n))
+        return Subspace.span(n, _quotient_from_builder(sb).projection.data)
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S."""

@@ -6,6 +6,9 @@ membership, all over ``fractions.Fraction``.  There are no floats and no
 tolerances; two values are equal exactly when their reduced fractions
 are equal, and every function is deterministic.
 
+Kernels and quotients share one canonical section: the rows of the
+projection that kills a row space are a basis of its right kernel.
+
 The elimination core, ``SpanBuilder``, works on integer rows, so the hot
 loops run on plain ``int``.  ``add_int_row`` takes rows that are already
 integers: the commutator, center and exterior-square code feeds it rows
@@ -328,19 +331,8 @@ class Subspace:
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(next(j for j, x in enumerate(r) if x) for r in self.basis.data)
 
-    def reduce(self, v: Sequence[Scalar]) -> Vector:
-        """Residual of v after subtracting its pivot components."""
-        w = list(vector(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        for r, p in zip(self.basis.data, self.pivot_cols()):
-            c = w[p]
-            if c:
-                w = [a - c * b for a, b in zip(w, r)]
-        return tuple(w)
-
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
+        return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -350,6 +342,8 @@ class Subspace:
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
         w = vector(v)
+        if len(w) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
         coords = tuple(w[p] for p in self.pivot_cols())
         rebuilt = zero_vector(self.ambient_dim)
         for c, r in zip(coords, self.basis.data):
@@ -358,33 +352,13 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# echelon form, kernels, quotients
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form of m (same shape, zero rows at the bottom)
-    together with its pivot columns.  The result is unique, hence canonical.
-    """
-    sb = SpanBuilder(m.cols)
-    for r in m.data:
-        sb.add(r)
-    reduced = sb.rref_rows()
-    pad = [zero_vector(m.cols)] * (m.rows - len(reduced))
-    return Matrix(m.rows, m.cols, tuple(reduced) + tuple(pad)), sb.pivot_cols()
+# kernels and quotients
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} as a subspace of Q^cols."""
-    reduced, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -reduced.data[t][f]
-        vectors.append(v)
-    return Subspace.span(m.cols, vectors)
+    """Right kernel {x : m x = 0} as a subspace of Q^cols: the span of
+    the rows of the canonical projection that kills m's row space."""
+    return Subspace.span(m.cols, quotient_with_section(m.cols, m.data).projection.data)
 
 
 class Quotient(NamedTuple):

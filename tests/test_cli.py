@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from liecap import exterior
-from liecap.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_report, main, parse_expression
+from liecap.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_report, main, parse_expression
 from liecap.lie import abelian, direct_sum, heisenberg, scramble
 
 
@@ -164,11 +167,32 @@ def test_verify_paper_json(capsys):
             "rational",
             id="arabic-indic-coefficient",
         ),
+        # "1" and "01" alias one index: the key order must not pick the algebra
+        pytest.param(
+            {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1", "01": "0"}}]},
+            "given twice",
+            id="aliased-key-last-zero",
+        ),
+        pytest.param(
+            {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"01": "0", "1": "1"}}]},
+            "given twice",
+            id="aliased-key-first-zero",
+        ),
+        pytest.param(b"[" * 100_000, "nested too deeply", id="deep-nesting"),
+        pytest.param(
+            '{"dim": 1, "labels": ' + "[" * 5000 + "]" * 5000 + "}",
+            "nested too deeply",
+            id="deep-labels",
+        ),
+        pytest.param(b"\xff\xfe{", "not UTF-8", id="not-utf-8"),
     ],
 )
 def test_file_diagnostics(tmp_path, capsys, doc, message):
     path = tmp_path / "in.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run(capsys, "analyze", str(path))
     assert code == EXIT_INVALID
     assert message in err
@@ -222,6 +246,81 @@ def test_exterior_center_is_built_once_per_report(monkeypatch, algebra, method, 
     report = build_report(algebra, "input", method)
     assert len(built) == calls
     assert (report["exterior_center_dim"] is None) == (calls == 0)
+
+
+
+# -- the exit-code contract under random input ----------------------------------
+# Every input maps to exit 0, 1, 2 or 3 and no exception escapes main().
+# Documents stay at dim <= 5 and expressions at parameters <= 4, so each
+# example costs milliseconds.
+
+
+def _mostly(good, junk):
+    """``good`` four times in five, ``junk`` otherwise."""
+    return st.integers(0, 4).flatmap(lambda r: junk if r == 0 else good)
+
+
+_scalars = st.one_of(
+    st.sampled_from(["0", "1", "-1", "01", "1/0", "1/2", "-3/4", "1.5", "", "x", "\u0663"]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16),
+    st.booleans(),
+    st.none(),
+)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_keys = _mostly(st.sampled_from(["0", "1", "2", "3", "4", "01"]), st.sampled_from(["5", "-1", "1/0", "\u00b2", "x"]))
+_coeffs = _mostly(
+    st.dictionaries(_keys, _mostly(st.sampled_from(["1", "-1", "2", "1/2"]), _values), min_size=1, max_size=3),
+    _values,
+)
+_index = st.one_of(st.integers(-1, 6), st.booleans(), st.just("0"), st.floats(0, 4, width=16))
+_pairs = st.sampled_from(list(combinations(range(5), 2)))
+_brackets = _mostly(
+    st.builds(lambda ij, c: {"i": ij[0], "j": ij[1], "coeffs": c}, _pairs, _coeffs),
+    st.one_of(st.fixed_dictionaries({"i": _index, "j": _index, "coeffs": _coeffs}), _values),
+)
+_documents = _mostly(
+    st.fixed_dictionaries(
+        {
+            "dim": _mostly(st.integers(3, 5), st.one_of(st.integers(-1, 2), _scalars)),
+            "brackets": _mostly(st.lists(_brackets, max_size=4), _values),
+        },
+        optional={"labels": st.one_of(st.lists(st.sampled_from(["a", "b", "z"]), max_size=5), _values)},
+    ),
+    _values,
+)
+_terms = st.builds("{}({})".format, st.sampled_from("AH"), st.integers(0, 4))
+_expressions = st.one_of(
+    st.lists(_terms, min_size=1, max_size=3).map(" + ".join),
+    # a NUL byte cannot come from a shell, but main() takes any string
+    st.text(st.sampled_from("AH()+0123456789 x-,\u0663\x00"), max_size=12),
+)
+_inputs = st.one_of(
+    _documents.map(lambda doc: ("file", json.dumps(doc).encode())),
+    _expressions.map(lambda text: ("arg", text)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.json"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_inputs)
+@example(("file", b"[" * 100_000))
+@example(("file", b'{"dim": 1, "labels": ' + b"[" * 5000 + b"]" * 5000 + b"}"))
+@example(("file", b"\xff\xfe{"))
+def test_exit_code_contract(fuzz_file, given_input):
+    kind, payload = given_input
+    if kind == "file":
+        fuzz_file.write_bytes(payload)
+        target = str(fuzz_file)
+    else:
+        target = payload
+    runs = [["validate", target]] + [["analyze", target, "--method", m] for m in ("formula", "oracle", "both")]
+    for argv in runs:
+        assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_USAGE, EXIT_INTERNAL), argv
 
 
 # --json output of analyze (every named catalog member, seeded scrambles)

@@ -42,3 +42,9 @@ def test_readme_api_example_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert seen == STATED
+
+
+def test_public_names_resolve():
+    import liecap
+
+    assert [name for name in liecap.__all__ if not hasattr(liecap, name)] == []

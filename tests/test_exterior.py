@@ -159,6 +159,9 @@ def test_exterior_center_edge_cases():
     assert exterior_center(abelian(1)).dim == 1
     assert not is_capable(abelian(1))
     assert is_capable(abelian(0))
+    # Lambda^2 of A(0) and A(1) is zero, so no x ^ e_j equation is stacked
+    assert exterior_center(abelian(0)) == Subspace.full(0)
+    assert exterior_center(abelian(1)) == Subspace.full(1)
 
 
 def test_exterior_center_heisenberg():

@@ -17,7 +17,6 @@ from liecap.linalg import (
     kernel_basis,
     quotient_with_section,
     random_invertible,
-    rref,
     unit_vector,
 )
 
@@ -34,21 +33,20 @@ def matrices(draw, max_rows=5, max_cols=5):
     return Matrix.from_rows(data, cols=c)
 
 
-# -- rref --------------------------------------------------------------------
+# -- reduced echelon bases ------------------------------------------------------
 
 
 def test_rref_identity_is_fixed():
     m = Matrix.identity(3)
-    r, pivots = rref(m)
-    assert r == m
-    assert pivots == (0, 1, 2)
+    s = Subspace.span(3, m.data)
+    assert s.basis == m
+    assert s.pivot_cols() == (0, 1, 2)
 
 
 def test_rref_rank_one():
-    m = Matrix.from_rows([[2, 4], [1, 2]])
-    r, pivots = rref(m)
-    assert r == Matrix.from_rows([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    s = Subspace.span(2, [[2, 4], [1, 2]])
+    assert s.basis == Matrix.from_rows([[1, 2]])
+    assert s.pivot_cols() == (0,)
 
 
 def test_rref_of_random_invertible_is_identity():
@@ -60,24 +58,24 @@ def test_rref_of_random_invertible_is_identity():
         if det_cofactor(data) == 0:
             continue
         found += 1
-        r, pivots = rref(Matrix.from_rows(data))
-        assert r == Matrix.identity(5)
-        assert pivots == (0, 1, 2, 3, 4)
+        s = Subspace.span(5, data)
+        assert s.basis == Matrix.identity(5)
+        assert s.pivot_cols() == (0, 1, 2, 3, 4)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices())
 def test_rref_is_idempotent(m):
-    r1, p1 = rref(m)
-    r2, p2 = rref(r1)
-    assert r1 == r2
-    assert p1 == p2
+    s1 = Subspace.span(m.cols, m.data)
+    s2 = Subspace.span(m.cols, s1.basis.data)
+    assert s1 == s2
+    assert s1.pivot_cols() == s2.pivot_cols()
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices())
 def test_rref_deterministic(m):
-    assert rref(m) == rref(m)
+    assert Subspace.span(m.cols, m.data) == Subspace.span(m.cols, m.data)
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,6 +93,7 @@ def test_kernel_of_identity_is_zero():
 
 def test_kernel_of_zero_map_is_everything():
     assert kernel_basis(Matrix.from_rows([[0, 0, 0]] * 3)) == Subspace.full(3)
+    assert kernel_basis(Matrix.from_rows([], cols=3)) == Subspace.full(3)
 
 
 def test_kernel_single_relation():
@@ -182,6 +181,8 @@ def test_subspace_contains_and_coordinates():
     assert coords == (Fraction(2), Fraction(-1))
     assert not s.contains((0, 0, 1))
     assert s.coordinates((0, 0, 1)) is None
+    with pytest.raises(ValueError):
+        s.contains((1, 0))
 
 
 def test_span_builder_tracks_rank_growth():
