@@ -27,7 +27,6 @@ from .lie import (
     LieAlgebra,
     abelian,
     direct_sum,
-    from_bracket_list,
     heisenberg,
     scramble,
 )
@@ -48,6 +47,9 @@ EXIT_INTERNAL = 3
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 _EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")
 _TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
+# Inputs are read up to this size, so a huge file or an endless device
+# exits 1 with a message instead of exhausting memory.
+_MAX_INPUT_BYTES = 64 * 1024 * 1024
 
 
 class InputError(Exception):
@@ -92,11 +94,16 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def load_algebra_file(path: str) -> LieAlgebra:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
+        with open(path, "rb") as f:
+            data = f.read(_MAX_INPUT_BYTES + 1)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot read {path}: {e}") from None
+    if len(data) > _MAX_INPUT_BYTES:
+        raise InputError(f"{path}: larger than {_MAX_INPUT_BYTES} bytes")
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
@@ -121,7 +128,7 @@ def load_algebra_file(path: str) -> LieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")
-    entries = []
+    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for idx, entry in enumerate(brackets):
         where = f"{path}: brackets[{idx}]"
         if not isinstance(entry, dict):
@@ -156,11 +163,10 @@ def load_algebra_file(path: str) -> LieAlgebra:
                     raise InputError(f"{where}: coefficient {k} has too many digits") from None
             else:
                 raise InputError(f"{where}: coefficient {val!r} is not an exact rational string")
-        entries.append((i, j, parsed))
-    try:
-        return from_bracket_list(dim, entries, labels=labels)
-    except InvalidAlgebraError as e:
-        raise InputError(f"{path}: {e}") from None
+        if (i, j) in table:
+            raise InputError(f"{path}: duplicate bracket entry ({i}, {j})")
+        table[(i, j)] = tuple(parsed.get(k, Fraction(0)) for k in range(dim))
+    return LieAlgebra(dim, table, labels=labels)
 
 
 def load_input(text: str) -> tuple[LieAlgebra, str]:

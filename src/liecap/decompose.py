@@ -199,6 +199,6 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     # certify: the rewritten algebra must match the canonical constants
     expected = direct_sum(heisenberg(m), abelian(k)) if k else heisenberg(m)
     rewritten = algebra.change_basis(basis_change)
-    if dict(rewritten.brackets) != dict(expected.brackets):
+    if rewritten != expected:
         raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
     return Decomposition(m, k, basis_change)

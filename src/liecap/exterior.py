@@ -15,11 +15,16 @@ multiplier M(L) = H_2(L) = ker d2 / im d3 is its kernel, so
 
   dim M(L) = dim(L ^ L) - dim [L, L].
 
-Every construction self-checks that d2 o d3 = 0, that is, each relation
-row dies under e_i ^ e_j -> [e_i, e_j] (this is the Jacobi identity, so
-a failure signals a defect, and raises).  The quotient is taken with
-canonical coordinates (non-pivot columns of the relation RREF), which
-makes all reported bases and projections deterministic.
+The quotient is taken with canonical coordinates (non-pivot columns of
+the relation RREF), which makes all reported bases and projections
+deterministic.  Every construction self-checks that d2 o d3 = 0 by
+checking that d2 factors through the quotient: the commutator map,
+composed with the projection, must give back d2 at every pivot column
+of the relation RREF.  That holds exactly when d2 kills each reduced
+relation row, and those rows are a basis of im d3.  Since
+d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator of the triple, which
+``LieAlgebra.validate`` has already checked, a failure signals a
+defect, and raises.
 
 This module never consults the closed-form tables; it is the
 independent witness the formulas are checked against.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
@@ -79,14 +85,6 @@ class ExteriorSquare:
             raise ValueError("vector length does not match algebra dimension")
         coords = [xv[i] * yv[j] - xv[j] * yv[i] for i, j in itertools.combinations(range(n), 2)]
         return self.projection.mul_vec(coords)
-
-    def basis_wedge(self, i: int, j: int) -> Vector:
-        """Class of e_i ^ e_j: a column of the projection, negated when
-        i > j, and zero when i = j."""
-        n = self.dim
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError("basis index out of range")
-        return _wedge_column(self.projection, n, i, j)
 
     def commutator(self, w) -> Vector:
         """Image of a quotient vector under the commutator map, given in
@@ -141,22 +139,6 @@ def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[list[int]]
     return rows
 
 
-def _check_d2_kills(n: int, table: dict[tuple[int, int], list[int]], rows: list[list[int]]) -> None:
-    """Self-check d2 o d3 = 0: every relation row must vanish under the
-    commutator map e_i ^ e_j -> [e_i, e_j].  A failure means the
-    construction (or the input constants) is defective."""
-    brackets = [table.get(pair) for pair in itertools.combinations(range(n), 2)]
-    for row in rows:
-        image = [0] * n
-        for val, c in zip(row, brackets):
-            if val and c is not None:
-                for t, x in enumerate(c):
-                    if x:
-                        image[t] += val * x
-        if any(image):
-            raise ConstructionError("relation vector survives the commutator map")
-
-
 # Bounded so that a long-lived caller does not keep every algebra it ever
 # asked about alive; verify-paper uses 31 distinct algebras.
 _SQUARE_CACHE_SIZE = 256
@@ -168,27 +150,30 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
-    _, table, _ = algebra._integer_table()
-    rows = _d3_rows(n, table)
-    _check_d2_kills(n, table, rows)
-
+    den, table, _ = algebra._integer_table()
     pairs = list(itertools.combinations(range(n), 2))
     sb = SpanBuilder(len(pairs))
-    for row in rows:
+    for row in _d3_rows(n, table):
         sb.add_int_row(row)
     quotient = _quotient_from_builder(sb)
 
+    # d2: e_a ^ e_b -> [e_a, e_b] in the RREF basis of [L, L], whose
+    # coordinates are a vector's entries at the basis's pivot columns
     derived = algebra.derived_subalgebra()
-    columns: list[Vector] = []
-    for col in quotient.section_cols:
-        coords = derived.coordinates(algebra.bracket_basis(*pairs[col]))
-        if coords is None:
-            raise ConstructionError("basis bracket escapes the derived subalgebra")
-        columns.append(coords)
-    commutator_map = Matrix.from_rows(
-        [[c[t] for c in columns] for t in range(derived.dim)],
-        cols=quotient.dim,
+    pivots = derived.pivot_cols()
+    zero = zero_vector(derived.dim)
+    d2 = [zero if c is None else tuple(Fraction(c[p], den) for p in pivots) for c in map(table.get, pairs)]
+    commutator_map = Matrix(
+        derived.dim,
+        quotient.dim,
+        tuple(tuple(d2[col][t] for col in quotient.section_cols) for t in range(derived.dim)),
     )
+    # d2 o d3 = 0 exactly when d2 factors through the projection: on a
+    # section column it does by construction, and at a relation pivot p
+    # it does exactly when d2 kills the reduced relation row led by p
+    for p in sb.pivot_cols():
+        if commutator_map.mul_vec(quotient.projection.column(p)) != d2[p]:
+            raise ConstructionError("relation vector survives the commutator map")
     if commutator_map.rank() != derived.dim:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
 
@@ -253,7 +238,7 @@ def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
             w = zero_vector(ext.quotient_dim)
             for j, c in enumerate(u):
                 if c:
-                    col = ext.basis_wedge(i, j)
+                    col = _wedge_column(ext.projection, n, i, j)
                     w = tuple(a + c * b for a, b in zip(w, col))
             sb.add(w)
     return sb.subspace()

@@ -384,25 +384,3 @@ def scramble(algebra: LieAlgebra, seed: int) -> LieAlgebra:
     rng = random.Random(seed)
     return algebra.change_basis(random_invertible(algebra.dim, rng))
 
-
-def from_bracket_list(
-    dim: int,
-    entries: Iterable[tuple[int, int, Mapping[int, Scalar]]],
-    labels: Sequence[str] | None = None,
-) -> LieAlgebra:
-    """Build an algebra from sparse (i, j, {k: coeff}) bracket entries.
-
-    Duplicate (i, j) pairs are rejected; this is the loader used for the
-    JSON file format.
-    """
-    table: dict[tuple[int, int], Vector] = {}
-    for i, j, coeffs in entries:
-        if (i, j) in table:
-            raise InvalidAlgebraError(f"duplicate bracket entry ({i}, {j})")
-        vec = [Fraction(0)] * dim
-        for k, val in coeffs.items():
-            if not 0 <= k < dim:
-                raise InvalidAlgebraError(f"coefficient index {k} out of range in bracket ({i}, {j})")
-            vec[k] = Fraction(val)
-        table[(i, j)] = tuple(vec)
-    return LieAlgebra(dim, table, labels=labels)

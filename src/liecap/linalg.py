@@ -142,10 +142,6 @@ class SpanBuilder:
         self._pivots[col] = _normalize_int(rest)  # type: ignore[assignment]
         return True
 
-    def contains(self, vec: Iterable[Scalar]) -> bool:
-        row = _scale_to_int([frac(x) for x in vec])
-        return self._reduce(row) is None
-
     def _reduce(self, row: list[int]) -> tuple[int, list[int]] | None:
         pivots = self._pivots
         ncols = self.ncols

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from liecap import exterior
+from liecap import cli, exterior
 from liecap.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_report, main, parse_expression
 from liecap.lie import abelian, direct_sum, heisenberg, scramble
 
@@ -185,6 +185,11 @@ def test_verify_paper_json(capsys):
             id="deep-labels",
         ),
         pytest.param(b"\xff\xfe{", "not UTF-8", id="not-utf-8"),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 1, "coeffs": {}}]},
+            "duplicate bracket entry (0, 1)",
+            id="duplicate-entry",
+        ),
     ],
 )
 def test_file_diagnostics(tmp_path, capsys, doc, message):
@@ -196,6 +201,27 @@ def test_file_diagnostics(tmp_path, capsys, doc, message):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == EXIT_INVALID
     assert message in err
+
+
+def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):
+    text = json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]})
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", len(text))
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    path.write_text(text + " ")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INVALID
+    assert f"larger than {len(text)} bytes" in err
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_endless_device_is_bounded(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 1024)
+    code, _, err = run(capsys, "analyze", "/dev/zero")
+    assert code == EXIT_INVALID
+    assert err.startswith("error: /dev/zero: larger than 1024 bytes")
 
 
 def test_not_json_file(tmp_path, capsys):

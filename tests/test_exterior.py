@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import symbol_exterior_square
 
+from liecap import exterior
 from liecap.exterior import (
     ConstructionError,
-    _check_d2_kills,
     _d3_rows,
     _wedge_index,
     exterior_center,
@@ -29,7 +29,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Subspace, _normalize_int, unit_vector, vec_add, zero_vector
+from liecap.linalg import Matrix, Subspace, _normalize_int, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -254,13 +254,23 @@ def test_central_collapse_exactness(seed):
         assert total == image + rest
 
 
-def test_self_check_catches_bad_relation():
-    _, table, _ = heisenberg(1)._integer_table()
+# the factorization gate's message; the surjectivity check that follows
+# it catches some of the same defects, but only after the gate has run
+SURVIVES = "relation vector survives the commutator map"
+
+
+def _square_with_d3_rows(monkeypatch, algebra, rows):
+    """Build L ^ L, bypassing the cache, from the given relation rows."""
+    monkeypatch.setattr(exterior, "_d3_rows", lambda n, table: [list(r) for r in rows])
+    return exterior_square.__wrapped__(algebra)
+
+
+def test_self_check_catches_bad_relation(monkeypatch):
     # e_0 ^ e_1 (first in the basis e_0^e_1, e_0^e_2, e_1^e_2) is not in
     # im d3: d2 maps it onto z
     bogus = [1, 0, 0]
-    with pytest.raises(ConstructionError):
-        _check_d2_kills(3, table, [bogus])
+    with pytest.raises(ConstructionError, match=SURVIVES):
+        _square_with_d3_rows(monkeypatch, heisenberg(1), [bogus])
 
 
 def _dense_brackets(table, n):
@@ -307,7 +317,7 @@ SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}) 
     ],
     ids=["filiform4", "filiform4-scrambled", "sl2", "sl2-scrambled"],
 )
-def test_self_check_catches_dropped_d3_term(algebra, caught):
+def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
     # on a 2-step nilpotent algebra d2 kills all of [L, L] ^ L, so the
     # d2 o d3 = 0 gate can only catch a defective d3 on deeper algebras
     n = algebra.dim
@@ -315,13 +325,40 @@ def test_self_check_catches_dropped_d3_term(algebra, caught):
     ibr = _dense_brackets(table, n)
     full = _d3_rows_without(ibr, None)
     assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(n, table)
-    _check_d2_kills(n, table, full)
+    assert _square_with_d3_rows(monkeypatch, algebra, full) == exterior_square(algebra)
     for dropped in (0, 1, 2):
+        rows = _d3_rows_without(ibr, dropped)
         if dropped in caught:
-            with pytest.raises(ConstructionError):
-                _check_d2_kills(n, table, _d3_rows_without(ibr, dropped))
+            with pytest.raises(ConstructionError, match=SURVIVES):
+                _square_with_d3_rows(monkeypatch, algebra, rows)
         else:
-            _check_d2_kills(n, table, _d3_rows_without(ibr, dropped))
+            _square_with_d3_rows(monkeypatch, algebra, rows)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [direct_sum(heisenberg(1), abelian(1)), scramble(direct_sum(heisenberg(2), abelian(1)), 5)],
+    ids=["H(1)+A(1)", "H(2)+A(1)-scrambled"],
+)
+def test_self_check_catches_bad_projection(monkeypatch, algebra):
+    # a projection that is wrong at one relation pivot column no longer
+    # kills im d3, so d2 does not factor through it
+    quotient_from_builder = exterior._quotient_from_builder
+    pairs = list(combinations(range(algebra.dim), 2))
+
+    def perturbed(sb):
+        q = quotient_from_builder(sb)
+        # a quotient coordinate whose basis wedge has a nonzero bracket
+        s = next(s for s, col in enumerate(q.section_cols) if any(algebra.bracket_basis(*pairs[col])))
+        p = sb.pivot_cols()[0]
+        rows = [list(r) for r in q.projection.data]
+        rows[s][p] += 1
+        return q._replace(projection=Matrix.from_rows(rows, cols=q.projection.cols))
+
+    exterior_square.__wrapped__(algebra)  # the unperturbed square passes
+    monkeypatch.setattr(exterior, "_quotient_from_builder", perturbed)
+    with pytest.raises(ConstructionError, match=SURVIVES):
+        exterior_square.__wrapped__(algebra)
 
 
 def test_cached_square_carries_no_algebra():

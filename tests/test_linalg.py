@@ -191,8 +191,8 @@ def test_span_builder_tracks_rank_growth():
     assert not sb.add((2, 2, 0))
     assert sb.add((0, 0, 5))
     assert sb.rank == 2
-    assert sb.contains((3, 3, 5))
-    assert not sb.contains((1, 0, 0))
+    assert sb.subspace().contains((3, 3, 5))
+    assert not sb.subspace().contains((1, 0, 0))
 
 
 def test_matrix_inverse():
