@@ -23,6 +23,7 @@ from .exterior import (
     quotient_exterior_dim,
 )
 from .lie import (
+    DerivedBasisError,
     InvalidAlgebraError,
     LieAlgebra,
     abelian,
@@ -53,6 +54,7 @@ __all__ = [
     "ClassVerdict",
     "ConstructionError",
     "Decomposition",
+    "DerivedBasisError",
     "ExteriorSquare",
     "InvalidAlgebraError",
     "LieAlgebra",

@@ -23,6 +23,7 @@ from .decompose import DecompositionCheckError
 from .exterior import ConstructionError
 from .linalg import Subspace
 from .lie import (
+    DerivedBasisError,
     InvalidAlgebraError,
     LieAlgebra,
     abelian,
@@ -50,6 +51,10 @@ _TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
 # Inputs are read up to this size, so a huge file or an endless device
 # exits 1 with a message instead of exhausting memory.
 _MAX_INPUT_BYTES = 64 * 1024 * 1024
+# Larger algebras are refused before they are built: the Jacobi pass
+# walks C(n, 3) triples and L ^ L has C(n, 2) columns, so without a bound
+# an input like A(100000) never finishes.
+_MAX_DIM = 64
 
 
 class InputError(Exception):
@@ -66,15 +71,19 @@ class UsageError(Exception):
 
 def parse_expression(text: str) -> LieAlgebra:
     """Builtin expressions: terms A(n) or H(m) joined by '+'."""
-    terms = []
+    params = []
     for kind, num in _TERM_RE.findall(text):
-        value = int(num)
-        if kind == "A":
-            terms.append(abelian(value))
-        else:
-            if value < 1:
-                raise UsageError("H(m) needs m >= 1")
-            terms.append(heisenberg(value))
+        try:
+            value = int(num)
+        except ValueError:  # longer than the int-string conversion limit
+            raise UsageError(f"dimension exceeds the limit of {_MAX_DIM}") from None
+        if kind == "H" and value < 1:
+            raise UsageError("H(m) needs m >= 1")
+        params.append((kind, value))
+    dim = sum(value if kind == "A" else 2 * value + 1 for kind, value in params)
+    if dim > _MAX_DIM:
+        raise UsageError(f"dimension {dim} exceeds the limit of {_MAX_DIM}")
+    terms = [abelian(value) if kind == "A" else heisenberg(value) for kind, value in params]
     algebra = terms[0]
     for t in terms[1:]:
         algebra = direct_sum(algebra, t)
@@ -121,6 +130,8 @@ def load_algebra_file(path: str) -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"{path}: 'dim' must be a non-negative integer")
+    if dim > _MAX_DIM:
+        raise InputError(f"{path}: dimension {dim} exceeds the limit of {_MAX_DIM}")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
@@ -462,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, InvalidAlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (ConstructionError, DecompositionCheckError, CapabilityDisagreement) as e:
+    except (ConstructionError, DecompositionCheckError, DerivedBasisError, CapabilityDisagreement) as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -86,22 +86,18 @@ def induced_form(algebra: LieAlgebra) -> tuple[AlternatingForm, Vector]:
     derived = algebra.derived_subalgebra()
     if derived.dim != 1:
         raise ValueError(f"derived subalgebra has dimension {derived.dim}, expected 1")
-    z = derived.basis.row(0)
-    pivot = next(k for k, v in enumerate(z) if v)
+    # each bracket is certified a multiple of z as its coordinate is read
+    coords = algebra._derived_coordinates()
     # z must be central or the structure constants are inconsistent
-    if any(any(row) for row in algebra._ad_rows([z])):
+    if any(b[0] for b in coords.beta[0]):
         raise DecompositionCheckError("derived generator is not central")
     n = algebra.dim
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = algebra.bracket_basis(i, j)
-            t = c[pivot]  # z has a 1 at its pivot, so this is the multiple
-            if vec_scale(t, z) != c:
-                raise DecompositionCheckError(f"bracket ({i}, {j}) is not a multiple of z")
-            rows[i][j] = t
-            rows[j][i] = -t
-    return AlternatingForm(Matrix.from_rows(rows, cols=n)), z
+    for (i, j), (a,) in coords.alpha.items():
+        t = Fraction(a, coords.den)
+        rows[i][j] = t
+        rows[j][i] = -t
+    return AlternatingForm(Matrix.from_rows(rows, cols=n)), derived.basis.row(0)
 
 
 def symplectic_basis(form: AlternatingForm) -> tuple[list[tuple[Vector, Vector]], Subspace]:

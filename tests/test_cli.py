@@ -10,9 +10,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import raw_jacobi_residual
 from liecap import cli, exterior
-from liecap.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_report, main, parse_expression
-from liecap.lie import abelian, direct_sum, heisenberg, scramble
+from liecap.cli import (
+    EXIT_INTERNAL,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    algebra_to_doc,
+    build_report,
+    main,
+    parse_expression,
+)
+from liecap.lie import DerivedBasisError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
+from liecap.linalg import Matrix, Subspace
 
 
 def run(capsys, *argv):
@@ -53,6 +64,45 @@ def test_validate_reports_jacobi_triple(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == EXIT_INVALID
     assert "(0, 1, 2)" in err
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_validate_witness_with_noncentral_derived_line(tmp_path, capsys, seed):
+    # [e1,e2] = e4 and [e3,e4] = e4: dim [L, L] = 1, but z = e4 is not
+    # central and the Jacobi identity fails at (0, 1, 2)
+    algebra = LieAlgebra(4, {(0, 1): (0, 0, 0, 1), (2, 3): (0, 0, 0, 1)})
+    if seed is not None:
+        algebra = scramble(algebra, seed)
+    assert algebra.derived_subalgebra().dim == 1
+    table = dict(algebra.brackets)
+    expected = next(t for t in combinations(range(4), 3) if any(raw_jacobi_residual(4, table, *t)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(algebra_to_doc(algebra)))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == EXIT_INVALID
+    assert err == f"invalid: Jacobi identity fails at basis triple {expected}\n"
+
+
+def test_derived_basis_defect_exits_3(tmp_path, capsys, monkeypatch):
+    # a derived subalgebra with a basis row dropped leaves brackets outside
+    # it: a defect, never a verdict
+    algebra = scramble(direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(2)), 9)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(algebra_to_doc(algebra)))
+    derived_subalgebra = LieAlgebra.derived_subalgebra
+
+    def truncated(self):
+        basis = derived_subalgebra(self).basis
+        return Subspace(self.dim, Matrix(basis.rows - 1, basis.cols, basis.data[:-1]))
+
+    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", truncated)
+    with pytest.raises(DerivedBasisError):
+        algebra.validate()
+    for argv in (["validate", str(path)], ["analyze", str(path), "--method", "formula"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal check failed: ")
 
 
 def test_analyze_heisenberg_sum_json(capsys):
@@ -246,6 +296,32 @@ def test_non_ascii_digits_are_not_expressions(capsys, expression):
     assert "not a builtin expression" in err
     code, _, _ = run(capsys, "scramble", expression, "--seed", "1")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "expression", ["A(1000000000)", "H(1000000000)", "H(32)", "A(40)+A(25)", "A(" + "9" * 5000 + ")"]
+)
+def test_expression_dimension_is_bounded(capsys, monkeypatch, expression):
+    # refused before any algebra is built
+    monkeypatch.setattr(cli, "abelian", None)
+    monkeypatch.setattr(cli, "heisenberg", None)
+    for argv in (["analyze", expression], ["scramble", expression, "--seed", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: dimension ")
+        assert err.endswith(f"exceeds the limit of {cli._MAX_DIM}\n")
+
+
+def test_file_dimension_is_bounded(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    for dim in (cli._MAX_DIM + 1, 10**9):
+        path.write_text(json.dumps({"dim": dim, "brackets": []}))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == EXIT_INVALID
+        assert err == f"error: {path}: dimension {dim} exceeds the limit of {cli._MAX_DIM}\n"
+    path.write_text(json.dumps({"dim": cli._MAX_DIM, "brackets": []}))
+    assert run(capsys, "validate", str(path))[0] == EXIT_OK
 
 
 def test_heisenberg_zero_rejected(capsys):

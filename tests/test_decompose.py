@@ -31,6 +31,30 @@ def test_induced_form_heisenberg():
     )
 
 
+def test_induced_form_matches_public_bracket(frozen_catalog):
+    # the Gram matrix is read off the [L, L] coordinates of the integer
+    # table; rebuild it from the public bracket as [e_i, e_j] = f_ij z
+    checked = 0
+    for name, algebra in frozen_catalog:
+        if algebra.derived_subalgebra().dim != 1:
+            continue
+        form, z = induced_form(algebra)
+        n = algebra.dim
+        p = next(t for t, x in enumerate(z) if x)
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                c = algebra.bracket(unit_vector(n, i), unit_vector(n, j))
+                f = c[p] / z[p]
+                assert c == tuple(f * x for x in z), name
+                row.append(f)
+            rows.append(row)
+        assert form.matrix == Matrix.from_rows(rows, cols=n), name
+        checked += 1
+    assert checked == 132  # H(m) and H(m)+A(k), m, k = 1..3, each with ten scrambles
+
+
 def test_induced_form_rank_is_basis_invariant():
     L = direct_sum(heisenberg(2), abelian(1))
     base_rank = induced_form(L)[0].matrix.rank()

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FractionBracketOracle, raw_jacobi_residual
+from liecap.capability import named_members
 from liecap.lie import (
     InvalidAlgebraError,
     LieAlgebra,
@@ -89,6 +91,54 @@ def test_validate_agrees_with_raw_expansion_on_valid_input():
             for k in range(j + 1, L.dim):
                 assert not any(raw_jacobi_residual(L.dim, table, i, j, k))
     assert L.validate() is None
+
+
+def _raw_first_violation(dim, table):
+    """The first triple, in combinations order, with a nonzero raw residual."""
+    triples = combinations(range(dim), 3)
+    return next((t for t in triples if any(raw_jacobi_residual(dim, table, *t))), None)
+
+
+def _random_table(rng, dim):
+    # sparse tables are often valid or fail late; dense ones fail early
+    density = rng.choice((0.15, 0.3, 0.6))
+    table = {}
+    for key in combinations(range(dim), 2):
+        if rng.random() < density:
+            table[key] = tuple(
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+                for _ in range(dim)
+            )
+    return table
+
+
+def test_validate_witness_matches_raw_expansion():
+    # the Jacobi pass runs in the coordinates of [L, L]; its witness must be
+    # the first triple at which the direct Fraction expansion is nonzero
+    rng = random.Random(2011)
+    tables = [(dim, _random_table(rng, dim)) for dim in range(8) for _ in range(300)]
+    for seed, (_, algebra) in enumerate(named_members()):
+        base = scramble(algebra, 500 + seed)
+        n = base.dim
+        if n < 3:
+            continue
+        for _ in range(10):
+            # one entry of one bracket moved
+            table = dict(base.brackets)
+            key = rng.choice(list(combinations(range(n), 2)))
+            c = list(table.get(key, (Fraction(0),) * n))
+            c[rng.randrange(n)] += rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 3))
+            table[key] = tuple(c)
+            tables.append((n, table))
+    witnesses = []
+    for dim, table in tables:
+        algebra = LieAlgebra(dim, table)
+        expected = _raw_first_violation(dim, dict(algebra.brackets))
+        assert algebra.validate() == expected, (dim, table)
+        witnesses.append(expected)
+    # 2,570 tables: about a third invalid, with witnesses spread over the triples
+    assert len(witnesses) - witnesses.count(None) > 800
+    assert len(set(witnesses)) > 25
 
 
 # -- bracket -------------------------------------------------------------------
