@@ -190,8 +190,7 @@ def load_input(text: str) -> tuple[LieAlgebra, str]:
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:
     brackets = []
-    for (i, j) in sorted(algebra.brackets):
-        c = algebra.brackets[(i, j)]
+    for (i, j), c in sorted(algebra.brackets.items()):
         coeffs = {str(k): str(v) for k, v in enumerate(c) if v}
         brackets.append({"i": i, "j": j, "coeffs": coeffs})
     return {"dim": algebra.dim, "labels": list(algebra.labels), "brackets": brackets}

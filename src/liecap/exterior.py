@@ -150,19 +150,19 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
-    den, table, _ = algebra._integer_table()
+    _, table, _ = algebra._integer_table()
     pairs = list(itertools.combinations(range(n), 2))
     sb = SpanBuilder(len(pairs))
     for row in _d3_rows(n, table):
         sb.add_int_row(row)
     quotient = _quotient_from_builder(sb)
 
-    # d2: e_a ^ e_b -> [e_a, e_b] in the RREF basis of [L, L], whose
-    # coordinates are a vector's entries at the basis's pivot columns
+    # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
+    # of [L, L], which the algebra certifies as it reads them off
     derived = algebra.derived_subalgebra()
-    pivots = derived.pivot_cols()
+    coords = algebra._derived_coordinates()
     zero = zero_vector(derived.dim)
-    d2 = [zero if c is None else tuple(Fraction(c[p], den) for p in pivots) for c in map(table.get, pairs)]
+    d2 = [zero if a is None else tuple(Fraction(x, coords.den) for x in a) for a in map(coords.alpha.get, pairs)]
     commutator_map = Matrix(
         derived.dim,
         quotient.dim,

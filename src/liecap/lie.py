@@ -1,11 +1,12 @@
 """Finite-dimensional Lie algebras presented by structure constants.
 
 An algebra of dimension n is stored as the sparse table of brackets
-``[e_i, e_j] = sum_k c[k] e_k`` for i < j; the bracket of arbitrary
-vectors is the bilinear, antisymmetric extension.  ``validate`` checks
-the Jacobi identity, in the coordinates of the derived subalgebra, and
-reports the first offending basis triple, so a structurally well-formed
-but non-Lie table can be constructed and then rejected with a witness.
+``[e_i, e_j] = sum_k c[k] e_k`` for i < j, held in ints over one common
+denominator; the bracket of arbitrary vectors is the bilinear,
+antisymmetric extension.  ``validate`` checks the Jacobi identity, in the
+coordinates of the derived subalgebra, and reports the first offending
+basis triple, so a structurally well-formed but non-Lie table can be
+constructed and then rejected with a witness.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from itertools import combinations
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .linalg import (
     Fraction,
@@ -80,13 +81,16 @@ class LieAlgebra:
     """A Lie algebra over Q given by structure constants.
 
     Instances are immutable and hashable; equality compares dimensions
-    and bracket tables (labels are presentation only).  All derived
-    computations are exact and deterministic; the Jacobi verdict, the
-    derived subalgebra, the lower central series and the H(m) + A(k)
-    decomposition are computed at most once per instance.
+    and bracket tables (labels are presentation only).  The table is
+    stored once, as ints: the lcm d of the reduced denominators and the
+    int tuple d [e_i, e_j] of every nonzero bracket with i < j.  That is
+    canonical, so it serves as the key.  All derived computations are
+    exact and deterministic; the Jacobi verdict, the derived subalgebra,
+    the lower central series and the H(m) + A(k) decomposition are
+    computed at most once per instance.
     """
 
-    __slots__ = ("dim", "labels", "_table", "_key", "_hash", "_jacobi", "_derived", "_series", "_decomposition")
+    __slots__ = ("dim", "labels", "_den", "_rows", "_key", "_hash", "_jacobi", "_derived", "_series", "_decomposition")
 
     def __init__(
         self,
@@ -111,10 +115,13 @@ class LieAlgebra:
                 raise InvalidAlgebraError(f"bracket ({i}, {j}) has {len(vec)} coefficients, expected {dim}")
             if any(vec):
                 table[(i, j)] = vec
+        den, rows = _over_common_denominator(table.values())
+        stored = dict(zip(table, map(tuple, rows)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_table", table)
-        key = (dim, tuple(sorted(table.items())))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", MappingProxyType(stored))
+        key = (dim, den, tuple(sorted(stored.items())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         for slot in ("_jacobi", "_derived", "_series", "_decomposition"):
@@ -130,7 +137,7 @@ class LieAlgebra:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"<LieAlgebra dim={self.dim} brackets={len(self._table)}>"
+        return f"<LieAlgebra dim={self.dim} brackets={len(self._rows)}>"
 
     def _memo(self, slot: str, compute: Callable[[], T]) -> T:
         """The value held in ``slot``, computed on first use.  A value is
@@ -143,7 +150,10 @@ class LieAlgebra:
 
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
-        return MappingProxyType(self._table)
+        """The nonzero [e_i, e_j] for i < j, as a read-only mapping built
+        on each call."""
+        d = self._den
+        return MappingProxyType({key: tuple(Fraction(x, d) for x in c) for key, c in self._rows.items()})
 
     # -- bracket ------------------------------------------------------------
 
@@ -151,46 +161,26 @@ class LieAlgebra:
         """[e_i, e_j] as a coordinate vector."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise ValueError("basis index out of range")
-        if i == j:
+        c = self._rows.get((min(i, j), max(i, j)))  # None for i == j
+        if c is None:
             return zero_vector(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vector(self.dim))
-        c = self._table.get((j, i))
-        return zero_vector(self.dim) if c is None else tuple(-x for x in c)
+        d = self._den if i < j else -self._den
+        return tuple(Fraction(x, d) for x in c)
 
     def _integer_table(
         self,
-    ) -> tuple[int, dict[tuple[int, int], list[int]], list[list[tuple[int, int, list[int]]]]]:
-        """The brackets over one common denominator d, as ``(d, table, ad)``.
+    ) -> tuple[int, Mapping[tuple[int, int], tuple[int, ...]], list[list[tuple[int, int, tuple[int, ...]]]]]:
+        """The stored table, as ``(d, table, ad)``.
 
         ``table[(i, j)]`` is d [e_i, e_j] as ints for the stored i < j,
         and the adjoint index ``ad[i]`` lists ``(j, sign, c)`` with
-        [e_i, e_j] = sign c / d for every nonzero bracket at e_i.  It is
-        recomputed on each call rather than kept on the instance, although
-        one ``analyze`` request calls it about five times: storing it
-        raised the peak RSS of the ``oracle-scrambled`` benchmark workload
-        from 21.25 to 21.96 MB and saved no wall time (medians of three
-        runs, Python 3.11, 2 vCPUs).
+        [e_i, e_j] = sign c / d for every nonzero bracket at e_i.
         """
-        d, rows = _over_common_denominator(self._table.values())
-        table = dict(zip(self._table, rows))
-        ad: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(self.dim)]
-        for (a, b), c in table.items():
+        ad: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(self.dim)]
+        for (a, b), c in self._rows.items():
             ad[a].append((b, 1, c))
             ad[b].append((a, -1, c))
-        return d, table, ad
-
-    def _ad_rows(self, vectors: Iterable[Sequence[Fraction]]) -> Iterator[list[int]]:
-        """A positive integer multiple of [e_i, v] for every v in
-        ``vectors`` and every basis index i, in that order: enough for
-        spans, containment and zero tests."""
-        _, _, ad = self._integer_table()
-        _, ints = _over_common_denominator(vectors)
-        for w in ints:
-            for entries in ad:
-                out = [0] * self.dim
-                _accumulate(out, entries, w, 1)
-                yield out
+        return self._den, self._rows, ad
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
@@ -199,13 +189,13 @@ class LieAlgebra:
         if len(xv) != self.dim or len(yv) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
         out = [Fraction(0)] * self.dim
-        for (i, j), c in self._table.items():
+        for (i, j), c in self._rows.items():
             coef = xv[i] * yv[j] - xv[j] * yv[i]
             if coef:
                 for k, v in enumerate(c):
                     if v:
                         out[k] += coef * v
-        return tuple(out)
+        return tuple(x / self._den for x in out)
 
     # -- validation ---------------------------------------------------------
 
@@ -215,7 +205,7 @@ class LieAlgebra:
         Antisymmetry holds by construction (only i < j brackets are
         stored), so the Jacobi identity is the whole check.  Every
         Jacobiator lies in [L, L], so it is evaluated in the m = dim [L, L]
-        coordinates of that subspace, on integer-rescaled constants (each
+        coordinates of that subspace, on the stored integer constants (each
         term scales by the same factor, so vanishing is unaffected): the
         pass costs O(n^3 m^2), not O(n^5).  The verdict is cached on the
         instance.  Raises DerivedBasisError if a bracket escapes the
@@ -236,17 +226,16 @@ class LieAlgebra:
     def _derived_coordinates(self) -> _DerivedCoordinates:
         """The bracket in the coordinates of [L, L]; see
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
-        entries at the pivot columns, so alpha is read off the integer
+        entries at the pivot columns, so alpha is read off the stored
         table and certified by recomposing every stored bracket from the
         basis, in ints; beta needs no further bracket expansion, since
         D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].  Raises
         DerivedBasisError if a bracket is not recomposed."""
-        d, table, _ = self._integer_table()
         derived = self.derived_subalgebra()
         pivots = derived.pivot_cols()
         big_d, zs = _over_common_denominator(derived.basis.data)
         alpha: dict[tuple[int, int], list[int]] = {}
-        for key, c in table.items():
+        for key, c in self._rows.items():
             a = [c[p] for p in pivots]
             rebuilt = [0] * self.dim
             for coef, z in zip(a, zs):
@@ -267,7 +256,7 @@ class LieAlgebra:
                         out = row[col]
                         for s, x in enumerate(ab):
                             out[s] += coef * x
-        return _DerivedCoordinates(d, alpha, beta)
+        return _DerivedCoordinates(self._den, alpha, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -278,7 +267,7 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         """[L, L]: the span of all basis brackets."""
-        return self._memo("_derived", lambda: Subspace.span(self.dim, self._table.values()))
+        return self._memo("_derived", lambda: Subspace.span(self.dim, self._rows.values()))
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: the kernel of the equations
@@ -301,10 +290,21 @@ class LieAlgebra:
         """[L, S] for a subspace S."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
+        _, _, ad = self._integer_table()
+        _, ints = _over_common_denominator(s.basis.data)
         sb = SpanBuilder(self.dim)
-        for row in self._ad_rows(s.basis.data):
-            if any(row):
-                sb.add_int_row(row)
+        for w in ints:
+            for entries in ad:
+                # d [e_i, w] for the adjoint index of e_i
+                row = [0] * self.dim
+                for j, sign, c in entries:
+                    coef = sign * w[j]
+                    if coef:
+                        for t, x in enumerate(c):
+                            if x:
+                                row[t] += coef * x
+                if any(row):
+                    sb.add_int_row(row)
         return sb.subspace()
 
     def lower_central_series(self) -> list[Subspace]:
@@ -326,18 +326,10 @@ class LieAlgebra:
         return self.lower_central_series()[-1].is_zero()
 
     def is_ideal(self, s: Subspace) -> bool:
-        if s.ambient_dim != self.dim:
-            raise ValueError("ambient dimension mismatch")
-        sb = SpanBuilder(self.dim)
-        for row in s.basis.data:
-            sb.add(row)
-        # a row outside S enlarges the span
-        return not any(sb.add_int_row(row) for row in self._ad_rows(s.basis.data))
+        return s.contains_subspace(self.bracket_span(s))
 
     def is_central_ideal(self, s: Subspace) -> bool:
-        if s.ambient_dim != self.dim:
-            raise ValueError("ambient dimension mismatch")
-        return not any(any(row) for row in self._ad_rows(s.basis.data))
+        return self.bracket_span(s).is_zero()
 
     # -- constructions -------------------------------------------------------
 
@@ -372,15 +364,14 @@ class LieAlgebra:
         # rescale everything to integers and undo the scaling once per entry
         dq, qi = _over_common_denominator(p.inverse().transpose().data)
         dp, pi = _over_common_denominator(p.data)
-        dt, ti, _ = self._integer_table()
-        scale = Fraction(1, dp * dp * dt * dq)
+        scale = Fraction(1, dp * dp * self._den * dq)
         consts: dict[tuple[int, int], Vector] = {}
         for i in range(n):
             ri = pi[i]
             for j in range(i + 1, n):
                 rj = pi[j]
                 w = [0] * n
-                for (a, b), c in ti.items():
+                for (a, b), c in self._rows.items():
                     coef = ri[a] * rj[b] - ri[b] * rj[a]
                     if coef:
                         for t, x in enumerate(c):
@@ -398,16 +389,6 @@ def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, l
     rows = list(rows)
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def _accumulate(out: list[int], entries: list[tuple[int, int, list[int]]], w: Sequence[int], sign: int) -> None:
-    """out += sign d [e_i, w] for the adjoint index ``entries`` of e_i."""
-    for j, s, c in entries:
-        coef = sign * s * w[j]
-        if coef:
-            for t, x in enumerate(c):
-                if x:
-                    out[t] += coef * x
 
 
 # ---------------------------------------------------------------------------

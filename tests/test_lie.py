@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import FractionBracketOracle, raw_jacobi_residual
 from liecap.capability import named_members
+from liecap.exterior import exterior_square
 from liecap.lie import (
     InvalidAlgebraError,
     LieAlgebra,
@@ -141,6 +142,58 @@ def test_validate_witness_matches_raw_expansion():
     assert len(set(witnesses)) > 25
 
 
+# -- the stored table -----------------------------------------------------------
+
+
+def test_key_does_not_depend_on_how_constants_are_written():
+    # [e1, e2] = 2 e5 and [e3, e4] = -e5, written three ways
+    spellings = [
+        {(0, 1): (0, 0, 0, 0, 2), (2, 3): (0, 0, 0, 0, -1), (0, 2): (0, 0, 0, 0, 0)},
+        {(0, 1): ("0", "0", "0", "0", "4/2"), (2, 3): ("0", "0", "0", "0", "-3/3")},
+        {(0, 1): (Fraction(0, 7),) * 4 + (Fraction(6, 3),), (2, 3): (0, 0, 0, 0, Fraction(-5, 5))},
+    ]
+    algebras = [LieAlgebra(5, b) for b in spellings]
+    assert all(a == algebras[0] and hash(a) == hash(algebras[0]) for a in algebras)
+    before = exterior_square.cache_info()
+    squares = [exterior_square(a) for a in algebras]
+    after = exterior_square.cache_info()
+    assert all(sq is squares[0] for sq in squares)
+    assert after.misses - before.misses <= 1
+    # rational constants: strings against Fractions written over 6
+    strings = LieAlgebra(3, {(0, 1): ("0", "1/2", "-2/3")})
+    fractions = LieAlgebra(3, {(0, 1): (0, Fraction(3, 6), Fraction(-4, 6))})
+    assert strings == fractions and hash(strings) == hash(fractions)
+
+
+def test_key_keeps_the_common_denominator():
+    # both store the int row (0, 0, 1); only the denominator tells them apart
+    assert LieAlgebra(3, {(0, 1): (0, 0, Fraction(1, 2))}) != LieAlgebra(3, {(0, 1): (0, 0, 1)})
+    assert LieAlgebra(3, {(0, 1): (0, 0, Fraction(1, 2))}) != heisenberg(1)
+
+
+def test_brackets_round_trip(frozen_catalog):
+    for name, algebra in frozen_catalog:
+        n = algebra.dim
+        assert LieAlgebra(n, algebra.brackets) == algebra, name
+        # the same constants as strings, with every zero bracket written out
+        given = dict(algebra.brackets)
+        spelled = {key: tuple(map(str, given.get(key, (0,) * n))) for key in combinations(range(n), 2)}
+        rebuilt = LieAlgebra(n, spelled)
+        assert rebuilt == algebra and hash(rebuilt) == hash(algebra), name
+        nonzero = {key: tuple(map(Fraction, c)) for key, c in spelled.items() if any(map(Fraction, c))}
+        assert dict(rebuilt.brackets) == nonzero, name
+
+
+def test_brackets_are_read_only():
+    h = heisenberg(1)
+    with pytest.raises(TypeError):
+        h.brackets[(0, 1)] = (0, 0, 2)
+    _, table, _ = h._integer_table()
+    with pytest.raises(TypeError):
+        table[(0, 1)] = (0, 0, 2)
+    assert h == heisenberg(1) and dict(h.brackets) == {(0, 1): unit_vector(3, 2)}
+
+
 # -- bracket -------------------------------------------------------------------
 
 
@@ -215,6 +268,9 @@ def test_is_ideal():
     assert not h.is_ideal(Subspace.span(3, [unit_vector(3, 0)]))
     assert h.is_central_ideal(h.center())
     assert not h.is_central_ideal(Subspace.full(3))
+    for test in (h.is_ideal, h.is_central_ideal, h.bracket_span):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            test(Subspace.full(4))
 
 
 # -- direct sums ----------------------------------------------------------------
