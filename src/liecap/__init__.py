@@ -2,14 +2,7 @@
 finite-dimensional Lie algebras over the rationals."""
 
 from .capability import ClassVerdict, catalog, classify, decide_capability
-from .decompose import (
-    AbelianAlgebraError,
-    AlternatingForm,
-    Decomposition,
-    heisenberg_decompose,
-    induced_form,
-    symplectic_basis,
-)
+from .decompose import AbelianAlgebraError, Decomposition, heisenberg_decompose
 from .exterior import (
     ConstructionError,
     ExteriorSquare,
@@ -50,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianAlgebraError",
-    "AlternatingForm",
     "ClassVerdict",
     "ConstructionError",
     "Decomposition",
@@ -79,11 +71,9 @@ __all__ = [
     "heisenberg_multiplier_dim",
     "ideal_in_exterior_center",
     "ideal_wedge_image",
-    "induced_form",
     "is_capable",
     "kernel_basis",
     "multiplier_dim",
     "quotient_exterior_dim",
     "scramble",
-    "symplectic_basis",
 ]

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: validate, analyze, scramble, verify-paper.  Exit codes:
-0 success, 1 validation or check failure, 2 usage error, 3 internal
-self-check failure.  All output is deterministic; --json output is
-byte-stable across runs.
+0 success, 1 validation or check failure, 2 usage error (also a stdout
+closed before the output is written), 3 internal self-check failure.
+All output is deterministic; --json output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -183,7 +184,11 @@ def load_algebra_file(path: str) -> LieAlgebra:
 def load_input(text: str) -> tuple[LieAlgebra, str]:
     if _EXPR_RE.match(text):
         return parse_expression(text), text.strip()
-    if Path(text).exists():
+    try:
+        found = Path(text).exists()
+    except OSError:  # e.g. a name too long for the file system (Python < 3.13)
+        found = False
+    if found:
         return load_algebra_file(text), text
     raise UsageError(f"not a builtin expression or readable file: {text}")
 
@@ -465,7 +470,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered
+        # to devnull so that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,29 +37,6 @@ class DecompositionCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AlternatingForm:
-    """An alternating bilinear form on Q^n held as its Gram matrix."""
-
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.rows != m.cols:
-            raise ValueError("form matrix must be square")
-        for i in range(m.rows):
-            for j in range(m.rows):
-                if m.data[i][j] != -m.data[j][i]:
-                    raise ValueError("form matrix is not alternating")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    def value(self, x, y) -> Fraction:
-        return dot(x, self.matrix.mul_vec(y))
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Certified isomorphism L = H(m) + A(k).
 
@@ -74,18 +51,13 @@ class Decomposition:
     basis_change: Matrix
 
 
-def induced_form(algebra: LieAlgebra) -> tuple[AlternatingForm, Vector]:
-    """The form f with [x, y] = f(x, y) z, plus the generator z itself.
+def _gram(algebra: LieAlgebra) -> Matrix:
+    """Gram matrix of the form f with [x, y] = f(x, y) z.
 
-    Requires a valid nilpotent algebra with dim [L, L] = 1; z is the
-    RREF basis vector of the derived line, which makes f canonical.
+    Runs behind the gate of heisenberg_decompose (a valid nilpotent
+    algebra with dim [L, L] = 1); z is the RREF basis vector of the
+    derived line, which makes f canonical.
     """
-    algebra.require_valid()
-    if not algebra.is_nilpotent():
-        raise ValueError("induced form is defined for nilpotent algebras only")
-    derived = algebra.derived_subalgebra()
-    if derived.dim != 1:
-        raise ValueError(f"derived subalgebra has dimension {derived.dim}, expected 1")
     # each bracket is certified a multiple of z as its coordinate is read
     coords = algebra._derived_coordinates()
     # z must be central or the structure constants are inconsistent
@@ -97,11 +69,11 @@ def induced_form(algebra: LieAlgebra) -> tuple[AlternatingForm, Vector]:
         t = Fraction(a, coords.den)
         rows[i][j] = t
         rows[j][i] = -t
-    return AlternatingForm(Matrix.from_rows(rows, cols=n)), derived.basis.row(0)
+    return Matrix.from_rows(rows, cols=n)
 
 
-def symplectic_basis(form: AlternatingForm) -> tuple[list[tuple[Vector, Vector]], Subspace]:
-    """Symplectic Gram-Schmidt over Q.
+def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspace]:
+    """Symplectic Gram-Schmidt over Q on the form with Gram matrix ``gram``.
 
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
     f-orthogonal to each other, plus the radical of the form.  Pair
@@ -114,8 +86,8 @@ def symplectic_basis(form: AlternatingForm) -> tuple[list[tuple[Vector, Vector]]
     those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
     with a column that never needs updating.
     """
-    n = form.dim
-    working: list[tuple[Vector, Vector]] = [(unit_vector(n, i), form.matrix.column(i)) for i in range(n)]
+    n = gram.rows
+    working: list[tuple[Vector, Vector]] = [(unit_vector(n, i), gram.column(i)) for i in range(n)]
     pairs: list[tuple[Vector, Vector]] = []
     while True:
         hit = None
@@ -175,8 +147,8 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
 
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
-    form, z = induced_form(algebra)
-    pairs, radical = symplectic_basis(form)
+    pairs, radical = _symplectic_basis(_gram(algebra))
+    z = algebra.derived_subalgebra().basis.data[0]
     m = len(pairs)
     n = algebra.dim
     k = n - 2 * m - 1

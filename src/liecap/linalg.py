@@ -128,13 +128,12 @@ class SpanBuilder:
         return len(self._pivots)
 
     def add(self, vec: Iterable[Scalar]) -> bool:
-        row = _scale_to_int([frac(x) for x in vec])
-        if len(row) != self.ncols:
-            raise ValueError("row length does not match column count")
-        return self.add_int_row(row)
+        return self.add_int_row(_scale_to_int([frac(x) for x in vec]))
 
     def add_int_row(self, row: list[int]) -> bool:
         """Add a row already given by integer entries.  The list is consumed."""
+        if len(row) != self.ncols:
+            raise ValueError("row length does not match column count")
         reduced = self._reduce(row)
         if reduced is None:
             return False
@@ -242,9 +241,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
 
@@ -293,14 +289,17 @@ class Subspace:
         if self.basis.cols != self.ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
         # light canonical-form check; span() is the safe constructor
-        last = -1
+        pivots: list[int] = []
         for r in self.basis.data:
             piv = next((j for j, x in enumerate(r) if x), None)
             if piv is None:
                 raise ValueError("zero row in subspace basis")
-            if piv <= last or r[piv] != 1:
+            if (pivots and piv <= pivots[-1]) or r[piv] != 1:
                 raise ValueError("subspace basis is not in reduced echelon form")
-            last = piv
+            pivots.append(piv)
+        # reduced: each pivot column is zero outside its own row
+        if any(sum(1 for p in pivots if r[p]) != 1 for r in self.basis.data):
+            raise ValueError("subspace basis is not in reduced echelon form")
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]] = ()) -> "Subspace":

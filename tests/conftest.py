@@ -145,9 +145,17 @@ def symbol_exterior_square(algebra):
     return quotient_dim, quotient_dim - algebra.derived_subalgebra().dim, center
 
 
-def matrix_symplectic_basis(form):
-    """Symplectic Gram-Schmidt taking every form value f(x, y) as
-    x . (G y), a full Gram matrix-vector product.
+def form_value(gram, x, y):
+    """f(x, y) = x . (G y) for the alternating form with Gram matrix G."""
+    from liecap.linalg import dot
+
+    return dot(x, gram.mul_vec(y))
+
+
+def matrix_symplectic_basis(gram):
+    """Symplectic Gram-Schmidt on the form with Gram matrix ``gram``,
+    taking every form value f(x, y) as x . (G y), a full Gram
+    matrix-vector product.
 
     The same pair selection as the library (ascending scan, first
     nonzero pairing wins), without its Gram-column shortcut; the
@@ -155,14 +163,14 @@ def matrix_symplectic_basis(form):
     """
     from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale, vec_sub
 
-    n = form.dim
+    n = gram.rows
     working = [unit_vector(n, i) for i in range(n)]
     pairs = []
     while True:
         hit = None
         for ai in range(len(working)):
             for bi in range(ai + 1, len(working)):
-                if form.value(working[ai], working[bi]):
+                if form_value(gram, working[ai], working[bi]):
                     hit = (ai, bi)
                     break
             if hit:
@@ -171,14 +179,14 @@ def matrix_symplectic_basis(form):
             break
         ai, bi = hit
         a = working[ai]
-        c = form.value(a, working[bi])
+        c = form_value(gram, a, working[bi])
         b = vec_scale(1 / c, working[bi])
         rest = []
         for t, v in enumerate(working):
             if t in (ai, bi):
                 continue
-            v = vec_add(v, vec_scale(form.value(v, a), b))
-            v = vec_sub(v, vec_scale(form.value(v, b), a))
+            v = vec_add(v, vec_scale(form_value(gram, v, a), b))
+            v = vec_sub(v, vec_scale(form_value(gram, v, b), a))
             rest.append(v)
         pairs.append((a, b))
         working = rest

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -287,6 +290,38 @@ def test_unknown_input_is_usage_error(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "analyze", "/no/such/file.json")
     assert code == EXIT_USAGE
+
+
+def test_over_long_path_is_usage_error(capsys):
+    # before Python 3.13, Path.exists() raises "File name too long" here
+    code, _, err = run(capsys, "analyze", "x" * 5000)
+    assert code == EXIT_USAGE
+    assert "not a builtin expression or readable file" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-paper"], ["verify-paper", "--json"], ["scramble", "H(2)+A(3)", "--seed", "9"]],
+    ids=["verify-paper", "verify-paper-json", "scramble"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # stdout is a pipe whose reader has already gone, as after `| head`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecap.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_USAGE
 
 
 @pytest.mark.parametrize("expression", ["A(\u0663)", "H(\u0661)+A(2)", "A(\uff13)"])

@@ -1,5 +1,5 @@
-"""Recognition of H(m) + A(k): induced forms, symplectic bases and the
-certified decomposition round trip."""
+"""Recognition of H(m) + A(k): the Gram matrix of the induced form, the
+symplectic pass and the certified decomposition round trip."""
 
 from __future__ import annotations
 
@@ -9,24 +9,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matrix_symplectic_basis, rank_by_minors
+from conftest import form_value, matrix_symplectic_basis, rank_by_minors
 from liecap import decompose
 from liecap.decompose import (
     AbelianAlgebraError,
-    AlternatingForm,
     DecompositionCheckError,
+    _gram,
+    _symplectic_basis,
     heisenberg_decompose,
-    induced_form,
-    symplectic_basis,
 )
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 from liecap.linalg import Matrix, kernel_basis, unit_vector
 
 
 def test_induced_form_heisenberg():
-    form, z = induced_form(heisenberg(1))
-    assert z == unit_vector(3, 2)
-    assert form.matrix == Matrix.from_rows(
+    L = heisenberg(1)
+    # z, the RREF generator of [L, L], is the basis vector after the pairs
+    assert heisenberg_decompose(L).basis_change.data[2] == unit_vector(3, 2)
+    assert _gram(L) == Matrix.from_rows(
         [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     )
 
@@ -38,7 +38,10 @@ def test_induced_form_matches_public_bracket(frozen_catalog):
     for name, algebra in frozen_catalog:
         if algebra.derived_subalgebra().dim != 1:
             continue
-        form, z = induced_form(algebra)
+        gram = _gram(algebra)
+        z = algebra.derived_subalgebra().basis.data[0]
+        dec = heisenberg_decompose(algebra)
+        assert dec.basis_change.data[2 * dec.m] == z, name
         n = algebra.dim
         p = next(t for t, x in enumerate(z) if x)
         rows = []
@@ -50,48 +53,32 @@ def test_induced_form_matches_public_bracket(frozen_catalog):
                 assert c == tuple(f * x for x in z), name
                 row.append(f)
             rows.append(row)
-        assert form.matrix == Matrix.from_rows(rows, cols=n), name
+        assert gram == Matrix.from_rows(rows, cols=n), name
         checked += 1
     assert checked == 132  # H(m) and H(m)+A(k), m, k = 1..3, each with ten scrambles
 
 
 def test_induced_form_rank_is_basis_invariant():
     L = direct_sum(heisenberg(2), abelian(1))
-    base_rank = induced_form(L)[0].matrix.rank()
+    base_rank = _gram(L).rank()
     assert base_rank == 4
     for seed in (1, 2, 3):
-        form, _ = induced_form(scramble(L, seed))
-        assert form.matrix.rank() == 4
-
-
-def test_induced_form_rejections():
-    with pytest.raises(ValueError):
-        induced_form(abelian(3))  # derived dimension 0
-    with pytest.raises(ValueError):
-        induced_form(direct_sum(heisenberg(1), heisenberg(1)))  # dimension 2
-    with pytest.raises(ValueError):
-        induced_form(LieAlgebra(2, {(0, 1): (0, 1)}))  # not nilpotent
-
-
-def test_alternating_form_rejects_non_skew():
-    with pytest.raises(ValueError):
-        AlternatingForm(Matrix.from_rows([[0, 1], [1, 0]]))
+        assert _gram(scramble(L, seed)).rank() == 4
 
 
 def test_symplectic_basis_zero_form():
-    form = AlternatingForm(Matrix.from_rows([[0, 0, 0]] * 3))
-    pairs, radical = symplectic_basis(form)
+    pairs, radical = _symplectic_basis(Matrix.from_rows([[0, 0, 0]] * 3))
     assert pairs == []
     assert radical.dim == 3
 
 
 def test_symplectic_basis_standard_pair():
-    form = AlternatingForm(Matrix.from_rows([[0, 1], [-1, 0]]))
-    pairs, radical = symplectic_basis(form)
+    gram = Matrix.from_rows([[0, 1], [-1, 0]])
+    pairs, radical = _symplectic_basis(gram)
     assert len(pairs) == 1
     assert radical.dim == 0
     a, b = pairs[0]
-    assert form.value(a, b) == 1
+    assert form_value(gram, a, b) == 1
 
 
 @pytest.mark.parametrize("seed", [5, 21, 77])
@@ -100,28 +87,28 @@ def test_symplectic_basis_random_skew(seed):
     rng = random.Random(seed)
     raw = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(6)]
     skew = [[raw[i][j] - raw[j][i] for j in range(6)] for i in range(6)]
-    form = AlternatingForm(Matrix.from_rows(skew))
+    gram = Matrix.from_rows(skew)
     rank = rank_by_minors(skew)
-    pairs, radical = symplectic_basis(form)
-    assert (pairs, radical) == matrix_symplectic_basis(form)
+    pairs, radical = _symplectic_basis(gram)
+    assert (pairs, radical) == matrix_symplectic_basis(gram)
     assert 2 * len(pairs) == rank
     assert 2 * len(pairs) + radical.dim == 6
-    assert radical == kernel_basis(form.matrix)
+    assert radical == kernel_basis(gram)
     # full pairing table: f(a_i, b_j) = delta_ij, everything else zero
     avs = [p[0] for p in pairs]
     bvs = [p[1] for p in pairs]
     for i, a in enumerate(avs):
         for j, b in enumerate(bvs):
-            assert form.value(a, b) == (1 if i == j else 0)
+            assert form_value(gram, a, b) == (1 if i == j else 0)
     for i, x in enumerate(avs):
         for j, y in enumerate(avs):
-            assert form.value(x, y) == 0
+            assert form_value(gram, x, y) == 0
     for i, x in enumerate(bvs):
         for j, y in enumerate(bvs):
-            assert form.value(x, y) == 0
+            assert form_value(gram, x, y) == 0
     for x in avs + bvs:
         for r in radical.basis.data:
-            assert form.value(x, r) == 0
+            assert form_value(gram, x, r) == 0
 
 
 def test_decompose_canonical_inputs():
@@ -155,8 +142,7 @@ def test_form_radical_equals_center():
     # induced form is exactly the center
     for base, seed in ((heisenberg(2), 31), (direct_sum(heisenberg(1), abelian(2)), 32)):
         L = scramble(base, seed)
-        form, _ = induced_form(L)
-        assert kernel_basis(form.matrix) == L.center()
+        assert kernel_basis(_gram(L)) == L.center()
 
 
 def test_decompose_dimension_count():
@@ -187,8 +173,8 @@ def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
     for name, algebra in frozen_catalog:
         if algebra.derived_subalgebra().dim != 1:
             continue
-        form, _ = induced_form(algebra)
-        assert symplectic_basis(form) == matrix_symplectic_basis(form), name
+        gram = _gram(algebra)
+        assert _symplectic_basis(gram) == matrix_symplectic_basis(gram), name
         checked += 1
     assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
 
@@ -224,23 +210,23 @@ def test_decompose_rejection_is_raised_afresh(algebra, error):
 
 def test_decomposition_is_certified_once(monkeypatch):
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 77)
-    calls = {"change_basis": 0, "induced_form": 0}
-    change_basis, induced = LieAlgebra.change_basis, decompose.induced_form
+    calls = {"change_basis": 0, "_gram": 0}
+    change_basis, gram = LieAlgebra.change_basis, decompose._gram
 
     def counted_change_basis(self, p):
         calls["change_basis"] += 1
         return change_basis(self, p)
 
-    def counted_induced_form(algebra):
-        calls["induced_form"] += 1
-        return induced(algebra)
+    def counted_gram(algebra):
+        calls["_gram"] += 1
+        return gram(algebra)
 
     monkeypatch.setattr(LieAlgebra, "change_basis", counted_change_basis)
-    monkeypatch.setattr(decompose, "induced_form", counted_induced_form)
+    monkeypatch.setattr(decompose, "_gram", counted_gram)
     first = heisenberg_decompose(L)
     assert heisenberg_decompose(L) is first
     assert heisenberg_decompose(L) is first
-    assert calls == {"change_basis": 1, "induced_form": 1}
+    assert calls == {"change_basis": 1, "_gram": 1}
 
 
 def test_failed_certification_is_not_memoized(monkeypatch):

@@ -185,6 +185,16 @@ def test_subspace_contains_and_coordinates():
         s.contains((1, 0))
 
 
+def test_subspace_rejects_unreduced_basis():
+    # echelon but not reduced: (1, 1) is nonzero in the pivot column of
+    # (0, 1), so contains() and equality would misread the span
+    with pytest.raises(ValueError, match="not in reduced echelon form"):
+        Subspace(2, Matrix.from_rows([[1, 1], [0, 1]]))
+    assert Subspace(2, Matrix.from_rows([[1, 0], [0, 1]])) == Subspace.full(2)
+    # a nonzero entry outside the pivot columns is allowed
+    assert Subspace(3, Matrix.from_rows([[1, 2, 0], [0, 0, 1]])).contains((1, 2, 1))
+
+
 def test_span_builder_tracks_rank_growth():
     sb = SpanBuilder(3)
     assert sb.add((1, 1, 0))
@@ -193,6 +203,16 @@ def test_span_builder_tracks_rank_growth():
     assert sb.rank == 2
     assert sb.subspace().contains((3, 3, 5))
     assert not sb.subspace().contains((1, 0, 0))
+
+
+@pytest.mark.parametrize("ncols, row", [(3, [1]), (2, [0, 0, 5])], ids=["short", "long"])
+def test_span_builder_checks_row_length(ncols, row):
+    sb = SpanBuilder(ncols)
+    with pytest.raises(ValueError, match="row length"):
+        sb.add_int_row(list(row))
+    with pytest.raises(ValueError, match="row length"):
+        sb.add(row)
+    assert sb.rank == 0
 
 
 def test_matrix_inverse():
