@@ -56,6 +56,8 @@ _MAX_INPUT_BYTES = 64 * 1024 * 1024
 # walks C(n, 3) triples and L ^ L has C(n, 2) columns, so without a bound
 # an input like A(100000) never finishes.
 _MAX_DIM = 64
+# A usage error quotes at most this many characters of an argument.
+_MAX_ECHO = 80
 
 
 class InputError(Exception):
@@ -190,7 +192,15 @@ def load_input(text: str) -> tuple[LieAlgebra, str]:
         found = False
     if found:
         return load_algebra_file(text), text
-    raise UsageError(f"not a builtin expression or readable file: {text}")
+    raise UsageError(f"not a builtin expression or readable file: {_echo(text)}")
+
+
+def _echo(text: str) -> str:
+    """An argument as a usage error quotes it: a long one is cut to a
+    prefix and its length, so it cannot flood stderr."""
+    if len(text) <= _MAX_ECHO:
+        return text
+    return f"{text[:_MAX_ECHO]}... ({len(text)} characters)"
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:
@@ -232,8 +242,7 @@ def build_report(algebra: LieAlgebra, source: str, method: str) -> dict[str, Any
         formula_m, formula_ext = rep.dim_multiplier, rep.dim_exterior_square
     oracle_m = oracle_ext = center_dim = None
     if method in ("oracle", "both"):
-        ext = exterior.exterior_square(algebra)
-        oracle_m, oracle_ext = ext.multiplier_dim(), ext.quotient_dim
+        oracle_m, oracle_ext = exterior.multiplier_dim(algebra), exterior.exterior_square_dim(algebra)
         center_dim = exterior.exterior_center(algebra).dim
         verdict = _with_construction(verdict, center_dim == 0, method)
 
@@ -318,7 +327,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scramble(args: argparse.Namespace) -> int:
     if not _EXPR_RE.match(args.expression):
-        raise UsageError(f"scramble takes a builtin expression, got: {args.expression}")
+        raise UsageError(f"scramble takes a builtin expression, got: {_echo(args.expression)}")
     algebra = parse_expression(args.expression)
     scrambled = scramble(algebra, args.seed)
     print(json.dumps(algebra_to_doc(scrambled), indent=2))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .linalg import (
     Fraction,
     Matrix,
-    SpanBuilder,
     Subspace,
     Vector,
     dot,
@@ -147,19 +146,17 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
 
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
-    pairs, radical = _symplectic_basis(_gram(algebra))
+    pairs, _ = _symplectic_basis(_gram(algebra))
     z = algebra.derived_subalgebra().basis.data[0]
     m = len(pairs)
     n = algebra.dim
     k = n - 2 * m - 1
 
-    # complement of span{z} inside the radical, picked greedily from the
-    # radical's RREF rows so the choice is canonical
-    sb = SpanBuilder(n)
-    sb.add(z)
-    complement = [row for row in radical.basis.data if sb.add(row)]
+    # the radical of the form is Z(L), so the complement of span{z} inside
+    # it is the abelian factor of the canonical split L = L1 + A
+    complement = list(algebra._abelian_split().factor)
     if len(complement) != k:
-        raise DecompositionCheckError("z is not inside the radical")
+        raise DecompositionCheckError("the abelian factor does not complete the Heisenberg pairs")
 
     rows = [p[0] for p in pairs] + [p[1] for p in pairs] + [z] + complement
     basis_change = Matrix.from_rows(rows, cols=n)

@@ -26,6 +26,15 @@ d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator of the triple, which
 ``LieAlgebra.validate`` has already checked, a failure signals a
 defect, and raises.
 
+``exterior_square`` builds L ^ L for the algebra as given.  The
+dimensions, the multiplier and the exterior center are taken instead
+through the canonical split L = L1 + A(k) off an abelian direct factor
+(``LieAlgebra._abelian_split``): only L1 ^ L1 is built, in a basis that
+lists [L, L] first, and A enters through the Kunneth terms
+
+  (L1 + A) ^ (L1 + A)  =  L1 ^ L1  +  L1/[L1, L1] (x) A  +  Lambda^2 A.
+
+The split reads only the center and [L, L], never a decomposition.
 This module never consults the closed-form tables; it is the
 independent witness the formulas are checked against.
 """
@@ -188,27 +197,74 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     )
 
 
+@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
+    """``(L1, m, k)`` for the canonical split L = L1 + A(k) of a valid
+    algebra, with m = dim [L, L] = dim [L1, L1].  L1 is written in the
+    first dim - k vectors of the split basis, from one change of basis.
+    Cached per algebra, like ``exterior_square``.
+
+    The rewritten table must be block diagonal, with every bracket in the
+    first m coordinates: then L1 is closed under the bracket and A is
+    central, and since the basis is invertible and [L, L] is spanned by
+    those m vectors, A meets [L, L] in 0.  Raises ConstructionError
+    otherwise."""
+    algebra.require_valid()
+    split = algebra._abelian_split()
+    m, k = split.derived_dim, len(split.factor)
+    n1 = algebra.dim - k
+    brackets = algebra.change_basis(split.basis).brackets
+    for (_, j), c in brackets.items():
+        if j >= n1 or any(c[m:]):
+            raise ConstructionError("the split basis does not split off a central direct factor")
+    return LieAlgebra(n1, {key: c[:n1] for key, c in brackets.items()}), m, k
+
+
 def exterior_square_dim(algebra: LieAlgebra) -> int:
-    return exterior_square(algebra).quotient_dim
+    """dim(L ^ L) = dim(L1 ^ L1) + k dim(L1/[L1, L1]) + k(k - 1)/2, from
+    the Kunneth terms of the split L = L1 + A(k)."""
+    factor, m, k = _split_factor(algebra)
+    return exterior_square(factor).quotient_dim + k * (factor.dim - m) + k * (k - 1) // 2
 
 
 def multiplier_dim(algebra: LieAlgebra) -> int:
-    """dim M(L), constructed as dim ker of the commutator map."""
-    return exterior_square(algebra).multiplier_dim()
+    """dim M(L) = dim(L ^ L) - dim [L, L]."""
+    return exterior_square_dim(algebra) - algebra.derived_subalgebra().dim
 
 
-def exterior_center(algebra: LieAlgebra) -> Subspace:
-    """{x in L : x ^ y = 0 in L ^ L for every y}.
-
-    Computed as the kernel of the stacked maps x -> x ^ e_j; the algebra
-    is capable exactly when this is zero."""
-    ext = exterior_square(algebra)
-    n = algebra.dim
+def _square_center(ext: ExteriorSquare) -> Subspace:
+    """{x : x ^ y = 0 for every y}, as the kernel of the stacked maps
+    x -> x ^ e_j."""
+    n = ext.dim
     rows: list[Vector] = []
     for j in range(n):
         # the rows of x -> x ^ e_j; column i is the class of e_i ^ e_j
         rows.extend(zip(*(_wedge_column(ext.projection, n, i, j) for i in range(n))))
     return kernel_basis(Matrix.from_rows(rows, cols=n))
+
+
+def exterior_center(algebra: LieAlgebra) -> Subspace:
+    """{x in L : x ^ y = 0 in L ^ L for every y}; the algebra is capable
+    exactly when this is zero.
+
+    Computed through the split L = L1 + A(k).  By the Kunneth terms,
+    x1 + a (x1 in L1, a in A) lies in Z^(L) exactly when x1 lies in
+    Z^(L1), and in [L1, L1] if k >= 1 and L1 is not perfect, and a = 0
+    unless k = 1 and L1 is perfect.  Z^(L1) lies in Z(L1), which lies in
+    [L, L] because A takes in every central direction outside [L, L]: so
+    the second condition always holds, and Z^(L1) vanishes past the
+    first m coordinates, which is checked instead of intersecting."""
+    factor, m, k = _split_factor(algebra)
+    # the first m split basis vectors are the RREF basis of [L, L]
+    to_original = algebra.derived_subalgebra().basis.transpose()
+    rows = []
+    for x in _square_center(exterior_square(factor)).basis.data:
+        if any(x[m:]):
+            raise ConstructionError("the exterior center of L1 leaves [L, L]")
+        rows.append(to_original.mul_vec(x[:m]))
+    if k == 1 and m == factor.dim:
+        rows.extend(algebra._abelian_split().factor)
+    return Subspace.span(algebra.dim, rows)
 
 
 def is_capable(algebra: LieAlgebra) -> bool:
@@ -224,7 +280,7 @@ def quotient_exterior_dim(algebra: LieAlgebra, ideal: Subspace) -> int:
     """dim((L/N) ^ (L/N)) for a central ideal N."""
     _require_central_ideal(algebra, ideal)
     quotient, _ = algebra.quotient(ideal)
-    return exterior_square(quotient).quotient_dim
+    return exterior_square_dim(quotient)
 
 
 def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
@@ -249,4 +305,4 @@ def ideal_in_exterior_center(algebra: LieAlgebra, ideal: Subspace) -> bool:
     N sits inside the exterior center exactly when passing to L/N does
     not change the exterior square dimension."""
     _require_central_ideal(algebra, ideal)
-    return exterior_square(algebra).quotient_dim == quotient_exterior_dim(algebra, ideal)
+    return exterior_square_dim(algebra) == quotient_exterior_dim(algebra, ideal)

@@ -73,6 +73,22 @@ class _DerivedCoordinates(NamedTuple):
         return out
 
 
+class _AbelianSplit(NamedTuple):
+    """The canonical split L = L1 + A into an ideal L1 that contains
+    [L, L] and an abelian direct factor A.
+
+    ``factor`` spans A: the RREF rows of the center that enlarge the span
+    of [L, L], so A is central with A and [L, L] meeting in 0.  The rows
+    of ``basis`` are the RREF basis of [L, L] (``derived_dim`` rows), the
+    unit vectors that complete it greedily to a complement of A, and
+    then ``factor``: its first dim - k rows span L1.
+    """
+
+    derived_dim: int
+    factor: tuple[Vector, ...]
+    basis: Matrix
+
+
 _UNCHECKED = object()
 T = TypeVar("T")
 
@@ -87,10 +103,24 @@ class LieAlgebra:
     canonical, so it serves as the key.  All derived computations are
     exact and deterministic; the Jacobi verdict, the derived subalgebra,
     the lower central series and the H(m) + A(k) decomposition are
-    computed at most once per instance.
+    computed at most once per instance; so are the center and the split
+    L = L1 + A off an abelian direct factor.
     """
 
-    __slots__ = ("dim", "labels", "_den", "_rows", "_key", "_hash", "_jacobi", "_derived", "_series", "_decomposition")
+    __slots__ = (
+        "dim",
+        "labels",
+        "_den",
+        "_rows",
+        "_key",
+        "_hash",
+        "_jacobi",
+        "_derived",
+        "_center",
+        "_series",
+        "_split",
+        "_decomposition",
+    )
 
     def __init__(
         self,
@@ -124,7 +154,7 @@ class LieAlgebra:
         key = (dim, den, tuple(sorted(stored.items())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        for slot in ("_jacobi", "_derived", "_series", "_decomposition"):
+        for slot in ("_jacobi", "_derived", "_center", "_series", "_split", "_decomposition"):
             object.__setattr__(self, slot, _UNCHECKED)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -271,8 +301,11 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: the kernel of the equations
-        [x, e_j]_k = 0, eliminated once on ints and read off the
-        canonical quotient section."""
+        [x, e_j]_k = 0, eliminated once per instance on ints and read off
+        the canonical quotient section."""
+        return self._memo("_center", self._center_kernel)
+
+    def _center_kernel(self) -> Subspace:
         n = self.dim
         _, _, ad = self._integer_table()
         sb = SpanBuilder(n)
@@ -285,6 +318,22 @@ class LieAlgebra:
                 if any(row):
                     sb.add_int_row(row)
         return Subspace.span(n, _quotient_from_builder(sb).projection.data)
+
+    def _abelian_split(self) -> _AbelianSplit:
+        """The canonical split L = L1 + A; see ``_AbelianSplit``.  Computed
+        once per instance, from the center and [L, L] alone."""
+        return self._memo("_split", self._split_basis)
+
+    def _split_basis(self) -> _AbelianSplit:
+        n = self.dim
+        derived = self.derived_subalgebra().basis.data
+        sb = SpanBuilder(n)
+        for z in derived:
+            sb.add(z)
+        factor = tuple(row for row in self.center().basis.data if sb.add(row))
+        completion = [e for e in (unit_vector(n, i) for i in range(n)) if sb.add(e)]
+        basis = Matrix.from_rows([*derived, *completion, *factor], cols=n)
+        return _AbelianSplit(len(derived), factor, basis)
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S."""
@@ -365,22 +414,31 @@ class LieAlgebra:
         dq, qi = _over_common_denominator(p.inverse().transpose().data)
         dp, pi = _over_common_denominator(p.data)
         scale = Fraction(1, dp * dp * self._den * dq)
+        _, _, ad = self._integer_table()
         consts: dict[tuple[int, int], Vector] = {}
         for i in range(n):
-            ri = pi[i]
+            # u[b] = dp d [f_i, e_b], kept for the b where it is nonzero
+            u: dict[int, list[int]] = {}
+            for a, x in enumerate(pi[i]):
+                if x:
+                    for b, sign, c in ad[a]:
+                        row = u.setdefault(b, [0] * n)
+                        coef = sign * x
+                        for t, y in enumerate(c):
+                            if y:
+                                row[t] += coef * y
             for j in range(i + 1, n):
                 rj = pi[j]
                 w = [0] * n
-                for (a, b), c in self._rows.items():
-                    coef = ri[a] * rj[b] - ri[b] * rj[a]
-                    if coef:
-                        for t, x in enumerate(c):
-                            if x:
-                                w[t] += coef * x
-                if any(w):
-                    consts[(i, j)] = tuple(
-                        scale * sum(qr[t] * w[t] for t in range(n)) for qr in qi
-                    )
+                for b, row in u.items():
+                    x = rj[b]
+                    if x:
+                        for t, y in enumerate(row):
+                            if y:
+                                w[t] += x * y
+                nonzero = [(t, y) for t, y in enumerate(w) if y]
+                if nonzero:
+                    consts[(i, j)] = tuple(scale * sum(qr[t] * y for t, y in nonzero) for qr in qi)
         return LieAlgebra(self.dim, consts)
 
 

@@ -299,6 +299,15 @@ def test_over_long_path_is_usage_error(capsys):
     assert "not a builtin expression or readable file" in err
 
 
+def test_unrecognized_argument_echo_is_bounded(capsys):
+    argument = "B(" + "9" * 4997 + ")"
+    code, _, err = run(capsys, "analyze", argument)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: not a builtin expression or readable file: B(999")
+    assert "(5000 characters)" in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify-paper"], ["verify-paper", "--json"], ["scramble", "H(2)+A(3)", "--seed", "9"]],

@@ -4,6 +4,7 @@ differential check against the n^2-symbol construction."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import symbol_exterior_square
 
-from liecap import exterior
+from liecap import cli, exterior
 from liecap.exterior import (
     ConstructionError,
     _d3_rows,
@@ -28,8 +29,8 @@ from liecap.exterior import (
     multiplier_dim,
     quotient_exterior_dim,
 )
-from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Matrix, Subspace, _normalize_int, unit_vector, vec_add, zero_vector
+from liecap.lie import InvalidAlgebraError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
+from liecap.linalg import Matrix, Subspace, _normalize_int, kernel_basis, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -122,9 +123,21 @@ def test_direct_sum_exterior_center_containment():
 
 
 def test_invalid_table_rejected():
+    # the split runs behind require_valid, like the full construction
     bad = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
-    with pytest.raises(ValueError):
-        exterior_square(bad)
+    zero = Subspace.zero(3)
+    entries = [
+        exterior_square,
+        exterior_square_dim,
+        multiplier_dim,
+        exterior_center,
+        is_capable,
+        lambda L: quotient_exterior_dim(L, zero),
+        lambda L: ideal_in_exterior_center(L, zero),
+    ]
+    for entry in entries:
+        with pytest.raises(InvalidAlgebraError):
+            entry(bad)
 
 
 @settings(deadline=None, max_examples=40)
@@ -300,8 +313,14 @@ def _d3_rows_without(ibr, dropped):
     return rows
 
 
-FILIFORM_4 = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})  # [e1,e2]=e3, [e1,e3]=e4
+def filiform(n):
+    """L_n: [e_1, e_i] = e_{i+1} for 2 <= i < n."""
+    return LieAlgebra(n, {(0, i): unit_vector(n, i + 1) for i in range(1, n - 1)})
+
+
+FILIFORM_4 = filiform(4)  # [e1,e2]=e3, [e1,e3]=e4
 SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})  # e, f, h
+R2 = LieAlgebra(2, {(0, 1): (0, 1)})  # [x, y] = y
 
 
 @pytest.mark.parametrize(
@@ -389,3 +408,69 @@ def test_d3_construction_matches_symbol_oracle(frozen_catalog):
         sq = exterior_square(algebra)
         got = (sq.quotient_dim, sq.multiplier_dim(), exterior_center(algebra))
         assert got == symbol_exterior_square(algebra), name
+
+
+# -- the split L = L1 + A against the full construction --------------------------
+
+
+def _full_exterior_center(algebra):
+    """Z^(L) from the full square in original coordinates: the kernel of
+    the stacked maps x -> x ^ e_j, with e_i ^ e_j read off the projection."""
+    n = algebra.dim
+    sq = exterior_square(algebra)
+
+    def wedge(i, j):
+        if i == j:
+            return zero_vector(sq.quotient_dim)
+        col = sq.projection.column(_wedge_index(n, min(i, j), max(i, j)))
+        return col if i < j else tuple(-x for x in col)
+
+    rows = []
+    for j in range(n):
+        rows.extend(zip(*(wedge(i, j) for i in range(n))))
+    return kernel_basis(Matrix.from_rows(rows, cols=n))
+
+
+def test_split_matches_full_construction(frozen_catalog):
+    extra = [
+        ("sl2", SL2),
+        ("r2", R2),
+        ("r2+r2", direct_sum(R2, R2)),
+        ("sl2+A(1)", direct_sum(SL2, abelian(1))),  # L1 perfect, k = 1: Z^ = A
+        ("sl2+A(2)", direct_sum(SL2, abelian(2))),
+        ("r2+A(4)", direct_sum(R2, abelian(4))),
+        ("A(0)", abelian(0)),
+        ("A(1)", abelian(1)),
+        ("L_7+A(2) scrambled", scramble(direct_sum(filiform(7), abelian(2)), 3)),
+        ("L_9 scrambled", scramble(filiform(9), 4)),
+    ]
+    for name, algebra in frozen_catalog + extra:
+        sq = exterior_square(algebra)
+        split = (exterior_square_dim(algebra), multiplier_dim(algebra), exterior_center(algebra))
+        assert split == (sq.quotient_dim, sq.multiplier_dim(), _full_exterior_center(algebra)), name
+    # the perfect, k = 1 case is the one whose Z^ takes in A
+    assert exterior_center(direct_sum(SL2, abelian(1))) == Subspace.span(4, [unit_vector(4, 3)])
+
+
+def test_split_is_block_diagonal(monkeypatch, tmp_path):
+    # H(1)+H(1)+A(1) is unclassified, so analyze reaches the split without
+    # the decomposition; a "center" holding a non-central vector puts it
+    # into A.  The split is cached per algebra, so the inputs are scrambles
+    # that no other test builds
+    algebra = scramble(direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(1)), 4_201)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(cli.algebra_to_doc(scramble(algebra, 4_202))))
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.span(self.dim, [unit_vector(self.dim, 0)]))
+    for entry in (exterior_square_dim, multiplier_dim, exterior_center):
+        with pytest.raises(ConstructionError, match="central direct factor"):
+            entry(algebra)
+    assert cli.main(["analyze", str(path), "--method", "oracle"]) == cli.EXIT_INTERNAL
+
+
+def test_split_checks_exterior_center_inside_derived(monkeypatch):
+    # with the center lost, sl2+A(1) keeps its abelian factor inside L1,
+    # and its exterior center A(1) escapes [L, L] = sl2
+    algebra = scramble(direct_sum(SL2, abelian(1)), 4_203)
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.zero(self.dim))
+    with pytest.raises(ConstructionError, match="leaves"):
+        exterior_center(algebra)

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FractionBracketOracle, raw_jacobi_residual
+from liecap import lie
+from liecap.cli import build_report
 from liecap.capability import named_members
 from liecap.exterior import exterior_square
 from liecap.lie import (
@@ -236,6 +238,24 @@ def test_center_examples():
     assert h.center() == Subspace.span(5, [unit_vector(5, 4)])
     s = direct_sum(heisenberg(1), abelian(2))
     assert s.center().dim == 3
+
+
+def test_center_is_eliminated_once(monkeypatch):
+    # the report's center dimension, the abelian split and the
+    # decomposition all ask one instance for its center
+    L = scramble(direct_sum(heisenberg(2), abelian(2)), 79)
+    calls = []
+    quotient_from_builder = lie._quotient_from_builder
+
+    def counted(sb):
+        calls.append(sb)
+        return quotient_from_builder(sb)
+
+    monkeypatch.setattr(lie, "_quotient_from_builder", counted)
+    first = L.center()
+    build_report(L, "input", "both")
+    assert L.center() is first
+    assert len(calls) == 1
 
 
 def test_lower_central_series_abelian():
