@@ -162,8 +162,6 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     basis_change = Matrix.from_rows(rows, cols=n)
 
     # certify: the rewritten algebra must match the canonical constants
-    expected = direct_sum(heisenberg(m), abelian(k)) if k else heisenberg(m)
-    rewritten = algebra.change_basis(basis_change)
-    if rewritten != expected:
+    if algebra.change_basis(basis_change) != direct_sum(heisenberg(m), abelian(k)):
         raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
     return Decomposition(m, k, basis_change)

@@ -213,11 +213,11 @@ def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
     split = algebra._abelian_split()
     m, k = split.derived_dim, len(split.factor)
     n1 = algebra.dim - k
-    brackets = algebra.change_basis(split.basis).brackets
-    for (_, j), c in brackets.items():
+    rewritten = algebra.change_basis(split.basis)
+    for (_, j), c in rewritten._rows.items():
         if j >= n1 or any(c[m:]):
             raise ConstructionError("the split basis does not split off a central direct factor")
-    return LieAlgebra(n1, {key: c[:n1] for key, c in brackets.items()}), m, k
+    return rewritten._leading_block(n1), m, k
 
 
 def exterior_square_dim(algebra: LieAlgebra) -> int:

@@ -80,8 +80,9 @@ class _AbelianSplit(NamedTuple):
     ``factor`` spans A: the RREF rows of the center that enlarge the span
     of [L, L], so A is central with A and [L, L] meeting in 0.  The rows
     of ``basis`` are the RREF basis of [L, L] (``derived_dim`` rows), the
-    unit vectors that complete it greedily to a complement of A, and
-    then ``factor``: its first dim - k rows span L1.
+    unit vectors at the non-pivot columns of the RREF of [L, L] + A,
+    which complete it to a complement of A, and then ``factor``: its
+    first dim - k rows span L1.
     """
 
     derived_dim: int
@@ -331,7 +332,8 @@ class LieAlgebra:
         for z in derived:
             sb.add(z)
         factor = tuple(row for row in self.center().basis.data if sb.add(row))
-        completion = [e for e in (unit_vector(n, i) for i in range(n)) if sb.add(e)]
+        pivots = set(sb.pivot_cols())
+        completion = [unit_vector(n, i) for i in range(n) if i not in pivots]
         basis = Matrix.from_rows([*derived, *completion, *factor], cols=n)
         return _AbelianSplit(len(derived), factor, basis)
 
@@ -389,18 +391,18 @@ class LieAlgebra:
         Quotient coordinates are the non-pivot columns of the RREF of
         N's basis, so the construction is canonical: representatives of
         the quotient basis are the ambient unit vectors at those
-        columns, and their labels are carried over.
+        columns, and their labels are carried over.  One change of basis
+        writes L in those q = dim L / N unit vectors followed by N's RREF
+        rows; the projection kills N and sends the unit vectors to the
+        quotient basis, so the first q coordinates of a bracket of the
+        first q vectors are its image in L / N.
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         q = quotient_with_section(self.dim, ideal.basis.data)
-        consts: dict[tuple[int, int], Vector] = {}
-        for s in range(q.dim):
-            for t in range(s + 1, q.dim):
-                w = self.bracket_basis(q.section_cols[s], q.section_cols[t])
-                consts[(s, t)] = q.projection.mul_vec(w)
-        labels = tuple(self.labels[c] for c in q.section_cols)
-        return LieAlgebra(q.dim, consts, labels), q.projection
+        section = [unit_vector(self.dim, c) for c in q.section_cols]
+        rewritten = self.change_basis(Matrix.from_rows([*section, *ideal.basis.data], cols=self.dim))
+        return rewritten._leading_block(q.dim, [self.labels[c] for c in q.section_cols]), q.projection
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
         """The same algebra written in the basis f_i = sum_j p[i][j] e_j.
@@ -440,6 +442,14 @@ class LieAlgebra:
                 if nonzero:
                     consts[(i, j)] = tuple(scale * sum(qr[t] * y for t, y in nonzero) for qr in qi)
         return LieAlgebra(self.dim, consts)
+
+    def _leading_block(self, size: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
+        """The brackets among the first ``size`` basis vectors, cut to
+        their first ``size`` coordinates: the algebra those vectors span
+        modulo the span of the rest, when that span is an ideal."""
+        d = self._den
+        block = {(i, j): [Fraction(x, d) for x in c[:size]] for (i, j), c in self._rows.items() if j < size}
+        return LieAlgebra(size, block, labels)
 
 
 def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:

@@ -197,14 +197,16 @@ class FractionBracketOracle:
     """The commutator computations of ``LieAlgebra`` redone in
     ``Fraction`` arithmetic from the public ``bracket`` alone: ``ad``
     reads the basis brackets [e_i, e_j] once and extends them linearly,
-    and ``change_basis`` brackets the new basis vectors directly.  Used
-    for a differential test of the library's integer table."""
+    ``change_basis`` brackets the new basis vectors directly, and
+    ``quotient`` projects the basis brackets at the quotient section.
+    Used for a differential test of the library's integer table."""
 
     def __init__(self, algebra):
         from liecap.linalg import unit_vector
 
         self.n = n = algebra.dim
         self.bracket = algebra.bracket
+        self.labels = algebra.labels
         self.spans = {}
         units = [unit_vector(n, i) for i in range(n)]
         # basis[i][j]: the nonzero (t, coefficient) pairs of [e_i, e_j]
@@ -276,6 +278,26 @@ class FractionBracketOracle:
             (i, j): to_f.mul_vec(self.bracket(f[i], f[j])) for i in range(self.n) for j in range(i + 1, self.n)
         }
         return LieAlgebra(self.n, consts)
+
+    def quotient(self, s):
+        """L / S with its projection: the quotient basis is the unit
+        vectors e_c at the non-pivot columns c of S, and the projection
+        of [e_c, e_d] gives the structure constants."""
+        from liecap.lie import LieAlgebra
+        from liecap.linalg import quotient_with_section
+
+        q = quotient_with_section(self.n, s.basis.data)
+        columns = q.projection.transpose().data
+        consts = {}
+        for a, b in itertools.combinations(range(q.dim), 2):
+            out = [Fraction(0)] * q.dim
+            for t, x in self.basis[q.section_cols[a]][q.section_cols[b]]:
+                for r, y in enumerate(columns[t]):
+                    if y:
+                        out[r] += x * y
+            consts[(a, b)] = out
+        labels = [self.labels[c] for c in q.section_cols]
+        return LieAlgebra(q.dim, consts, labels), q.projection
 
 
 @pytest.fixture(scope="session")

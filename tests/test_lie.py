@@ -419,6 +419,15 @@ def _assert_matches_oracle(name, algebra, rng, verdicts):
         assert algebra.is_ideal(s) == oracle.is_ideal(s), name
         assert algebra.is_central_ideal(s) == oracle.is_central_ideal(s), name
         verdicts.add((algebra.is_ideal(s), algebra.is_central_ideal(s)))
+        if oracle.is_ideal(s):
+            quotient, projection = algebra.quotient(s)
+            expected, expected_projection = oracle.quotient(s)
+            assert quotient == expected, name
+            assert quotient.labels == expected.labels, name
+            assert projection == expected_projection, name
+        else:
+            with pytest.raises(ValueError, match="not an ideal"):
+                algebra.quotient(s)
     p = random_invertible(n, rng)
     rewritten = algebra.change_basis(p)
     assert rewritten == oracle.change_basis(p), name
@@ -426,10 +435,12 @@ def _assert_matches_oracle(name, algebra, rng, verdicts):
 
 
 def test_integer_commutator_code_matches_fraction_oracle(frozen_catalog):
-    # the center, the series, the ideal tests and change_basis all run on
+    # the center, the series, the ideal tests, change_basis and the
+    # quotients (a change of basis cut to its leading block) all run on
     # one integer table.  Most catalog members are scrambles, whose table
     # has a denominator to clear, but every member is 2-step nilpotent:
-    # the last four (and their rewrites) have [L, [L, L]] != 0
+    # the last four (and their rewrites) have [L, [L, L]] != 0, so some
+    # of the ideals they are quotiented by are not central
     rng = random.Random(2010)
     deeper = [
         ("sl2", SL2),
