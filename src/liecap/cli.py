@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Any
 
@@ -142,7 +142,8 @@ def load_algebra_file(path: str) -> LieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")
-    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    # each coefficient as an int pair (p, q) for p / q, the table over the lcm of the q
+    table: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for idx, entry in enumerate(brackets):
         where = f"{path}: brackets[{idx}]"
         if not isinstance(entry, dict):
@@ -155,7 +156,7 @@ def load_algebra_file(path: str) -> LieAlgebra:
         coeffs = entry.get("coeffs", {})
         if not isinstance(coeffs, dict):
             raise InputError(f"{where}: 'coeffs' must be an object")
-        parsed: dict[int, Fraction] = {}
+        parsed: dict[int, tuple[int, int]] = {}
         for key, val in coeffs.items():
             # str.isdigit alone accepts digits such as "²" that int() rejects
             if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
@@ -169,18 +170,25 @@ def load_algebra_file(path: str) -> LieAlgebra:
             if k in parsed:  # "1" and "01" name one index
                 raise InputError(f"{where}: coefficient index {k} is given twice")
             if isinstance(val, int) and not isinstance(val, bool):
-                parsed[k] = Fraction(val)
+                parsed[k] = (val, 1)
             elif isinstance(val, str) and _RATIONAL_RE.match(val):
+                num, _, den = val.partition("/")
                 try:
-                    parsed[k] = Fraction(val)
+                    parsed[k] = (int(num), int(den) if den else 1)
                 except ValueError:  # longer than the int-string conversion limit
                     raise InputError(f"{where}: coefficient {k} has too many digits") from None
             else:
                 raise InputError(f"{where}: coefficient {val!r} is not an exact rational string")
         if (i, j) in table:
             raise InputError(f"{path}: duplicate bracket entry ({i}, {j})")
-        table[(i, j)] = tuple(parsed.get(k, Fraction(0)) for k in range(dim))
-    return LieAlgebra(dim, table, labels=labels)
+        table[(i, j)] = parsed
+    den = lcm(*(q for parsed in table.values() for _, q in parsed.values()))
+    rows: dict[tuple[int, int], list[int]] = {}
+    for key, parsed in table.items():
+        row = rows[key] = [0] * dim
+        for k, (num, q) in parsed.items():
+            row[k] = num * (den // q)
+    return LieAlgebra._from_int_rows(dim, den, rows, labels)
 
 
 def load_input(text: str) -> tuple[LieAlgebra, str]:

@@ -12,19 +12,12 @@ so a returned witness is always certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
+from typing import Sequence
 
-from .linalg import (
-    Fraction,
-    Matrix,
-    Subspace,
-    Vector,
-    dot,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
-from .lie import LieAlgebra, abelian, direct_sum, heisenberg
+from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector
+from .lie import LieAlgebra, _over_common_denominator, abelian, direct_sum, heisenberg
 
 
 class AbelianAlgebraError(ValueError):
@@ -55,7 +48,8 @@ def _gram(algebra: LieAlgebra) -> Matrix:
 
     Runs behind the gate of heisenberg_decompose (a valid nilpotent
     algebra with dim [L, L] = 1); z is the RREF basis vector of the
-    derived line, which makes f canonical.
+    derived line, which makes f canonical.  The entries are the certified
+    [L, L] coordinates alpha / d of the basis brackets.
     """
     # each bracket is certified a multiple of z as its coordinate is read
     coords = algebra._derived_coordinates()
@@ -84,15 +78,23 @@ def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspa
     far, and every x the pass evaluates f(x, v) at is f-orthogonal to
     those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
     with a column that never needs updating.
+
+    The pass runs on ints: ``gram`` is scaled once to the int matrix
+    dg G, and each working vector is an int row over its own positive
+    denominator, so every pairing is an int dot product.  Fractions are
+    made only for the returned pairs and the radical.
     """
     n = gram.rows
-    working: list[tuple[Vector, Vector]] = [(unit_vector(n, i), gram.column(i)) for i in range(n)]
+    dg, g = _over_common_denominator(gram.data)
+    columns = [[row[i] for row in g] for i in range(n)]
+    # (x, dx, gx): the vector x / dx and the Gram column dg G e_i it keeps
+    working = [([int(t == i) for t in range(n)], 1, columns[i]) for i in range(n)]
     pairs: list[tuple[Vector, Vector]] = []
     while True:
         hit = None
         for ai in range(len(working)):
             for bi in range(ai + 1, len(working)):
-                if dot(working[ai][0], working[bi][1]):
+                if _dot(working[ai][0], working[bi][2]):
                     hit = (ai, bi)
                     break
             if hit:
@@ -100,28 +102,42 @@ def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspa
         if hit is None:
             break
         ai, bi = hit
-        a, ga = working[ai]
-        v, gv = working[bi]
-        inv = 1 / dot(a, gv)
-        b, gb = vec_scale(inv, v), vec_scale(inv, gv)  # now f(a, b) = 1
+        a, da, ga = working[ai]
+        v, dv, gv = working[bi]
+        c = _dot(a, gv)  # f(a, v) = c / (da dg)
         rest = []
-        for t, (v, gv) in enumerate(working):
+        for t, (x, dx, gx) in enumerate(working):
             if t in (ai, bi):
                 continue
-            # project v onto the f-complement of the new pair
-            s = dot(v, ga)
+            # project x onto the f-complement of the pair (a, b), b = v / f(a, v):
+            # first x + f(x, a) b, with f(x, a) = (x . ga) / (dx dg) ...
+            s = _dot(x, ga)
             if s:
-                v = vec_add(v, vec_scale(s, b))
-            s = dot(v, gb)
+                x = [y * dv * c + s * da * w for y, w in zip(x, v)]
+                dx *= dv * c
+            # ... then x - f(x, b) a, with f(x, b) = (x . gv) da / (dx c)
+            s = _dot(x, gv)
             if s:
-                v = vec_sub(v, vec_scale(s, a))
-            rest.append((v, gv))
-        pairs.append((a, b))
+                x = [y * c - s * w for y, w in zip(x, a)]
+                dx *= c
+            k = gcd(dx, *x)
+            if dx < 0:
+                k = -k
+            rest.append(([y // k for y in x], dx // k, gx))
+        b_den = dv * c  # b = v da dg / (dv c), so that f(a, b) = 1
+        pairs.append((tuple(Fraction(y, da) for y in a), tuple(Fraction(y * da * dg, b_den) for y in v)))
         working = rest
-    radical = Subspace.span(n, (v for v, _ in working))
+    sb = SpanBuilder(n)
+    for x, _, _ in working:
+        sb.add_int_row(list(x))
+    radical = sb.subspace()
     if 2 * len(pairs) + radical.dim != n:
         raise DecompositionCheckError("symplectic reduction lost rank")
     return pairs, radical
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
 def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:

@@ -232,9 +232,11 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
     return exterior_square_dim(algebra) - algebra.derived_subalgebra().dim
 
 
-def _square_center(ext: ExteriorSquare) -> Subspace:
-    """{x : x ^ y = 0 for every y}, as the kernel of the stacked maps
-    x -> x ^ e_j."""
+@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+def _square_center(algebra: LieAlgebra) -> Subspace:
+    """{x : x ^ y = 0 for every y} in L ^ L, as the kernel of the stacked
+    maps x -> x ^ e_j.  Cached per algebra, like ``exterior_square``."""
+    ext = exterior_square(algebra)
     n = ext.dim
     rows: list[Vector] = []
     for j in range(n):
@@ -258,7 +260,7 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     # the first m split basis vectors are the RREF basis of [L, L]
     to_original = algebra.derived_subalgebra().basis.transpose()
     rows = []
-    for x in _square_center(exterior_square(factor)).basis.data:
+    for x in _square_center(factor).basis.data:
         if any(x[m:]):
             raise ConstructionError("the exterior center of L1 leaves [L, L]")
         rows.append(to_original.mul_vec(x[:m]))

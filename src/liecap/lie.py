@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -48,13 +48,15 @@ class _DerivedCoordinates(NamedTuple):
 
     ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
     stored i < j: the coordinates of [e_i, e_j] times the common
-    denominator d = ``den`` of the integer table.  ``beta[r][k]`` is
-    d D times the coordinates of [z_r, e_k], where D clears the
-    denominators of the z_r.
+    denominator d = ``den`` of the integer table.  ``basis[r]`` is the
+    int row D z_r, where D = ``scale`` clears the denominators of the
+    z_r, and ``beta[r][k]`` is d D times the coordinates of [z_r, e_k].
     """
 
     den: int
     alpha: dict[tuple[int, int], list[int]]
+    scale: int
+    basis: list[list[int]]
     beta: list[list[list[int]]]
 
     def jacobiator(self, i: int, j: int, k: int) -> list[int]:
@@ -102,10 +104,11 @@ class LieAlgebra:
     stored once, as ints: the lcm d of the reduced denominators and the
     int tuple d [e_i, e_j] of every nonzero bracket with i < j.  That is
     canonical, so it serves as the key.  All derived computations are
-    exact and deterministic; the Jacobi verdict, the derived subalgebra,
-    the lower central series and the H(m) + A(k) decomposition are
-    computed at most once per instance; so are the center and the split
-    L = L1 + A off an abelian direct factor.
+    exact and deterministic; the Jacobi verdict, the derived subalgebra
+    and the brackets in its certified coordinates, the lower central
+    series and the H(m) + A(k) decomposition are computed at most once per
+    instance; so are the center and the split L = L1 + A off an abelian
+    direct factor.
     """
 
     __slots__ = (
@@ -117,6 +120,7 @@ class LieAlgebra:
         "_hash",
         "_jacobi",
         "_derived",
+        "_coords",
         "_center",
         "_series",
         "_split",
@@ -131,12 +135,6 @@ class LieAlgebra:
     ):
         if dim < 0:
             raise ValueError("negative dimension")
-        if labels is None:
-            labels = tuple(f"e{i + 1}" for i in range(dim))
-        else:
-            labels = tuple(labels)
-            if len(labels) != dim:
-                raise ValueError("label count does not match dimension")
         table: dict[tuple[int, int], Vector] = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
@@ -144,10 +142,44 @@ class LieAlgebra:
             vec = vector(coeffs)
             if len(vec) != dim:
                 raise InvalidAlgebraError(f"bracket ({i}, {j}) has {len(vec)} coefficients, expected {dim}")
-            if any(vec):
-                table[(i, j)] = vec
+            table[(i, j)] = vec
         den, rows = _over_common_denominator(table.values())
-        stored = dict(zip(table, map(tuple, rows)))
+        self._set_table(dim, den, dict(zip(table, rows)), labels)
+
+    @classmethod
+    def _from_int_rows(
+        cls,
+        dim: int,
+        den: int,
+        rows: Mapping[tuple[int, int], Sequence[int]],
+        labels: Sequence[str] | None = None,
+    ) -> "LieAlgebra":
+        """The algebra with [e_i, e_j] = rows[(i, j)] / den for i < j, from
+        a caller that already holds its brackets as ints over a positive
+        common denominator; the keys and row lengths are not checked."""
+        algebra = cls.__new__(cls)
+        algebra._set_table(dim, den, rows, labels)
+        return algebra
+
+    def _set_table(
+        self,
+        dim: int,
+        den: int,
+        rows: Mapping[tuple[int, int], Sequence[int]],
+        labels: Sequence[str] | None,
+    ) -> None:
+        """Store the integer table in its canonical form: dividing den and
+        every entry by their gcd leaves den as the lcm of the reduced
+        denominators of the brackets.  Zero brackets are dropped."""
+        if labels is None:
+            labels = tuple(f"e{i + 1}" for i in range(dim))
+        else:
+            labels = tuple(labels)
+            if len(labels) != dim:
+                raise ValueError("label count does not match dimension")
+        g = gcd(den, *(x for c in rows.values() for x in c))
+        stored = {key: tuple(c) if g == 1 else tuple(x // g for x in c) for key, c in rows.items() if any(c)}
+        den //= g
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_den", den)
@@ -155,7 +187,7 @@ class LieAlgebra:
         key = (dim, den, tuple(sorted(stored.items())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        for slot in ("_jacobi", "_derived", "_center", "_series", "_split", "_decomposition"):
+        for slot in ("_jacobi", "_derived", "_coords", "_center", "_series", "_split", "_decomposition"):
             object.__setattr__(self, slot, _UNCHECKED)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -260,8 +292,12 @@ class LieAlgebra:
         entries at the pivot columns, so alpha is read off the stored
         table and certified by recomposing every stored bracket from the
         basis, in ints; beta needs no further bracket expansion, since
-        D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].  Raises
-        DerivedBasisError if a bracket is not recomposed."""
+        D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].  Computed once per
+        instance.  Raises DerivedBasisError if a bracket is not
+        recomposed."""
+        return self._memo("_coords", self._certified_coordinates)
+
+    def _certified_coordinates(self) -> _DerivedCoordinates:
         derived = self.derived_subalgebra()
         pivots = derived.pivot_cols()
         big_d, zs = _over_common_denominator(derived.basis.data)
@@ -287,7 +323,7 @@ class LieAlgebra:
                         out = row[col]
                         for s, x in enumerate(ab):
                             out[s] += coef * x
-        return _DerivedCoordinates(self._den, alpha, beta)
+        return _DerivedCoordinates(self._den, alpha, big_d, zs, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -297,25 +333,39 @@ class LieAlgebra:
     # -- subobjects ----------------------------------------------------------
 
     def derived_subalgebra(self) -> Subspace:
-        """[L, L]: the span of all basis brackets."""
-        return self._memo("_derived", lambda: Subspace.span(self.dim, self._rows.values()))
+        """[L, L]: the span of all basis brackets, eliminated once per
+        instance from the stored int rows."""
+        return self._memo("_derived", self._bracket_rows_span)
+
+    def _bracket_rows_span(self) -> Subspace:
+        sb = SpanBuilder(self.dim)
+        for c in self._rows.values():
+            sb.add_int_row(list(c))
+        return sb.subspace()
 
     def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}: the kernel of the equations
-        [x, e_j]_k = 0, eliminated once per instance on ints and read off
-        the canonical quotient section."""
+        """{x : [x, y] = 0 for all y}, eliminated once per instance on ints
+        and read off the canonical quotient section.  [x, e_j] lies in
+        [L, L], so it vanishes exactly when its m = dim [L, L] certified
+        coordinates do: the kernel of the n m equations
+        sum_i x_i alpha(i, j)_r = 0, not of n^2.  Raises DerivedBasisError
+        if a bracket escapes the computed [L, L], a defect."""
         return self._memo("_center", self._center_kernel)
 
     def _center_kernel(self) -> Subspace:
         n = self.dim
-        _, _, ad = self._integer_table()
+        coords = self._derived_coordinates()
+        alpha, m = coords.alpha, len(coords.basis)
+        # eqs[j][r][i] = d [e_i, e_j]_r, the coefficient of x_i in d [x, e_j]_r
+        eqs = [[[0] * n for _ in range(m)] for _ in range(n)]
+        for (i, j), a in alpha.items():
+            for r, x in enumerate(a):
+                if x:
+                    eqs[j][r][i] = x
+                    eqs[i][r][j] = -x
         sb = SpanBuilder(n)
-        for entries in ad:
-            # row k of e_j holds d [e_j, e_i]_k = -d [e_i, e_j]_k at column i
-            for k in range(n):
-                row = [0] * n
-                for i, sign, c in entries:
-                    row[i] = sign * c[k]
+        for rows in eqs:
+            for row in rows:
                 if any(row):
                     sb.add_int_row(row)
         return Subspace.span(n, _quotient_from_builder(sb).projection.data)
@@ -407,49 +457,72 @@ class LieAlgebra:
     def change_basis(self, p: Matrix) -> "LieAlgebra":
         """The same algebra written in the basis f_i = sum_j p[i][j] e_j.
 
-        Raises ValueError if p is not square invertible of matching size.
+        Works on ints in the certified coordinates of [L, L] (see
+        ``_DerivedCoordinates``): [f_i, f_j] = sum p[i][a] p[j][b] [e_a, e_b]
+        is formed as an m-vector, m = dim [L, L], and the m basis vectors
+        z_r of [L, L] are written in the f basis once, by one elimination
+        of p^T y = z_r.  That costs O(n^3 m), not O(n^4).  Raises
+        ValueError if p is not square invertible of matching size, and
+        DerivedBasisError if a bracket escapes the computed [L, L], a
+        defect.
         """
         n = self.dim
         if p.rows != n or p.cols != n:
             raise ValueError("change of basis matrix has wrong shape")
-        # rescale everything to integers and undo the scaling once per entry
-        dq, qi = _over_common_denominator(p.inverse().transpose().data)
+        coords = self._derived_coordinates()
+        m = len(coords.basis)
         dp, pi = _over_common_denominator(p.data)
-        scale = Fraction(1, dp * dp * self._den * dq)
-        _, _, ad = self._integer_table()
-        consts: dict[tuple[int, int], Vector] = {}
+        # row k of [dp p^T | D Z^T]; its RREF holds z_r / dp in the f basis
+        sb = SpanBuilder(n + m)
+        for k in range(n):
+            sb.add_int_row([row[k] for row in pi] + [z[k] for z in coords.basis])
+        if sb.pivot_cols() != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        solved = sb._reduced_pivot_rows()
+        dy = lcm(*(solved[i][i] for i in range(n)))
+        # ys[r] = dy D / dp times the coordinates of z_r in the f basis
+        ys = [[solved[i][n + r] * (dy // solved[i][i]) for i in range(n)] for r in range(m)]
+        ad: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
+        for (a, b), c in coords.alpha.items():
+            ad[a].append((b, 1, c))
+            ad[b].append((a, -1, c))
+        consts: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
-            # u[b] = dp d [f_i, e_b], kept for the b where it is nonzero
+            # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
             u: dict[int, list[int]] = {}
             for a, x in enumerate(pi[i]):
                 if x:
                     for b, sign, c in ad[a]:
-                        row = u.setdefault(b, [0] * n)
+                        row = u.setdefault(b, [0] * m)
                         coef = sign * x
-                        for t, y in enumerate(c):
+                        for r, y in enumerate(c):
                             if y:
-                                row[t] += coef * y
+                                row[r] += coef * y
             for j in range(i + 1, n):
                 rj = pi[j]
-                w = [0] * n
+                w = [0] * m
                 for b, row in u.items():
                     x = rj[b]
                     if x:
-                        for t, y in enumerate(row):
+                        for r, y in enumerate(row):
                             if y:
-                                w[t] += x * y
-                nonzero = [(t, y) for t, y in enumerate(w) if y]
-                if nonzero:
-                    consts[(i, j)] = tuple(scale * sum(qr[t] * y for t, y in nonzero) for qr in qi)
-        return LieAlgebra(self.dim, consts)
+                                w[r] += x * y
+                if any(w):
+                    out = [0] * n
+                    for y, yr in zip(w, ys):
+                        if y:
+                            for t, v in enumerate(yr):
+                                out[t] += y * v
+                    consts[(i, j)] = out
+        # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)
+        return LieAlgebra._from_int_rows(n, dp * self._den * coords.scale * dy, consts)
 
     def _leading_block(self, size: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         """The brackets among the first ``size`` basis vectors, cut to
         their first ``size`` coordinates: the algebra those vectors span
         modulo the span of the rest, when that span is an ideal."""
-        d = self._den
-        block = {(i, j): [Fraction(x, d) for x in c[:size]] for (i, j), c in self._rows.items() if j < size}
-        return LieAlgebra(size, block, labels)
+        block = {(i, j): c[:size] for (i, j), c in self._rows.items() if j < size}
+        return LieAlgebra._from_int_rows(size, self._den, block, labels)
 
 
 def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -486,14 +559,15 @@ def heisenberg(m: int) -> LieAlgebra:
 def direct_sum(left: LieAlgebra, right: LieAlgebra) -> LieAlgebra:
     """Block-diagonal direct sum; labels get ".1" / ".2" suffixes."""
     n1, n2 = left.dim, right.dim
-    dim = n1 + n2
-    consts: dict[tuple[int, int], Vector] = {}
-    for (i, j), c in left.brackets.items():
-        consts[(i, j)] = tuple(c) + zero_vector(n2)
-    for (i, j), c in right.brackets.items():
-        consts[(n1 + i, n1 + j)] = zero_vector(n1) + tuple(c)
+    den = lcm(left._den, right._den)
+    sl, sr = den // left._den, den // right._den
+    consts: dict[tuple[int, int], list[int]] = {}
+    for (i, j), c in left._rows.items():
+        consts[(i, j)] = [sl * x for x in c] + [0] * n2
+    for (i, j), c in right._rows.items():
+        consts[(n1 + i, n1 + j)] = [0] * n1 + [sr * x for x in c]
     labels = tuple(f"{s}.1" for s in left.labels) + tuple(f"{s}.2" for s in right.labels)
-    return LieAlgebra(dim, consts, labels=labels)
+    return LieAlgebra._from_int_rows(n1 + n2, den, consts, labels)
 
 
 def scramble(algebra: LieAlgebra, seed: int) -> LieAlgebra:

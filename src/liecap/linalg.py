@@ -2,22 +2,24 @@
 
 Everything else in this package reduces to the primitives here: reduced
 row echelon form, kernels, canonical quotient projections and subspace
-membership, all over ``fractions.Fraction``.  There are no floats and no
-tolerances; two values are equal exactly when their reduced fractions
-are equal, and every function is deterministic.
+membership.  There are no floats and no tolerances; two values are equal
+exactly when their reduced fractions are equal, and every function is
+deterministic.
 
 Kernels and quotients share one canonical section: the rows of the
 projection that kills a row space are a basis of its right kernel.
 
-The elimination core, ``SpanBuilder``, works on integer rows, so the hot
-loops run on plain ``int``.  ``add_int_row`` takes rows that are already
-integers: the commutator, center and exterior-square code feeds it rows
-computed from ``LieAlgebra``'s one integer table of structure constants
-(every bracket over one common denominator).  ``add`` scales a rational
-row by the lcm of its own denominators first.  Each stored row is
-divided by its gcd, and results are converted back to fractions at the
-end.  This is an implementation detail only; every public value is an
-exact rational.
+The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
+``fractions.Fraction``s, but the work runs on plain ``int``.  The
+elimination core, ``SpanBuilder``, stores integer rows, each divided by
+its gcd.  ``add_int_row`` takes rows that are already integers: the
+callers in ``lie``, ``decompose`` and ``exterior`` feed it rows computed
+from ``LieAlgebra``'s one integer table of structure constants (every
+bracket over one common denominator), and ``LieAlgebra.change_basis``
+reads a solved system straight off the integer pivot rows.  ``add``
+scales a rational row by the lcm of its own denominators first.
+Fractions are made only where a result leaves the core: RREF rows,
+projections and the ``Matrix`` helpers.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def vec_scale(c: Fraction, x: Sequence[Fraction]) -> Vector:
@@ -260,7 +258,11 @@ class Matrix:
         return sb.rank
 
     def inverse(self) -> "Matrix":
-        """Exact inverse; raises ValueError on a non-square or singular matrix."""
+        """Exact inverse; raises ValueError on a non-square or singular matrix.
+
+        No caller in this package (``LieAlgebra.change_basis`` solves on
+        ints): it stays as public ``Matrix`` API, and the ``Fraction``
+        oracle of the tests inverts with it."""
         if self.rows != self.cols:
             raise ValueError("only square matrices have inverses")
         n = self.rows

@@ -161,7 +161,7 @@ def matrix_symplectic_basis(gram):
     nonzero pairing wins), without its Gram-column shortcut; the
     differential tests compare the two on pairs and radical.
     """
-    from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale, vec_sub
+    from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale
 
     n = gram.rows
     working = [unit_vector(n, i) for i in range(n)]
@@ -186,7 +186,7 @@ def matrix_symplectic_basis(gram):
             if t in (ai, bi):
                 continue
             v = vec_add(v, vec_scale(form_value(gram, v, a), b))
-            v = vec_sub(v, vec_scale(form_value(gram, v, b), a))
+            v = vec_add(v, vec_scale(-form_value(gram, v, b), a))
             rest.append(v)
         pairs.append((a, b))
         working = rest

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -254,6 +255,27 @@ def test_file_diagnostics(tmp_path, capsys, doc, message):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == EXIT_INVALID
     assert message in err
+
+
+def test_coefficient_spellings_load_to_one_algebra(tmp_path):
+    # [e1, e2] = 1/2 e4 and [e1, e3] = 3 e4, with zero entries and a zero bracket spelled out
+    spellings = [
+        [{"3": "1/2"}, {"3": "3"}, {}],
+        [{"3": "2/4"}, {"3": 3}, {"0": "-0"}],
+        [{"3": "+1/2", "0": "-0"}, {"3": "+3", "1": "0/7"}, {"2": 0}],
+        [{"3": "5/10", "2": "0/7"}, {"3": "6/2", "0": "0"}, {"0": "0/3", "3": "-0/9"}],
+    ]
+    loaded = []
+    for idx, coeffs in enumerate(spellings):
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        doc = {"dim": 4, "brackets": [{"i": i, "j": j, "coeffs": c} for (i, j), c in zip(pairs, coeffs)]}
+        path = tmp_path / f"in{idx}.json"
+        path.write_text(json.dumps(doc))
+        loaded.append(cli.load_algebra_file(str(path)))
+    plain = LieAlgebra(4, {(0, 1): (0, 0, 0, Fraction(1, 2)), (0, 2): (0, 0, 0, 3)})
+    for algebra in loaded:
+        assert algebra == plain and hash(algebra) == hash(plain)
+        assert algebra._key == plain._key
 
 
 def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):

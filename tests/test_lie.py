@@ -456,3 +456,37 @@ def test_integer_commutator_code_matches_fraction_oracle(frozen_catalog):
         _assert_matches_oracle(f"{name} rewritten", rewritten, rng, verdicts)
     # every combination of the two verdicts occurs (a central ideal is an ideal)
     assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def _filiform(n):
+    """L_n: [e_1, e_i] = e_{i+1} for 1 < i < n, nilpotent of class n - 1."""
+    return LieAlgebra(n, {(0, i): unit_vector(n, i + 1) for i in range(1, n - 1)})
+
+
+NOT_JACOBI = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1), (1, 3): (0, 0, 0, 1)})  # fails at (0, 1, 2)
+
+
+# [L, L] is not a central line here: dim [L, L] >= 2 (all but r2+A(k)) or
+# [L, [L, L]] != 0 (all but H(1)+H(1)), and one table fails Jacobi
+NOT_A_CENTRAL_LINE = {f"L_{n}": _filiform(n) for n in range(4, 10)} | {
+    "H(1)+H(1)": direct_sum(heisenberg(1), heisenberg(1)),
+    "sl2": SL2,
+    "r2+A(1)": direct_sum(R2, abelian(1)),
+    "r2+A(3)": direct_sum(R2, abelian(3)),
+    "not Jacobi": NOT_JACOBI,
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_A_CENTRAL_LINE))
+def test_derived_coordinate_paths_match_fraction_oracle(name):
+    # change_basis and center() work in the coordinates of [L, L]
+    algebra = NOT_A_CENTRAL_LINE[name]
+    rng = random.Random(name)
+    for seed in range(3):
+        rewritten = scramble(algebra, seed) if seed else algebra
+        oracle = FractionBracketOracle(rewritten)
+        assert rewritten.center() == oracle.center(), name
+        for _ in range(2):
+            p = random_invertible(algebra.dim, rng)
+            assert rewritten.change_basis(p) == oracle.change_basis(p), name
+    assert NOT_JACOBI.validate() == (0, 1, 2)
