@@ -239,11 +239,7 @@ class LieAlgebra:
         and the adjoint index ``ad[i]`` lists ``(j, sign, c)`` with
         [e_i, e_j] = sign c / d for every nonzero bracket at e_i.
         """
-        ad: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(self.dim)]
-        for (a, b), c in self._rows.items():
-            ad[a].append((b, 1, c))
-            ad[b].append((a, -1, c))
-        return self._den, self._rows, ad
+        return self._den, self._rows, _adjoint_index(self.dim, self._rows)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
@@ -472,7 +468,7 @@ class LieAlgebra:
         coords = self._derived_coordinates()
         m = len(coords.basis)
         dp, pi = _over_common_denominator(p.data)
-        # row k of [dp p^T | D Z^T]; its RREF holds z_r / dp in the f basis
+        # row k of [dp p^T | D Z^T]: its RREF solves for D z_r / dp in the f basis
         sb = SpanBuilder(n + m)
         for k in range(n):
             sb.add_int_row([row[k] for row in pi] + [z[k] for z in coords.basis])
@@ -482,10 +478,7 @@ class LieAlgebra:
         dy = lcm(*(solved[i][i] for i in range(n)))
         # ys[r] = dy D / dp times the coordinates of z_r in the f basis
         ys = [[solved[i][n + r] * (dy // solved[i][i]) for i in range(n)] for r in range(m)]
-        ad: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
-        for (a, b), c in coords.alpha.items():
-            ad[a].append((b, 1, c))
-            ad[b].append((a, -1, c))
+        ad = _adjoint_index(n, coords.alpha)
         consts: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
             # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
@@ -523,6 +516,19 @@ class LieAlgebra:
         modulo the span of the rest, when that span is an ideal."""
         block = {(i, j): c[:size] for (i, j), c in self._rows.items() if j < size}
         return LieAlgebra._from_int_rows(size, self._den, block, labels)
+
+
+def _adjoint_index(
+    n: int, table: Mapping[tuple[int, int], Sequence[int]]
+) -> list[list[tuple[int, int, Sequence[int]]]]:
+    """The adjoint index of a table keyed by i < j: ``ad[i]`` lists
+    ``(j, sign, table[(min(i, j), max(i, j))])`` for every key holding i,
+    with sign -1 when j < i, the sign that [e_i, e_j] takes."""
+    ad: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n)]
+    for (a, b), c in table.items():
+        ad[a].append((b, 1, c))
+        ad[b].append((a, -1, c))
+    return ad
 
 
 def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
