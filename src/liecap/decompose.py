@@ -16,8 +16,8 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector
-from .lie import LieAlgebra, _over_common_denominator, abelian, direct_sum, heisenberg
+from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector, _over_common_denominator
+from .lie import LieAlgebra, abelian, direct_sum, heisenberg
 
 
 class AbelianAlgebraError(ValueError):

@@ -51,9 +51,10 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
+    _kernel_from_builder,
     _normalize_int,
+    _over_common_denominator,
     _quotient_from_builder,
-    kernel_basis,
     vector,
     zero_vector,
 )
@@ -109,21 +110,26 @@ def _wedge_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def _wedge_column(projection: Matrix, n: int, i: int, j: int) -> Vector:
-    """Class of e_i ^ e_j under ``projection``: its column for i < j,
-    the negated column of e_j ^ e_i for i > j, zero for i = j."""
-    if i == j:
-        return zero_vector(projection.rows)
-    if i < j:
-        return projection.column(_wedge_index(n, i, j))
-    # the projection is sparse: leave its zeros as they are
-    return tuple(-x if x else x for x in projection.column(_wedge_index(n, j, i)))
+def _wedge_maps(square: ExteriorSquare) -> list[list[list[int]]]:
+    """The matrices of x -> x ^ e_j on ints, over one common denominator D
+    of the projection: ``maps[j][s][i]`` is D times coordinate s of the
+    class of e_i ^ e_j, which is the column of e_i ^ e_j for i < j, the
+    negated column of e_j ^ e_i for i > j and zero for i = j."""
+    n = square.dim
+    # one D for every row: a denominator per row would rescale the quotient
+    # coordinates apart, which keeps kernels but changes ideal_wedge_image
+    _, projection = _over_common_denominator(square.projection.data)
+    maps = [[[0] * n for _ in projection] for _ in range(n)]
+    for col, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        for s, row in enumerate(projection):
+            maps[j][s][i], maps[i][s][j] = row[col], -row[col]
+    return maps
 
 
 def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[list[int]]:
     """d3(e_i ^ e_j ^ e_k) for every i < j < k, as normalized integer rows
     in the lexicographic Lambda^2 basis, from the integer bracket table
-    of ``LieAlgebra._integer_table``; zero rows are dropped."""
+    ``LieAlgebra._rows``; zero rows are dropped."""
     # wedge_with[k]: (l, column of e_l ^ e_k, sign) for every l != k
     wedge_with = [
         [(l, _wedge_index(n, min(l, k), max(l, k)), 1 if l < k else -1) for l in range(n) if l != k]
@@ -159,7 +165,7 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
-    _, table, _ = algebra._integer_table()
+    table = algebra._rows
     pairs = list(itertools.combinations(range(n), 2))
     sb = SpanBuilder(len(pairs))
     for row in _d3_rows(n, table):
@@ -234,15 +240,16 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def _square_center(algebra: LieAlgebra) -> Subspace:
-    """{x : x ^ y = 0 for every y} in L ^ L, as the kernel of the stacked
-    maps x -> x ^ e_j.  Cached per algebra, like ``exterior_square``."""
-    ext = exterior_square(algebra)
-    n = ext.dim
-    rows: list[Vector] = []
-    for j in range(n):
-        # the rows of x -> x ^ e_j; column i is the class of e_i ^ e_j
-        rows.extend(zip(*(_wedge_column(ext.projection, n, i, j) for i in range(n))))
-    return kernel_basis(Matrix.from_rows(rows, cols=n))
+    """{x : x ^ y = 0 for every y} in L ^ L: the kernel of the stacked
+    maps x -> x ^ e_j, eliminated on ints and taken through
+    ``linalg._kernel_from_builder``.  Cached per algebra, like
+    ``exterior_square``."""
+    square = exterior_square(algebra)
+    sb = SpanBuilder(square.dim)
+    for rows in _wedge_maps(square):
+        for row in rows:
+            sb.add_int_row(row)
+    return _kernel_from_builder(sb)
 
 
 def exterior_center(algebra: LieAlgebra) -> Subspace:
@@ -288,17 +295,13 @@ def quotient_exterior_dim(algebra: LieAlgebra, ideal: Subspace) -> int:
 def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
     """Image of L ^ N inside L ^ L, for a central ideal N."""
     _require_central_ideal(algebra, ideal)
-    ext = exterior_square(algebra)
-    n = algebra.dim
-    sb = SpanBuilder(ext.quotient_dim)
-    for i in range(n):
-        for u in ideal.basis.data:
-            w = zero_vector(ext.quotient_dim)
-            for j, c in enumerate(u):
-                if c:
-                    col = _wedge_column(ext.projection, n, i, j)
-                    w = tuple(a + c * b for a, b in zip(w, col))
-            sb.add(w)
+    square = exterior_square(algebra)
+    _, ints = _over_common_denominator(ideal.basis.data)
+    sb = SpanBuilder(square.quotient_dim)
+    for rows in _wedge_maps(square):
+        for u in ints:
+            # D d times the class of u ^ e_j, for u's denominator d
+            sb.add_int_row([sum(x * c for x, c in zip(row, u)) for row in rows])
     return sb.subspace()
 
 

@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .linalg import (
     Fraction,
@@ -24,7 +24,8 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
-    _quotient_from_builder,
+    _kernel_from_builder,
+    _over_common_denominator,
     quotient_with_section,
     random_invertible,
     unit_vector,
@@ -230,17 +231,6 @@ class LieAlgebra:
         d = self._den if i < j else -self._den
         return tuple(Fraction(x, d) for x in c)
 
-    def _integer_table(
-        self,
-    ) -> tuple[int, Mapping[tuple[int, int], tuple[int, ...]], list[list[tuple[int, int, tuple[int, ...]]]]]:
-        """The stored table, as ``(d, table, ad)``.
-
-        ``table[(i, j)]`` is d [e_i, e_j] as ints for the stored i < j,
-        and the adjoint index ``ad[i]`` lists ``(j, sign, c)`` with
-        [e_i, e_j] = sign c / d for every nonzero bracket at e_i.
-        """
-        return self._den, self._rows, _adjoint_index(self.dim, self._rows)
-
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
         xv = vector(x)
@@ -274,6 +264,10 @@ class LieAlgebra:
 
     def _first_jacobi_violation(self) -> tuple[int, int, int] | None:
         coords = self._derived_coordinates()
+        # every term of a Jacobiator carries a beta factor: when [L, L] is
+        # central, as in every 2-step nilpotent algebra, all of them vanish
+        if not any(x for row in coords.beta for col in row for x in col):
+            return None
         alpha = coords.alpha
         for i, j, k in combinations(range(self.dim), 3):
             if (i, j) not in alpha and (j, k) not in alpha and (i, k) not in alpha:
@@ -341,11 +335,12 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, eliminated once per instance on ints
-        and read off the canonical quotient section.  [x, e_j] lies in
-        [L, L], so it vanishes exactly when its m = dim [L, L] certified
-        coordinates do: the kernel of the n m equations
-        sum_i x_i alpha(i, j)_r = 0, not of n^2.  Raises DerivedBasisError
-        if a bracket escapes the computed [L, L], a defect."""
+        and taken through ``linalg._kernel_from_builder``, the one kernel
+        route of the package.  [x, e_j] lies in [L, L], so it vanishes
+        exactly when its m = dim [L, L] certified coordinates do: the
+        kernel of the n m equations sum_i x_i alpha(i, j)_r = 0, not of
+        n^2.  Raises DerivedBasisError if a bracket escapes the computed
+        [L, L], a defect."""
         return self._memo("_center", self._center_kernel)
 
     def _center_kernel(self) -> Subspace:
@@ -364,7 +359,7 @@ class LieAlgebra:
             for row in rows:
                 if any(row):
                     sb.add_int_row(row)
-        return Subspace.span(n, _quotient_from_builder(sb).projection.data)
+        return _kernel_from_builder(sb)
 
     def _abelian_split(self) -> _AbelianSplit:
         """The canonical split L = L1 + A; see ``_AbelianSplit``.  Computed
@@ -387,7 +382,7 @@ class LieAlgebra:
         """[L, S] for a subspace S."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        _, _, ad = self._integer_table()
+        ad = _adjoint_index(self.dim, self._rows)
         _, ints = _over_common_denominator(s.basis.data)
         sb = SpanBuilder(self.dim)
         for w in ints:
@@ -529,13 +524,6 @@ def _adjoint_index(
         ad[a].append((b, 1, c))
         ad[b].append((a, -1, c))
     return ad
-
-
-def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(d, [d * row, ...])`` for the lcm d of every denominator in rows."""
-    rows = list(rows)
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ membership.  There are no floats and no tolerances; two values are equal
 exactly when their reduced fractions are equal, and every function is
 deterministic.
 
-Kernels and quotients share one canonical section: the rows of the
-projection that kills a row space are a basis of its right kernel.
+Kernels and quotients share one canonical section.  ``_projection_rows``
+builds the rows of the projection that kills a row space as integer
+rows, one denominator per row; they are also a basis of its right
+kernel.  ``_quotient_from_builder`` turns them into the public
+``Fraction`` projection, and ``_kernel_from_builder`` eliminates them
+once more on ints: ``kernel_basis``, ``LieAlgebra.center`` and the
+exterior center all end there.
 
 The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 ``fractions.Fraction``s, but the work runs on plain ``int``.  The
@@ -15,11 +20,12 @@ elimination core, ``SpanBuilder``, stores integer rows, each divided by
 its gcd.  ``add_int_row`` takes rows that are already integers: the
 callers in ``lie``, ``decompose`` and ``exterior`` feed it rows computed
 from ``LieAlgebra``'s one integer table of structure constants (every
-bracket over one common denominator), and ``LieAlgebra.change_basis``
-reads a solved system straight off the integer pivot rows.  ``add``
-scales a rational row by the lcm of its own denominators first.
-Fractions are made only where a result leaves the core: RREF rows,
-projections and the ``Matrix`` helpers.
+bracket over one common denominator) or from a projection over one
+common denominator, and ``LieAlgebra.change_basis`` reads a solved
+system straight off the integer pivot rows.  ``add`` brings a rational
+row to ints with ``_over_common_denominator``, the one helper every
+module uses for that.  Fractions are made only where a result leaves
+the core: RREF rows, projections and the ``Matrix`` helpers.
 """
 
 from __future__ import annotations
@@ -75,16 +81,11 @@ def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
 # integer elimination core
 
 
-def _scale_to_int(vec: Sequence[Fraction]) -> list[int]:
-    """Multiply a rational row by the lcm of its denominators."""
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        return [x.numerator for x in vec]
-    return [x.numerator * (den // x.denominator) for x in vec]
+def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(d, [d * row, ...])`` for the lcm d of every denominator in rows."""
+    rows = list(rows)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def _normalize_int(row: list[int]) -> list[int] | None:
@@ -126,7 +127,7 @@ class SpanBuilder:
         return len(self._pivots)
 
     def add(self, vec: Iterable[Scalar]) -> bool:
-        return self.add_int_row(_scale_to_int([frac(x) for x in vec]))
+        return self.add_int_row(_over_common_denominator([[frac(x) for x in vec]])[1][0])
 
     def add_int_row(self, row: list[int]) -> bool:
         """Add a row already given by integer entries.  The list is consumed."""
@@ -353,9 +354,12 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} as a subspace of Q^cols: the span of
-    the rows of the canonical projection that kills m's row space."""
-    return Subspace.span(m.cols, quotient_with_section(m.cols, m.data).projection.data)
+    """Right kernel {x : m x = 0} as a subspace of Q^cols; see
+    ``_kernel_from_builder``."""
+    sb = SpanBuilder(m.cols)
+    for r in m.data:
+        sb.add(r)
+    return _kernel_from_builder(sb)
 
 
 class Quotient(NamedTuple):
@@ -379,23 +383,43 @@ def quotient_with_section(ambient_dim: int, relations: Iterable[Sequence[Scalar]
     return _quotient_from_builder(sb)
 
 
-def _quotient_from_builder(sb: SpanBuilder) -> Quotient:
-    ambient_dim = sb.ncols
-    pivots = sb.pivot_cols()
-    pivot_set = set(pivots)
-    section = tuple(j for j in range(ambient_dim) if j not in pivot_set)
+def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], list[tuple[int, list[int]]]]:
+    """The section columns of the rows fed to ``sb`` and the canonical
+    projection's row at each, as ``(d, d * row)`` on ints.
+
+    With r_p the reduced pivot row led by p, the row at section column q
+    is e_q - sum_p (r_p[q] / r_p[p]) e_p, and d is the lcm of the
+    (positive) leads r_p[p] it uses.  These rows kill every r_p, so they
+    are also a basis of the right kernel."""
     reduced = sb._reduced_pivot_rows()
+    section = tuple(j for j in range(sb.ncols) if j not in reduced)
     rows = []
-    for s, q in enumerate(section):
-        row = [Fraction(0)] * ambient_dim
-        row[q] = Fraction(1)
-        for p in pivots:
-            pr = reduced[p]
-            if pr[q]:
-                row[p] = Fraction(-pr[q], pr[p])
-        rows.append(row)
-    projection = Matrix(len(section), ambient_dim, tuple(tuple(r) for r in rows))
-    return Quotient(len(section), projection, section)
+    for q in section:
+        used = [(p, r) for p, r in reduced.items() if r[q]]
+        d = math.lcm(*(r[p] for p, r in used))
+        row = [0] * sb.ncols
+        row[q] = d
+        for p, r in used:
+            row[p] = -r[q] * (d // r[p])
+        rows.append((d, row))
+    return section, rows
+
+
+def _quotient_from_builder(sb: SpanBuilder) -> Quotient:
+    section, rows = _projection_rows(sb)
+    zero = Fraction(0)  # one shared zero: the projection is sparse
+    data = tuple(tuple(Fraction(x, d) if x else zero for x in row) for d, row in rows)
+    return Quotient(len(section), Matrix(len(section), sb.ncols, data), section)
+
+
+def _kernel_from_builder(sb: SpanBuilder) -> Subspace:
+    """The right kernel of the rows fed to ``sb``: the span of the
+    canonical projection rows, eliminated once on ints.  Every kernel in
+    the package ends here."""
+    kernel = SpanBuilder(sb.ncols)
+    for _, row in _projection_rows(sb)[1]:
+        kernel.add_int_row(row)
+    return kernel.subspace()
 
 
 def random_invertible(n: int, rng: random.Random) -> Matrix:

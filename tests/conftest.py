@@ -2,7 +2,9 @@
 checked against.  The linear-algebra oracles deliberately avoid the
 library's own elimination code paths; the exterior-square oracle is an
 independent construction that shares only that (separately tested)
-elimination core with the library, the symplectic-basis oracle is the
+elimination core with the library and takes its exterior center from
+``null_space``, a ``Fraction`` Gauss-Jordan apart from the library's
+kernel route, the symplectic-basis oracle is the
 direct matrix-vector form of the library's Gram-column pass, and the
 commutator oracle works in ``Fraction`` from the public bracket alone."""
 
@@ -43,6 +45,43 @@ def rank_by_minors(rows: list[list[Fraction]]) -> int:
                 if det_cofactor(minor):
                     return size
     return 0
+
+
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan
+    on Fractions."""
+    def clear(r, pivot, c):
+        return [x - r[c] * y for x, y in zip(r, pivot)] if r[c] else r
+
+    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
+    done: list[list[Fraction]] = []
+    for c in range(ncols):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [r for r in (clear(r, pivot, c) for r in rows) if any(r)]
+        done = [clear(r, pivot, c) for r in done] + [pivot]
+    return done
+
+
+def null_space(rows: list[list[Fraction]], ncols: int):
+    """{x : r . x = 0 for every row r} as a ``Subspace``, whose own check
+    confirms the RREF form.  One basis vector per free column f of the
+    RREF of rows (x_f = 1, x_p = -R[p][f] at each pivot p), reduced again
+    by Gauss-Jordan: independent of the library's kernel route."""
+    from liecap.linalg import Matrix, Subspace
+
+    reduced = {next(j for j, x in enumerate(r) if x): r for r in _gauss_jordan(rows, ncols)}
+    basis = []
+    for f in range(ncols):
+        if f not in reduced:
+            v = [Fraction(int(j == f)) for j in range(ncols)]
+            for p, r in reduced.items():
+                v[p] = -r[f]
+            basis.append(v)
+    return Subspace(ncols, Matrix.from_rows(_gauss_jordan(basis, ncols), cols=ncols))
 
 
 def raw_jacobi_residual(dim: int, table: dict, i: int, j: int, k: int) -> list[Fraction]:
@@ -87,7 +126,7 @@ def symbol_exterior_square(algebra):
     quotient coordinates given by the non-pivot columns of the relation
     RREF.
     """
-    from liecap.linalg import Matrix, SpanBuilder, Subspace, kernel_basis
+    from liecap.linalg import SpanBuilder
 
     n = algebra.dim
     den = 1
@@ -141,7 +180,7 @@ def symbol_exterior_square(algebra):
                 col = i * n + j
                 row.append(Fraction(col == f) if col not in reduced else -reduced[col][f])
             rows.append(row)
-    center = kernel_basis(Matrix.from_rows(rows, cols=n)) if rows else Subspace.full(n)
+    center = null_space(rows, n)
     return quotient_dim, quotient_dim - algebra.derived_subalgebra().dim, center
 
 
@@ -229,8 +268,6 @@ class FractionBracketOracle:
     def center(self):
         """{x : [x, e_j] = 0 for all j}: row (j, t) holds the t-th
         coefficients of [e_i, e_j] over i."""
-        from liecap.linalg import Matrix, Subspace, kernel_basis
-
         n = self.n
         rows = []
         for j in range(n):
@@ -239,7 +276,7 @@ class FractionBracketOracle:
                 for t, x in self.basis[i][j]:
                     block[t][i] = x
             rows.extend(block)
-        return kernel_basis(Matrix.from_rows(rows, cols=n)) if rows else Subspace.full(n)
+        return null_space(rows, n)
 
     def bracket_span(self, s):
         """[L, S] = span{[e_i, v] : v in a basis of S}, kept per S."""

@@ -234,7 +234,7 @@ def test_criterion_12_commutator_self_check(frozen_catalog):
     for name, algebra in corpus:
         exterior_square(algebra)  # internal gate must not raise
         n = algebra.dim
-        _, table, _ = algebra._integer_table()
+        table = algebra._rows
         pairs = list(combinations(range(n), 2))
         for row in _d3_rows(n, table):
             assert len(row) == len(pairs), name

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symbol_exterior_square
+from conftest import null_space, symbol_exterior_square
 
 from liecap import cli, exterior
 from liecap.exterior import (
@@ -30,7 +30,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import InvalidAlgebraError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Matrix, Subspace, _normalize_int, kernel_basis, unit_vector, vec_add, zero_vector
+from liecap.linalg import Matrix, Subspace, _normalize_int, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -217,6 +217,42 @@ def test_ideal_wedge_image():
     assert ideal_wedge_image(H2, Subspace.zero(5)).dim == 0
 
 
+def _wedge_image_oracle(algebra, ideal):
+    """The span of the public sq.wedge(e_i, u) over the basis of N."""
+    sq = exterior_square(algebra)
+    n = algebra.dim
+    return Subspace.span(sq.quotient_dim, [sq.wedge(unit_vector(n, i), u) for i in range(n) for u in ideal.basis.data])
+
+
+def test_ideal_wedge_image_matches_public_wedge():
+    # the exact subspace, not only its dimension: the integer wedge maps
+    # share one denominator across the quotient coordinates
+    h2a1 = scramble(direct_sum(heisenberg(2), abelian(1)), 23)
+    l6 = scramble(filiform(6), 29)
+    sl2a2 = direct_sum(SL2, abelian(2))
+    cases = [
+        (h2a1, h2a1.center()),
+        (h2a1, h2a1.derived_subalgebra()),
+        (h2a1, Subspace.span(6, [h2a1.center().basis.data[1]])),
+        (l6, l6.center()),
+        (sl2a2, sl2a2.center()),
+        (sl2a2, Subspace.span(5, [vec_add(unit_vector(5, 3), unit_vector(5, 4))])),
+    ]
+    dims = []
+    for algebra, ideal in cases:
+        image = ideal_wedge_image(algebra, ideal)
+        assert image == _wedge_image_oracle(algebra, ideal)
+        dims.append((image.dim, exterior_square(algebra).quotient_dim))
+    # z of H(2) lies in the exterior center; every other image is proper
+    assert dims == [(4, 10), (0, 10), (4, 10), (1, 7), (1, 4), (1, 4)]
+    # [L, L] and L^3 of the filiform algebra are ideals but not central
+    series = l6.lower_central_series()
+    for ideal in (series[1], series[2]):
+        assert l6.is_ideal(ideal) and not l6.is_central_ideal(ideal)
+        with pytest.raises(ValueError, match="not a central ideal"):
+            ideal_wedge_image(l6, ideal)
+
+
 def test_ideal_in_exterior_center():
     for m in (2, 3):
         L = heisenberg(m)
@@ -340,7 +376,7 @@ def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
     # on a 2-step nilpotent algebra d2 kills all of [L, L] ^ L, so the
     # d2 o d3 = 0 gate can only catch a defective d3 on deeper algebras
     n = algebra.dim
-    _, table, _ = algebra._integer_table()
+    table = algebra._rows
     ibr = _dense_brackets(table, n)
     full = _d3_rows_without(ibr, None)
     assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(n, table)
@@ -428,7 +464,7 @@ def _full_exterior_center(algebra):
     rows = []
     for j in range(n):
         rows.extend(zip(*(wedge(i, j) for i in range(n))))
-    return kernel_basis(Matrix.from_rows(rows, cols=n))
+    return null_space(rows, n)
 
 
 def test_split_matches_full_construction(frozen_catalog):

@@ -96,6 +96,25 @@ def test_validate_agrees_with_raw_expansion_on_valid_input():
     assert L.validate() is None
 
 
+def test_validate_skips_the_triples_when_the_derived_algebra_is_central(monkeypatch):
+    # every Jacobiator term carries a factor [z_r, e_k], which vanishes when
+    # [L, L] is central, so a 2-step nilpotent table evaluates no triple
+    calls = []
+    jacobiator = lie._DerivedCoordinates.jacobiator
+
+    def counted(self, i, j, k):
+        calls.append((i, j, k))
+        return jacobiator(self, i, j, k)
+
+    monkeypatch.setattr(lie._DerivedCoordinates, "jacobiator", counted)
+    assert scramble(direct_sum(heisenberg(3), abelian(2)), 17).validate() is None
+    assert calls == []
+    # a 3-step algebra still evaluates its triples
+    filiform = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
+    assert scramble(filiform, 3).validate() is None
+    assert calls
+
+
 def _raw_first_violation(dim, table):
     """The first triple, in combinations order, with a nonzero raw residual."""
     triples = combinations(range(dim), 3)
@@ -190,7 +209,7 @@ def test_brackets_are_read_only():
     h = heisenberg(1)
     with pytest.raises(TypeError):
         h.brackets[(0, 1)] = (0, 0, 2)
-    _, table, _ = h._integer_table()
+    table = h._rows
     with pytest.raises(TypeError):
         table[(0, 1)] = (0, 0, 2)
     assert h == heisenberg(1) and dict(h.brackets) == {(0, 1): unit_vector(3, 2)}
@@ -245,13 +264,13 @@ def test_center_is_eliminated_once(monkeypatch):
     # decomposition all ask one instance for its center
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 79)
     calls = []
-    quotient_from_builder = lie._quotient_from_builder
+    kernel_from_builder = lie._kernel_from_builder
 
     def counted(sb):
         calls.append(sb)
-        return quotient_from_builder(sb)
+        return kernel_from_builder(sb)
 
-    monkeypatch.setattr(lie, "_quotient_from_builder", counted)
+    monkeypatch.setattr(lie, "_kernel_from_builder", counted)
     first = L.center()
     build_report(L, "input", "both")
     assert L.center() is first
