@@ -6,7 +6,10 @@ Any such algebra is isomorphic to H(m) + A(k) for exactly one pair
 alternating bilinear form f, a symplectic Gram-Schmidt pass over f
 yields the Heisenberg pairs, and what is left over is the abelian part.
 The decomposition returns an explicit change of basis and re-checks it,
-so a returned witness is always certified.
+so a returned witness is always certified.  It is kept per algebra
+instance by ``lie._once``, like every other invariant of a
+``LieAlgebra``, not in a cache shared between equal algebras as the
+exterior squares are (``lie`` says why).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector, _over_common_denominator
-from .lie import LieAlgebra, abelian, direct_sum, heisenberg
+from .lie import LieAlgebra, _once, abelian, direct_sum, heisenberg
 
 
 class AbelianAlgebraError(ValueError):
@@ -59,7 +62,7 @@ def _gram(algebra: LieAlgebra) -> Matrix:
     n = algebra.dim
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), (a,) in coords.alpha.items():
-        t = Fraction(a, coords.den)
+        t = Fraction(a, algebra._den)
         rows[i][j] = t
         rows[j][i] = -t
     return Matrix.from_rows(rows, cols=n)
@@ -146,9 +149,10 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
     Abelian input raises AbelianAlgebraError (there is no H(0));
     dim [L, L] >= 2 is outside the scope of this routine and raises
-    ValueError.  The certified decomposition is computed once per
-    algebra and returned again by later calls; a rejection is raised
-    afresh each time.
+    ValueError.  The gate runs on every call; behind it the certified
+    decomposition is computed once per algebra instance, in the
+    algebra's own memo, and returned again by later calls.  A rejection
+    or a failed certification is raised afresh each time.
     """
     algebra.require_valid()
     derived_dim = algebra.derived_subalgebra().dim
@@ -158,9 +162,10 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
         raise ValueError("decomposition requires dim [L, L] = 1")
     if not algebra.is_nilpotent():
         raise ValueError("decomposition requires a nilpotent algebra")
-    return algebra._memo("_decomposition", lambda: _certified_decomposition(algebra))
+    return _certified_decomposition(algebra)
 
 
+@_once
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     pairs, _ = _symplectic_basis(_gram(algebra))
     z = algebra.derived_subalgebra().basis.data[0]

@@ -175,9 +175,9 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
     # of [L, L], which the algebra certifies as it reads them off
     derived = algebra.derived_subalgebra()
-    coords = algebra._derived_coordinates()
+    alpha = algebra._derived_coordinates().alpha
     zero = zero_vector(derived.dim)
-    d2 = [zero if a is None else tuple(Fraction(x, coords.den) for x in a) for a in map(coords.alpha.get, pairs)]
+    d2 = [zero if a is None else tuple(Fraction(x, algebra._den) for x in a) for a in map(alpha.get, pairs)]
     commutator_map = Matrix(
         derived.dim,
         quotient.dim,
@@ -217,7 +217,7 @@ def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
     otherwise."""
     algebra.require_valid()
     split = algebra._abelian_split()
-    m, k = split.derived_dim, len(split.factor)
+    m, k = algebra.derived_subalgebra().dim, len(split.factor)
     n1 = algebra.dim - k
     rewritten = algebra.change_basis(split.basis)
     for (_, j), c in rewritten._rows.items():

@@ -7,11 +7,23 @@ antisymmetric extension.  ``validate`` checks the Jacobi identity, in the
 coordinates of the derived subalgebra, and reports the first offending
 basis triple, so a structurally well-formed but non-Lie table can be
 constructed and then rejected with a witness.
+
+A ``LieAlgebra`` is immutable, so every invariant of it is computed at
+most once per instance: a function under ``_once`` keeps its value in
+the instance's one memo dict, and a module built on this one memoizes
+its own invariants of an algebra the same way.  The memo lives and dies
+with the instance and is not shared between equal algebras.  A shared cache
+(``functools.lru_cache`` on these methods) keeps algebras and their
+invariants alive after their last use, and it raised the peak memory
+of ``analyze --method formula`` on scrambled H(m) + A(k) by about 6%.
+The ``exterior`` caches are shared instead, since ``verify-paper``
+builds equal algebras again and again.
 """
 
 from __future__ import annotations
 
 import random
+from functools import update_wrapper
 from itertools import combinations
 from math import gcd, lcm
 from types import MappingProxyType
@@ -49,12 +61,12 @@ class _DerivedCoordinates(NamedTuple):
 
     ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
     stored i < j: the coordinates of [e_i, e_j] times the common
-    denominator d = ``den`` of the integer table.  ``basis[r]`` is the
-    int row D z_r, where D = ``scale`` clears the denominators of the
-    z_r, and ``beta[r][k]`` is d D times the coordinates of [z_r, e_k].
+    denominator d of the integer table, which the algebra holds as
+    ``_den``.  ``basis[r]`` is the int row D z_r, where D = ``scale``
+    clears the denominators of the z_r, and ``beta[r][k]`` is d D times
+    the coordinates of [z_r, e_k].
     """
 
-    den: int
     alpha: dict[tuple[int, int], list[int]]
     scale: int
     basis: list[list[int]]
@@ -82,19 +94,35 @@ class _AbelianSplit(NamedTuple):
 
     ``factor`` spans A: the RREF rows of the center that enlarge the span
     of [L, L], so A is central with A and [L, L] meeting in 0.  The rows
-    of ``basis`` are the RREF basis of [L, L] (``derived_dim`` rows), the
-    unit vectors at the non-pivot columns of the RREF of [L, L] + A,
-    which complete it to a complement of A, and then ``factor``: its
-    first dim - k rows span L1.
+    of ``basis`` are the RREF basis of [L, L] (its first dim [L, L]
+    rows), the unit vectors at the non-pivot columns of the RREF of
+    [L, L] + A, which complete it to a complement of A, and then
+    ``factor``: its first dim - k rows span L1.
     """
 
-    derived_dim: int
     factor: tuple[Vector, ...]
     basis: Matrix
 
 
-_UNCHECKED = object()
 T = TypeVar("T")
+
+
+def _once(compute: Callable[["LieAlgebra"], T]) -> Callable[["LieAlgebra"], T]:
+    """Compute an invariant of an algebra at most once per instance.
+
+    The value of ``compute(algebra)`` is kept in ``algebra._memo``, the
+    one memo of the instance, keyed by ``compute`` itself; it is stored
+    only when ``compute`` returns, never when it raises, so a failure is
+    raised afresh on the next call.  The result is a plain function with
+    the name and docstring of ``compute``."""
+
+    def once(algebra: "LieAlgebra") -> T:
+        memo = algebra._memo
+        if compute not in memo:
+            memo[compute] = compute(algebra)
+        return memo[compute]
+
+    return update_wrapper(once, compute)
 
 
 class LieAlgebra:
@@ -105,11 +133,11 @@ class LieAlgebra:
     stored once, as ints: the lcm d of the reduced denominators and the
     int tuple d [e_i, e_j] of every nonzero bracket with i < j.  That is
     canonical, so it serves as the key.  All derived computations are
-    exact and deterministic; the Jacobi verdict, the derived subalgebra
-    and the brackets in its certified coordinates, the lower central
-    series and the H(m) + A(k) decomposition are computed at most once per
-    instance; so are the center and the split L = L1 + A off an abelian
-    direct factor.
+    exact and deterministic.  The Jacobi verdict, the derived subalgebra
+    and the brackets in its certified coordinates, the center, the lower
+    central series and the split L = L1 + A off an abelian direct factor
+    are computed at most once per instance, each kept by ``_once`` in the
+    one dict ``_memo``.
     """
 
     __slots__ = (
@@ -119,13 +147,7 @@ class LieAlgebra:
         "_rows",
         "_key",
         "_hash",
-        "_jacobi",
-        "_derived",
-        "_coords",
-        "_center",
-        "_series",
-        "_split",
-        "_decomposition",
+        "_memo",
     )
 
     def __init__(
@@ -188,8 +210,7 @@ class LieAlgebra:
         key = (dim, den, tuple(sorted(stored.items())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        for slot in ("_jacobi", "_derived", "_coords", "_center", "_series", "_split", "_decomposition"):
-            object.__setattr__(self, slot, _UNCHECKED)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LieAlgebra is immutable")
@@ -202,15 +223,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"<LieAlgebra dim={self.dim} brackets={len(self._rows)}>"
-
-    def _memo(self, slot: str, compute: Callable[[], T]) -> T:
-        """The value held in ``slot``, computed on first use.  A value is
-        stored only when ``compute`` returns, never when it raises."""
-        value = getattr(self, slot)
-        if value is _UNCHECKED:
-            value = compute()
-            object.__setattr__(self, slot, value)
-        return value
 
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
@@ -248,6 +260,7 @@ class LieAlgebra:
 
     # -- validation ---------------------------------------------------------
 
+    @_once
     def validate(self) -> tuple[int, int, int] | None:
         """First basis triple violating the Jacobi identity, or None.
 
@@ -260,9 +273,6 @@ class LieAlgebra:
         instance.  Raises DerivedBasisError if a bracket escapes the
         computed [L, L], a defect.
         """
-        return self._memo("_jacobi", self._first_jacobi_violation)
-
-    def _first_jacobi_violation(self) -> tuple[int, int, int] | None:
         coords = self._derived_coordinates()
         # every term of a Jacobiator carries a beta factor: when [L, L] is
         # central, as in every 2-step nilpotent algebra, all of them vanish
@@ -276,6 +286,7 @@ class LieAlgebra:
                 return (i, j, k)
         return None
 
+    @_once
     def _derived_coordinates(self) -> _DerivedCoordinates:
         """The bracket in the coordinates of [L, L]; see
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
@@ -285,9 +296,6 @@ class LieAlgebra:
         D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].  Computed once per
         instance.  Raises DerivedBasisError if a bracket is not
         recomposed."""
-        return self._memo("_coords", self._certified_coordinates)
-
-    def _certified_coordinates(self) -> _DerivedCoordinates:
         derived = self.derived_subalgebra()
         pivots = derived.pivot_cols()
         big_d, zs = _over_common_denominator(derived.basis.data)
@@ -313,7 +321,7 @@ class LieAlgebra:
                         out = row[col]
                         for s, x in enumerate(ab):
                             out[s] += coef * x
-        return _DerivedCoordinates(self._den, alpha, big_d, zs, beta)
+        return _DerivedCoordinates(alpha, big_d, zs, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -322,17 +330,16 @@ class LieAlgebra:
 
     # -- subobjects ----------------------------------------------------------
 
+    @_once
     def derived_subalgebra(self) -> Subspace:
         """[L, L]: the span of all basis brackets, eliminated once per
         instance from the stored int rows."""
-        return self._memo("_derived", self._bracket_rows_span)
-
-    def _bracket_rows_span(self) -> Subspace:
         sb = SpanBuilder(self.dim)
         for c in self._rows.values():
             sb.add_int_row(list(c))
         return sb.subspace()
 
+    @_once
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, eliminated once per instance on ints
         and taken through ``linalg._kernel_from_builder``, the one kernel
@@ -341,9 +348,6 @@ class LieAlgebra:
         kernel of the n m equations sum_i x_i alpha(i, j)_r = 0, not of
         n^2.  Raises DerivedBasisError if a bracket escapes the computed
         [L, L], a defect."""
-        return self._memo("_center", self._center_kernel)
-
-    def _center_kernel(self) -> Subspace:
         n = self.dim
         coords = self._derived_coordinates()
         alpha, m = coords.alpha, len(coords.basis)
@@ -361,12 +365,10 @@ class LieAlgebra:
                     sb.add_int_row(row)
         return _kernel_from_builder(sb)
 
+    @_once
     def _abelian_split(self) -> _AbelianSplit:
         """The canonical split L = L1 + A; see ``_AbelianSplit``.  Computed
         once per instance, from the center and [L, L] alone."""
-        return self._memo("_split", self._split_basis)
-
-    def _split_basis(self) -> _AbelianSplit:
         n = self.dim
         derived = self.derived_subalgebra().basis.data
         sb = SpanBuilder(n)
@@ -376,7 +378,7 @@ class LieAlgebra:
         pivots = set(sb.pivot_cols())
         completion = [unit_vector(n, i) for i in range(n) if i not in pivots]
         basis = Matrix.from_rows([*derived, *completion, *factor], cols=n)
-        return _AbelianSplit(len(derived), factor, basis)
+        return _AbelianSplit(factor, basis)
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S."""
@@ -402,8 +404,9 @@ class LieAlgebra:
     def lower_central_series(self) -> list[Subspace]:
         """L^1 = L, L^{i+1} = [L, L^i], listed until it stabilizes.
         Each call returns a fresh list."""
-        return list(self._memo("_series", self._series_terms))
+        return list(self._series_terms())
 
+    @_once
     def _series_terms(self) -> tuple[Subspace, ...]:
         series = [Subspace.full(self.dim)]
         nxt = self.derived_subalgebra()  # L^2 = [L, L]

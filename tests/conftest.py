@@ -6,7 +6,9 @@ elimination core with the library and takes its exterior center from
 ``null_space``, a ``Fraction`` Gauss-Jordan apart from the library's
 kernel route, the symplectic-basis oracle is the
 direct matrix-vector form of the library's Gram-column pass, and the
-commutator oracle works in ``Fraction`` from the public bracket alone."""
+commutator oracle works in ``Fraction`` from the public bracket alone.
+``central_extensions`` draws deeper nilpotent algebras than the catalog
+holds, by iterated central extension."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 
 def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
@@ -342,3 +345,40 @@ def frozen_catalog():
     from liecap.capability import catalog
 
     return catalog()
+
+
+def central_extension(algebra, functionals):
+    """E = L + Q^t with [x, y]_E = [x, y] + F P(x ^ y) and Q^t central,
+    where P is the projection of ``exterior_square(L)`` and the t rows of
+    F are ``functionals`` on L ^ L.  omega = F P kills im d3, so omega is
+    a 2-cocycle and E is a Lie algebra, nilpotent when L is.  The new
+    basis vectors come last."""
+    from liecap.exterior import exterior_square
+    from liecap.lie import LieAlgebra
+
+    n, t = algebra.dim, len(functionals)
+    projection = exterior_square(algebra).projection
+    brackets = {}
+    for column, (i, j) in zip(projection.transpose().data, itertools.combinations(range(n), 2)):
+        # omega(e_i ^ e_j) = F times the column of e_i ^ e_j in P
+        omega = [sum(f * p for f, p in zip(row, column)) for row in functionals]
+        brackets[(i, j)] = list(algebra.bracket_basis(i, j)) + omega
+    return LieAlgebra(n + t, brackets)
+
+
+@st.composite
+def central_extensions(draw):
+    """A nilpotent algebra of dimension 5 to 8 built from A(2) or A(3) by
+    central extensions of 1 or 2 dimensions each, with functional
+    entries in [-2, 2], together with a scrambled copy of it."""
+    from liecap.lie import abelian, scramble
+    from liecap.exterior import exterior_square
+
+    algebra = abelian(draw(st.integers(2, 3)))
+    target = draw(st.integers(5, 8))
+    while algebra.dim < target:
+        t = draw(st.integers(1, min(2, target - algebra.dim)))
+        width = exterior_square(algebra).quotient_dim
+        functionals = [[draw(st.integers(-2, 2)) for _ in range(width)] for _ in range(t)]
+        algebra = central_extension(algebra, functionals)
+    return algebra, scramble(algebra, draw(st.integers(0, 2**16)))
