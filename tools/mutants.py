@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each row of ``MUTANTS`` names a module of ``src/liecap``, an exact old
 text, the text that replaces it and the pytest node ids that must fail
@@ -11,11 +11,13 @@ copy of ``src/`` and must pass.  Then each row is applied to a fresh
 copy of ``src/``: the old text must occur exactly once, or the row
 fails loudly.  Its tests run with ``PYTHONPATH`` on the copy, the run
 checks that ``liecap`` was imported from that copy, and every named
-node id must fail.  Naming rows runs only those.
+node id must fail.  A test run that takes longer than ``TIMEOUT_S``
+is stopped: on the unmutated copy that is an error, and under a mutant
+it kills the row, which is reported as killed by timeout.
 
 The tool never edits a test.  It prints one line per row and exits 1
 when a row's text is not found exactly once, a test fails on the
-unmutated copy, or a mutant survives, and 2 for an unknown row name.  The node ids are the fastest
+unmutated copy, or a mutant survives.  The node ids are the fastest
 tests known to kill each row, so that the whole run stays short.
 """
 
@@ -31,6 +33,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# Seconds one pytest run may take: on 2 vCPU the unmutated run of every
+# named test takes about 4 s, a row's run about 1 s, and the slowest row
+# (the d3 term, whose failing example hypothesis shrinks) about 17 s.
+TIMEOUT_S = 60
 
 
 class Mutant(NamedTuple):
@@ -221,10 +227,14 @@ class Failure(Exception):
 
 def run_tests(src: Path, tests: tuple[str, ...]) -> dict[str, list[str]]:
     """The outcomes (PASSED, FAILED, ERROR) of the test items under each
-    node id in ``tests``, run with ``src`` first on the import path."""
+    node id in ``tests``, run with ``src`` first on the import path, or
+    TIMEOUT for every node id when the run outlasts ``TIMEOUT_S``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-c", RUNNER, "-q", "-rA", "-p", "no:cacheprovider", *tests]
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {test: ["TIMEOUT"] for test in tests}
     imported = None
     reported: list[tuple[str, str]] = []
     for line in proc.stdout.splitlines():
@@ -263,40 +273,41 @@ def mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def main(argv: list[str]) -> int:
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
-    if len(rows) != len(argv or rows):
-        print("unknown mutant name", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
     failed = False
     with tempfile.TemporaryDirectory(prefix="liecap-mutants-") as name:
         tmp = Path(name)
         try:
-            for mutant in rows:  # every row applies before any test runs
+            for mutant in MUTANTS:  # every row applies before any test runs
                 if not mutant.tests:
                     raise Failure(f"{mutant.name}: no tests named")
                 mutated(mutant)
-            tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+            tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
             baseline = run_tests(fresh_copy(tmp, "baseline"), tests)
             bad = {t: s for t, s in baseline.items() if set(s) != {"PASSED"}}
             if bad:
                 raise Failure(f"tests that do not pass on the unmutated source: {bad}")
             print(f"baseline: {len(tests)} tests pass ({time.perf_counter() - start:.1f} s)")
-            for idx, mutant in enumerate(rows):
+            for idx, mutant in enumerate(MUTANTS):
                 src = fresh_copy(tmp, f"mutant-{idx}")
                 (src / "liecap" / mutant.module).write_text(mutated(mutant), encoding="utf-8")
                 outcomes = run_tests(src, mutant.tests)
                 survivors = [t for t, s in outcomes.items() if set(s) <= {"PASSED"}]
                 failed |= bool(survivors)
-                verdict = f"SURVIVED: {', '.join(survivors)} pass" if survivors else "killed"
+                if survivors:
+                    verdict = f"SURVIVED: {', '.join(survivors)} pass"
+                elif any("TIMEOUT" in s for s in outcomes.values()):
+                    verdict = f"killed by timeout ({TIMEOUT_S} s)"
+                else:
+                    verdict = "killed"
                 print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)")
         except Failure as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(f"{'some mutants survived' if failed else f'all {len(rows)} mutants killed'} in {time.perf_counter() - start:.1f} s")
+    print(f"{'some mutants survived' if failed else f'all {len(MUTANTS)} mutants killed'} in {time.perf_counter() - start:.1f} s")
     return int(failed)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
