@@ -9,6 +9,7 @@ All output is deterministic; --json output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -46,7 +47,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # ASCII digits only: \d would also match digits such as "٣"
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")  # whole string, by fullmatch
 _EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")
 _TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
 # Inputs are read up to this size, so a huge file or an endless device
@@ -96,12 +97,26 @@ def parse_expression(text: str) -> LieAlgebra:
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """``object_pairs_hook`` that rejects a repeated key in a JSON object;
     plain ``json.loads`` keeps the last value silently."""
-    obj: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise InputError(f"duplicate key {key!r} in a JSON object")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
     return obj
+
+
+def _rational(text: str, k: int, where: str) -> tuple[int, int]:
+    """The int pair (p, q) of the coefficient string ``"p"`` or ``"p/q"``
+    at index ``k``, or InputError."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise InputError(f"{where}: coefficient {text!r} is not an exact rational string")
+    num, _, den = text.partition("/")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:  # longer than the int-string conversion limit
+        raise InputError(f"{where}: coefficient {k} has too many digits") from None
 
 
 def load_algebra_file(path: str) -> LieAlgebra:
@@ -144,6 +159,10 @@ def load_algebra_file(path: str) -> LieAlgebra:
         raise InputError(f"{path}: 'brackets' must be a list")
     # each coefficient as an int pair (p, q) for p / q, the table over the lcm of the q
     table: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+    index = {str(k): k for k in range(dim)}  # the canonical spelling of each key
+    # each distinct coefficient string is matched and converted once; only
+    # strings are kept, since a JSON true equals 1 and would hit a cached 1
+    rationals: dict[str, tuple[int, int]] = {}
     for idx, entry in enumerate(brackets):
         where = f"{path}: brackets[{idx}]"
         if not isinstance(entry, dict):
@@ -158,36 +177,40 @@ def load_algebra_file(path: str) -> LieAlgebra:
             raise InputError(f"{where}: 'coeffs' must be an object")
         parsed: dict[int, tuple[int, int]] = {}
         for key, val in coeffs.items():
-            # str.isdigit alone accepts digits such as "²" that int() rejects
-            if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
-                raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
-            try:
-                k = int(key)
-            except ValueError:  # longer than the int-string conversion limit
-                raise InputError(f"{where}: coefficient key has too many digits") from None
-            if not 0 <= k < dim:
-                raise InputError(f"{where}: coefficient index {k} out of range")
+            k = index.get(key)
+            if k is None:  # not the canonical spelling: "01", "²", too long, out of range
+                # str.isdigit alone accepts digits such as "²" that int() rejects
+                if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
+                    raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
+                try:
+                    k = int(key)
+                except ValueError:  # longer than the int-string conversion limit
+                    raise InputError(f"{where}: coefficient key has too many digits") from None
+                if not 0 <= k < dim:
+                    raise InputError(f"{where}: coefficient index {k} out of range")
             if k in parsed:  # "1" and "01" name one index
                 raise InputError(f"{where}: coefficient index {k} is given twice")
-            if isinstance(val, int) and not isinstance(val, bool):
+            if isinstance(val, str):
+                pq = rationals.get(val)
+                if pq is None:
+                    pq = rationals[val] = _rational(val, k, where)
+                parsed[k] = pq
+            elif isinstance(val, int) and not isinstance(val, bool):
                 parsed[k] = (val, 1)
-            elif isinstance(val, str) and _RATIONAL_RE.match(val):
-                num, _, den = val.partition("/")
-                try:
-                    parsed[k] = (int(num), int(den) if den else 1)
-                except ValueError:  # longer than the int-string conversion limit
-                    raise InputError(f"{where}: coefficient {k} has too many digits") from None
             else:
                 raise InputError(f"{where}: coefficient {val!r} is not an exact rational string")
         if (i, j) in table:
             raise InputError(f"{path}: duplicate bracket entry ({i}, {j})")
         table[(i, j)] = parsed
-    den = lcm(*(q for parsed in table.values() for _, q in parsed.values()))
+    # every denominator is that of a cached string, or 1 for a JSON int
+    qs = {1, *(q for _, q in rationals.values())}
+    den = lcm(*qs)
+    scale = {q: den // q for q in qs}
     rows: dict[tuple[int, int], list[int]] = {}
     for key, parsed in table.items():
         row = rows[key] = [0] * dim
         for k, (num, q) in parsed.items():
-            row[k] = num * (den // q)
+            row[k] = num * scale[q]
     return LieAlgebra._from_int_rows(dim, den, rows, labels)
 
 
@@ -451,7 +474,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="liecap",
         description="Exact exterior squares, Schur multipliers and capability of Lie algebras.",

@@ -244,6 +244,34 @@ def test_verify_paper_json(capsys):
             "duplicate bracket entry (0, 1)",
             id="duplicate-entry",
         ),
+        # the whole string must match: int() would strip the newline
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "3\n"}}]},
+            "rational",
+            id="trailing-newline-int",
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1/2\n"}}]},
+            "rational",
+            id="trailing-newline-fraction",
+        ),
+        # JSON true and 1.0 equal 1: a value read once per file must not
+        # hand either the reading of a 1 met before
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 1, "2": True}}]},
+            "not an exact rational string",
+            id="true-after-int",
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1", "2": True}}]},
+            "not an exact rational string",
+            id="true-after-string",
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1.0}}]},
+            "not an exact rational string",
+            id="float-one",
+        ),
     ],
 )
 def test_file_diagnostics(tmp_path, capsys, doc, message):
@@ -276,6 +304,54 @@ def test_coefficient_spellings_load_to_one_algebra(tmp_path):
     for algebra in loaded:
         assert algebra == plain and hash(algebra) == hash(plain)
         assert algebra._key == plain._key
+
+
+def _spelled(value: Fraction, data) -> object:
+    """``value`` in one of the spellings an algebra file may use: a JSON
+    int, "p", "+p", "p/q" left unreduced, and for zero also "-0" and
+    "0/q"."""
+    p, q = value.numerator, value.denominator
+    t = data.draw(st.integers(1, 4))
+    plus = "+" if p >= 0 else ""
+    choices = [f"{p * t}/{q * t}", f"{plus}{p * t}/{q * t}"]
+    if q == 1:
+        choices += [p, str(p), f"{plus}{p}"]
+    if p == 0:
+        choices += ["-0", f"0/{q * t}", f"-0/{t}"]
+    return data.draw(st.sampled_from(choices))
+
+
+@pytest.fixture(scope="module")
+def spelled_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("spelled") / "in.json"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_loader_matches_fraction_reading(spelled_file, data):
+    # the table as Fractions, and an algebra file that writes every entry in
+    # a drawn spelling; the Fraction constructor is the independent reading
+    dim = data.draw(st.integers(0, 8))
+    pool = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))  # small, so strings repeat
+    pairs = list(combinations(range(dim), 2))
+    table = {
+        ij: tuple(data.draw(st.lists(pool, min_size=dim, max_size=dim)))
+        for ij in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6) if pairs else st.just([]))
+    }
+    # zero brackets spelled out, with nothing but zero entries
+    for ij in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2) if pairs else st.just([])):
+        table.setdefault(ij, (Fraction(0),) * dim)
+    brackets = []
+    for (i, j), c in table.items():
+        coeffs = {}
+        for k, x in enumerate(c):
+            if x or data.draw(st.booleans()):  # a zero entry spelled out, or left out
+                key = data.draw(st.sampled_from([str(k), f"0{k}"]))  # "01" names index 1
+                coeffs[key] = _spelled(x, data)
+        brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    brackets = data.draw(st.permutations(brackets))
+    spelled_file.write_text(json.dumps({"dim": dim, "brackets": brackets}))
+    assert cli.load_algebra_file(str(spelled_file))._key == LieAlgebra(dim, table)._key
 
 
 def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):

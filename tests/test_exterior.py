@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import null_space, symbol_exterior_square
 
-from liecap import cli, exterior
+from liecap import cli, exterior, lie
 from liecap.exterior import (
     ConstructionError,
     _d3_rows,
@@ -501,6 +501,19 @@ def test_split_is_block_diagonal(monkeypatch, tmp_path):
         with pytest.raises(ConstructionError, match="central direct factor"):
             entry(algebra)
     assert cli.main(["analyze", str(path), "--method", "oracle"]) == cli.EXIT_INTERNAL
+
+
+def test_split_checks_brackets_stay_in_derived_coordinates():
+    # H(1)+A(1) with the split basis [e1, e3, e2, e4]: the [L, L] row comes
+    # second and A stays last, so every bracket stays inside L1 (j < n1),
+    # but [f1, f3] = f2 lands in coordinate 1, past m = 1
+    algebra = LieAlgebra(4, {(0, 1): (0, 0, 1, 0)})
+    e = [unit_vector(4, i) for i in range(4)]
+    basis = Matrix.from_rows([e[0], e[2], e[1], e[3]], cols=4)
+    algebra._memo[LieAlgebra._abelian_split.__wrapped__] = lie._AbelianSplit((e[3],), basis)
+    exterior._split_factor.cache_clear()  # an equal algebra may hold the true split
+    with pytest.raises(ConstructionError, match="central direct factor"):
+        exterior._split_factor(algebra)
 
 
 def test_split_checks_exterior_center_inside_derived(monkeypatch):

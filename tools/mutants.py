@@ -201,6 +201,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "split: the check that brackets stay in the first m coordinates dropped",
+        "exterior.py",
+        "if j >= n1 or any(c[m:]):",
+        "if j >= n1:",
+        (
+            "tests/test_exterior.py::test_split_checks_brackets_stay_in_derived_coordinates",
+        ),
+    ),
+    Mutant(
+        "loader: the value cache also keeps JSON ints",
+        "cli.py",
+        """            if isinstance(val, str):
+                pq = rationals.get(val)
+                if pq is None:
+                    pq = rationals[val] = _rational(val, k, where)
+                parsed[k] = pq
+            elif isinstance(val, int) and not isinstance(val, bool):
+                parsed[k] = (val, 1)
+""",
+        """            pq = rationals.get(val) if isinstance(val, (str, int)) else None
+            if pq is not None:
+                parsed[k] = pq
+            elif isinstance(val, str):
+                parsed[k] = rationals[val] = _rational(val, k, where)
+            elif isinstance(val, int) and not isinstance(val, bool):
+                parsed[k] = rationals[val] = (val, 1)
+""",
+        (
+            "tests/test_cli.py::test_file_diagnostics[true-after-int]",
+        ),
+    ),
+    Mutant(
+        "loader: the repeated-index check skipped for canonical keys",
+        "cli.py",
+        'if k in parsed:  # "1" and "01" name one index',
+        'if key not in index and k in parsed:',
+        (
+            "tests/test_cli.py::test_file_diagnostics[aliased-key-first-zero]",
+        ),
+    ),
+    Mutant(
         "expression syntax: \\d instead of [0-9]",
         "cli.py",
         r'_EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")',
