@@ -352,7 +352,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if violation is not None:
         print(f"invalid: Jacobi identity fails at basis triple {violation}", file=sys.stderr)
         return EXIT_INVALID
-    print(f"ok: dim={algebra.dim} brackets={len(algebra.brackets)}")
+    print(f"ok: dim={algebra.dim} brackets={len(algebra._rows)}")
     return EXIT_OK
 
 

@@ -57,7 +57,7 @@ def _gram(algebra: LieAlgebra) -> Matrix:
     # each bracket is certified a multiple of z as its coordinate is read
     coords = algebra._derived_coordinates()
     # z must be central or the structure constants are inconsistent
-    if any(b[0] for b in coords.beta[0]):
+    if any(b[0] for b in coords.beta[0].values()):
         raise DecompositionCheckError("derived generator is not central")
     n = algebra.dim
     rows = [[Fraction(0)] * n for _ in range(n)]

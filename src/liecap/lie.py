@@ -63,14 +63,16 @@ class _DerivedCoordinates(NamedTuple):
     stored i < j: the coordinates of [e_i, e_j] times the common
     denominator d of the integer table, which the algebra holds as
     ``_den``.  ``basis[r]`` is the int row D z_r, where D = ``scale``
-    clears the denominators of the z_r, and ``beta[r][k]`` is d D times
-    the coordinates of [z_r, e_k].
+    clears the denominators of the z_r, and ``beta[r]`` is the dict
+    ``_ad`` gives for D z_r: ``beta[r][b]`` is d D times the coordinates
+    of [z_r, e_b], for every b that z_r reaches; a missing b has
+    [z_r, e_b] = 0.
     """
 
     alpha: dict[tuple[int, int], list[int]]
     scale: int
     basis: list[list[int]]
-    beta: list[list[list[int]]]
+    beta: list[dict[int, list[int]]]
 
     def jacobiator(self, i: int, j: int, k: int) -> list[int]:
         """-d^2 D times the coordinates of the Jacobiator
@@ -83,7 +85,7 @@ class _DerivedCoordinates(NamedTuple):
             if a is not None:
                 for r, coef in enumerate(a):
                     if coef:
-                        for s, x in enumerate(self.beta[r][col]):
+                        for s, x in enumerate(self.beta[r].get(col, ())):
                             out[s] += sign * coef * x
         return out
 
@@ -276,7 +278,7 @@ class LieAlgebra:
         coords = self._derived_coordinates()
         # every term of a Jacobiator carries a beta factor: when [L, L] is
         # central, as in every 2-step nilpotent algebra, all of them vanish
-        if not any(x for row in coords.beta for col in row for x in col):
+        if not any(x for row in coords.beta for col in row.values() for x in col):
             return None
         alpha = coords.alpha
         for i, j, k in combinations(range(self.dim), 3):
@@ -292,10 +294,10 @@ class LieAlgebra:
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
         entries at the pivot columns, so alpha is read off the stored
         table and certified by recomposing every stored bracket from the
-        basis, in ints; beta needs no further bracket expansion, since
-        D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].  Computed once per
-        instance.  Raises DerivedBasisError if a bracket is not
-        recomposed."""
+        basis, in ints; beta expands each D z_r by ``_ad`` through the
+        adjoint index of alpha, since D d [z_r, e_k] =
+        sum_t (D z_r)_t d [e_t, e_k].  Computed once per instance.
+        Raises DerivedBasisError if a bracket is not recomposed."""
         derived = self.derived_subalgebra()
         pivots = derived.pivot_cols()
         big_d, zs = _over_common_denominator(derived.basis.data)
@@ -311,16 +313,8 @@ class LieAlgebra:
             if rebuilt != [big_d * x for x in c]:
                 raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
             alpha[key] = a
-        m = len(zs)
-        beta = [[[0] * m for _ in range(self.dim)] for _ in range(m)]
-        for (a, b), ab in alpha.items():
-            # [e_a, e_b] enters [z_r, e_b] with (D z_r)[a] and [z_r, e_a] with -(D z_r)[b]
-            for z, row in zip(zs, beta):
-                for col, coef in ((b, z[a]), (a, -z[b])):
-                    if coef:
-                        out = row[col]
-                        for s, x in enumerate(ab):
-                            out[s] += coef * x
+        ad = _adjoint_index(self.dim, alpha)
+        beta = [_ad(ad, z, len(zs)) for z in zs]
         return _DerivedCoordinates(alpha, big_d, zs, beta)
 
     def require_valid(self) -> None:
@@ -350,17 +344,13 @@ class LieAlgebra:
         [L, L], a defect."""
         n = self.dim
         coords = self._derived_coordinates()
-        alpha, m = coords.alpha, len(coords.basis)
-        # eqs[j][r][i] = d [e_i, e_j]_r, the coefficient of x_i in d [x, e_j]_r
-        eqs = [[[0] * n for _ in range(m)] for _ in range(n)]
-        for (i, j), a in alpha.items():
-            for r, x in enumerate(a):
-                if x:
-                    eqs[j][r][i] = x
-                    eqs[i][r][j] = -x
         sb = SpanBuilder(n)
-        for rows in eqs:
-            for row in rows:
+        for entries in _adjoint_index(n, coords.alpha):
+            for r in range(len(coords.basis)):
+                # row[i] = d [e_j, e_i]_r, the coefficient of x_i in d [e_j, x]_r
+                row = [0] * n
+                for i, sign, c in entries:
+                    row[i] = sign * c[r]
                 if any(row):
                     sb.add_int_row(row)
         return _kernel_from_builder(sb)
@@ -388,15 +378,7 @@ class LieAlgebra:
         _, ints = _over_common_denominator(s.basis.data)
         sb = SpanBuilder(self.dim)
         for w in ints:
-            for entries in ad:
-                # d [e_i, w] for the adjoint index of e_i
-                row = [0] * self.dim
-                for j, sign, c in entries:
-                    coef = sign * w[j]
-                    if coef:
-                        for t, x in enumerate(c):
-                            if x:
-                                row[t] += coef * x
+            for row in _ad(ad, w, self.dim).values():
                 if any(row):
                     sb.add_int_row(row)
         return sb.subspace()
@@ -479,16 +461,7 @@ class LieAlgebra:
         ad = _adjoint_index(n, coords.alpha)
         consts: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
-            # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
-            u: dict[int, list[int]] = {}
-            for a, x in enumerate(pi[i]):
-                if x:
-                    for b, sign, c in ad[a]:
-                        row = u.setdefault(b, [0] * m)
-                        coef = sign * x
-                        for r, y in enumerate(c):
-                            if y:
-                                row[r] += coef * y
+            u = _ad(ad, pi[i], m)  # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
             for j in range(i + 1, n):
                 rj = pi[j]
                 w = [0] * m
@@ -516,17 +489,34 @@ class LieAlgebra:
         return LieAlgebra._from_int_rows(size, self._den, block, labels)
 
 
-def _adjoint_index(
-    n: int, table: Mapping[tuple[int, int], Sequence[int]]
-) -> list[list[tuple[int, int, Sequence[int]]]]:
+_AdjointIndex = list[list[tuple[int, int, Sequence[int]]]]
+
+
+def _adjoint_index(n: int, table: Mapping[tuple[int, int], Sequence[int]]) -> _AdjointIndex:
     """The adjoint index of a table keyed by i < j: ``ad[i]`` lists
     ``(j, sign, table[(min(i, j), max(i, j))])`` for every key holding i,
     with sign -1 when j < i, the sign that [e_i, e_j] takes."""
-    ad: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n)]
+    ad: _AdjointIndex = [[] for _ in range(n)]
     for (a, b), c in table.items():
         ad[a].append((b, 1, c))
         ad[b].append((a, -1, c))
     return ad
+
+
+def _ad(index: _AdjointIndex, w: Sequence[int], width: int) -> dict[int, list[int]]:
+    """[w, e_b] through the adjoint index of a table: ``{b: row}`` with
+    row = sum_a w[a] [e_a, e_b], as an int row of length ``width``, for
+    every b that w reaches; a missing b has [w, e_b] = 0."""
+    out: dict[int, list[int]] = {}
+    for a, x in enumerate(w):
+        if x:
+            for b, sign, c in index[a]:
+                row = out.setdefault(b, [0] * width)
+                coef = sign * x
+                for r, y in enumerate(c):
+                    if y:
+                        row[r] += coef * y
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,19 @@ def test_validate_good_file(tmp_path, capsys):
     assert out.startswith("ok: dim=3")
 
 
+def test_validate_counts_the_stored_brackets(tmp_path, capsys, monkeypatch):
+    # the count is read off the int table: building every Fraction of
+    # the brackets only to count them took half of validate on n = 64
+    algebra = scramble(direct_sum(heisenberg(2), abelian(1)), 3)
+    count = len(algebra.brackets)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(algebra_to_doc(algebra)))
+    monkeypatch.setattr(LieAlgebra, "brackets", property(lambda self: pytest.fail("validate built the brackets")))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == EXIT_OK
+    assert out == f"ok: dim=6 brackets={count}\n"
+
+
 def test_validate_reports_jacobi_triple(tmp_path, capsys):
     doc = {
         "dim": 3,
@@ -589,6 +602,40 @@ def test_scrambled_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, scrambl
     code, out, _ = run(capsys, "analyze", "scrambled.json", "--json")
     assert code == EXIT_OK
     assert out == PINNED["scramble"][scramble_args]
+
+
+# Algebras of nilpotency class above 2, or not nilpotent, written in a
+# non-canonical basis: there [L, L] is not central, so validate checks
+# triples and the lower central series goes past L^3.  Each entry is
+# (dim, d, {(i, j): d [e_i, e_j]}).
+DEEP_TABLES = {
+    "L_7 scrambled": (7, 24, {
+        (0, 1): (-1, -18, 20, -13, 5, 6, 1), (0, 2): (-32, -24, 40, -8, -8, 24, -16),
+        (0, 3): (-24, -24, 24, -48, 0, 24, -24), (0, 4): (-8, 0, -8, -8, -8, 0, 8),
+        (0, 5): (25, -30, 4, -11, 19, -6, 23), (0, 6): (8, 24, -16, 80, -16, -24, 40),
+        (1, 4): (-1, -18, 20, -13, 5, 6, 1), (1, 5): (1, 18, -20, 13, -5, -6, -1),
+        (2, 4): (-32, -24, 40, -8, -8, 24, -16), (2, 5): (32, 24, -40, 8, 8, -24, 16),
+        (3, 4): (-24, -24, 24, -48, 0, 24, -24), (3, 5): (24, 24, -24, 48, 0, -24, 24),
+        (4, 5): (-17, 30, 4, 19, -11, 6, -31), (4, 6): (-8, -24, 16, -80, 16, 24, -40),
+        (5, 6): (8, 24, -16, 80, -16, -24, 40),
+    }),
+    "sl2 scrambled": (3, 3, {(0, 1): (4, 0, 6), (0, 2): (0, 6, 0), (1, 2): (8, 0, 4)}),
+    "r2+A(2) scrambled": (4, 4, {(0, 1): (-3, 4, 3, -3), (1, 2): (3, -4, -3, 3)}),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED["file"]))
+def test_deep_file_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
+    dim, den, table = DEEP_TABLES[name]
+    brackets = [
+        {"i": i, "j": j, "coeffs": {str(k): str(Fraction(x, den)) for k, x in enumerate(c) if x}}
+        for (i, j), c in table.items()
+    ]
+    monkeypatch.chdir(tmp_path)  # the report echoes the path it was given
+    Path("deep.json").write_text(json.dumps({"dim": dim, "brackets": brackets}))
+    code, out, _ = run(capsys, "analyze", "deep.json", "--json")
+    assert code == EXIT_OK
+    assert out == PINNED["file"][name]
 
 
 def test_verify_paper_json_is_pinned(capsys):

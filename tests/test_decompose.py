@@ -11,6 +11,7 @@ import pytest
 
 from conftest import form_value, matrix_symplectic_basis, rank_by_minors
 from liecap import decompose
+from liecap.cli import EXIT_INTERNAL, main
 from liecap.decompose import (
     AbelianAlgebraError,
     DecompositionCheckError,
@@ -238,3 +239,19 @@ def test_failed_certification_is_not_memoized(monkeypatch):
     monkeypatch.undo()
     dec = heisenberg_decompose(L)
     assert (dec.m, dec.k) == (2, 0)
+
+
+def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
+    # beta[0] = {0: [1]} claims [z, e_1] = z for z = e_3 of H(1) + A(1);
+    # with [e_1, e_2] = z the only bracket every Jacobiator still vanishes,
+    # so the gate passes and only _gram's central check sees it
+    derived_coordinates = LieAlgebra._derived_coordinates
+
+    def noncentral(self):
+        return derived_coordinates(self)._replace(beta=[{0: [1]}])
+
+    monkeypatch.setattr(LieAlgebra, "_derived_coordinates", noncentral)
+    with pytest.raises(DecompositionCheckError, match="derived generator is not central"):
+        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
+    assert main(["analyze", "H(1)+A(1)", "--method", "formula"]) == EXIT_INTERNAL
+    assert "derived generator is not central" in capsys.readouterr().err

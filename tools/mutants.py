@@ -119,10 +119,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_ad: sign of the adjoint index dropped",
+        "lie.py",
+        "coef = sign * x",
+        "coef = x",
+        (
+            "tests/test_lie.py::test_change_basis_swap_flips_sign",
+            "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
+        ),
+    ),
+    Mutant(
         "center: sign dropped in the equations",
         "lie.py",
-        "eqs[i][r][j] = -x",
-        "eqs[i][r][j] = x",
+        "row[i] = sign * c[r]",
+        "row[i] = c[r]",
         (
             "tests/test_lie.py::test_change_basis_preserves_invariants",
             "tests/test_decompose.py::test_form_radical_equals_center",
@@ -162,6 +172,17 @@ MUTANTS = (
             "tests/test_memo.py::test_memo_keeps_values_and_never_failures",
             "tests/test_lie.py::test_center_is_eliminated_once",
             "tests/test_decompose.py::test_decomposition_is_certified_once",
+        ),
+    ),
+    Mutant(
+        "_gram: the check that the derived generator is central dropped",
+        "decompose.py",
+        """    if any(b[0] for b in coords.beta[0].values()):
+        raise DecompositionCheckError("derived generator is not central")
+""",
+        "",
+        (
+            "tests/test_decompose.py::test_noncentral_derived_generator_is_a_defect",
         ),
     ),
     Mutant(
