@@ -24,7 +24,9 @@ of the relation RREF.  That holds exactly when d2 kills each reduced
 relation row, and those rows are a basis of im d3.  Since
 d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator of the triple, which
 ``LieAlgebra.validate`` has already checked, a failure signals a
-defect, and raises.
+defect, and raises.  The check runs on ints: on the projection rows of
+``linalg._projection_rows`` over their one common denominator, and on
+d2 over the algebra's.
 
 ``exterior_square`` builds L ^ L for the algebra as given.  The
 dimensions, the multiplier and the exterior center are taken instead
@@ -54,9 +56,9 @@ from .linalg import (
     _kernel_from_builder,
     _normalize_int,
     _over_common_denominator,
-    _quotient_from_builder,
+    _projection_matrix,
+    _projection_rows,
     vector,
-    zero_vector,
 )
 from .lie import LieAlgebra
 
@@ -76,6 +78,8 @@ class ExteriorSquare:
     e_i ^ e_j, i < j, in lexicographic order) onto the quotient;
     ``commutator_map`` maps quotient coordinates to coordinates in the
     derived subalgebra (it is surjective by construction).
+    ``projection_ints`` is the projection times the common denominator
+    of ``linalg._projection_rows``.
     """
 
     dim: int
@@ -85,6 +89,7 @@ class ExteriorSquare:
     projection: Matrix
     commutator_map: Matrix
     derived: Subspace
+    projection_ints: tuple[tuple[int, ...], ...]
 
     def wedge(self, x, y) -> Vector:
         """Class of x ^ y in quotient coordinates."""
@@ -111,17 +116,15 @@ def _wedge_index(n: int, i: int, j: int) -> int:
 
 
 def _wedge_maps(square: ExteriorSquare) -> list[list[list[int]]]:
-    """The matrices of x -> x ^ e_j on ints, over one common denominator D
-    of the projection: ``maps[j][s][i]`` is D times coordinate s of the
-    class of e_i ^ e_j, which is the column of e_i ^ e_j for i < j, the
-    negated column of e_j ^ e_i for i > j and zero for i = j."""
+    """The matrices of x -> x ^ e_j on ints, read off
+    ``projection_ints``: ``maps[j][s][i]`` is D times coordinate s of the
+    class of e_i ^ e_j for the projection's common denominator D, which
+    is the column of e_i ^ e_j for i < j, the negated column of e_j ^ e_i
+    for i > j and zero for i = j."""
     n = square.dim
-    # one D for every row: a denominator per row would rescale the quotient
-    # coordinates apart, which keeps kernels but changes ideal_wedge_image
-    _, projection = _over_common_denominator(square.projection.data)
-    maps = [[[0] * n for _ in projection] for _ in range(n)]
+    maps = [[[0] * n for _ in square.projection_ints] for _ in range(n)]
     for col, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        for s, row in enumerate(projection):
+        for s, row in enumerate(square.projection_ints):
             maps[j][s][i], maps[i][s][j] = row[col], -row[col]
     return maps
 
@@ -170,25 +173,28 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     sb = SpanBuilder(len(pairs))
     for row in _d3_rows(n, table):
         sb.add_int_row(row)
-    quotient = _quotient_from_builder(sb)
+    section, d, rows = _projection_rows(sb)
 
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
-    # of [L, L], which the algebra certifies as it reads them off
+    # of [L, L], which the algebra certifies as it reads them off; alpha
+    # holds them times the algebra's denominator, on ints
     derived = algebra.derived_subalgebra()
     alpha = algebra._derived_coordinates().alpha
-    zero = zero_vector(derived.dim)
-    d2 = [zero if a is None else tuple(Fraction(x, algebra._den) for x in a) for a in map(alpha.get, pairs)]
-    commutator_map = Matrix(
-        derived.dim,
-        quotient.dim,
-        tuple(tuple(d2[col][t] for col in quotient.section_cols) for t in range(derived.dim)),
-    )
+    zero = [0] * derived.dim
+    d2 = [alpha.get(pair, zero) for pair in pairs]
+    on_section = [d2[q] for q in section]
     # d2 o d3 = 0 exactly when d2 factors through the projection: on a
     # section column it does by construction, and at a relation pivot p
-    # it does exactly when d2 kills the reduced relation row led by p
+    # it does exactly when d2 kills the reduced relation row led by p:
+    # sum_s d2[q_s] rows[s][p] = d d2[p] for the section columns q_s
     for p in sb.pivot_cols():
-        if commutator_map.mul_vec(quotient.projection.column(p)) != d2[p]:
+        if any(sum(a[t] * row[p] for a, row in zip(on_section, rows)) != d * x for t, x in enumerate(d2[p])):
             raise ConstructionError("relation vector survives the commutator map")
+    commutator_map = Matrix(
+        derived.dim,
+        len(section),
+        tuple(tuple(Fraction(a[t], algebra._den) for a in on_section) for t in range(derived.dim)),
+    )
     if commutator_map.rank() != derived.dim:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
 
@@ -196,10 +202,11 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
         dim=n,
         ambient_dim=len(pairs),
         relation_rank=sb.rank,
-        quotient_dim=quotient.dim,
-        projection=quotient.projection,
+        quotient_dim=len(section),
+        projection=_projection_matrix(len(pairs), d, rows),
         commutator_map=commutator_map,
         derived=derived,
+        projection_ints=tuple(map(tuple, rows)),
     )
 
 

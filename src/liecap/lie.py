@@ -38,7 +38,8 @@ from .linalg import (
     Vector,
     _kernel_from_builder,
     _over_common_denominator,
-    quotient_with_section,
+    _projection_matrix,
+    _projection_rows,
     random_invertible,
     unit_vector,
     vector,
@@ -425,10 +426,14 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        q = quotient_with_section(self.dim, ideal.basis.data)
-        section = [unit_vector(self.dim, c) for c in q.section_cols]
+        sb = SpanBuilder(self.dim)
+        for row in ideal.basis.data:
+            sb.add(row)
+        cols, d, rows = _projection_rows(sb)
+        section = [unit_vector(self.dim, c) for c in cols]
         rewritten = self.change_basis(Matrix.from_rows([*section, *ideal.basis.data], cols=self.dim))
-        return rewritten._leading_block(q.dim, [self.labels[c] for c in q.section_cols]), q.projection
+        quotient = rewritten._leading_block(len(cols), [self.labels[c] for c in cols])
+        return quotient, _projection_matrix(self.dim, d, rows)
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
         """The same algebra written in the basis f_i = sum_j p[i][j] e_j.

@@ -7,12 +7,13 @@ exactly when their reduced fractions are equal, and every function is
 deterministic.
 
 Kernels and quotients share one canonical section.  ``_projection_rows``
-builds the rows of the projection that kills a row space as integer
-rows, one denominator per row; they are also a basis of its right
-kernel.  ``_quotient_from_builder`` turns them into the public
-``Fraction`` projection, and ``_kernel_from_builder`` eliminates them
-once more on ints: ``kernel_basis``, ``LieAlgebra.center`` and the
-exterior center all end there.
+is the one maker of the projection that kills a row space: integer
+rows over one common denominator, which are also a basis of its right
+kernel.  ``_projection_matrix`` turns them into the public ``Fraction``
+projection; ``exterior_square`` checks them as they are, and
+``_kernel_from_builder`` eliminates them once more on ints:
+``kernel_basis``, ``LieAlgebra.center`` and the exterior center all end
+there.
 
 The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 ``fractions.Fraction``s, but the work runs on plain ``int``.  The
@@ -34,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Scalar = Fraction | int | str
 Vector = tuple[Fraction, ...]
@@ -362,54 +363,33 @@ def kernel_basis(m: Matrix) -> Subspace:
     return _kernel_from_builder(sb)
 
 
-class Quotient(NamedTuple):
-    """Quotient of Q^ambient by the span of relation vectors.
-
-    ``section_cols`` are the ambient coordinates (the non-pivot columns of
-    the relation RREF) whose unit vectors represent the quotient basis;
-    ``projection`` maps ambient coordinates onto quotient coordinates and
-    its kernel is exactly the relation span.
-    """
-
-    dim: int
-    projection: Matrix
-    section_cols: tuple[int, ...]
-
-
-def quotient_with_section(ambient_dim: int, relations: Iterable[Sequence[Scalar]]) -> Quotient:
-    sb = SpanBuilder(ambient_dim)
-    for r in relations:
-        sb.add(r)
-    return _quotient_from_builder(sb)
-
-
-def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], list[tuple[int, list[int]]]]:
-    """The section columns of the rows fed to ``sb`` and the canonical
-    projection's row at each, as ``(d, d * row)`` on ints.
+def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    """``(section, d, rows)``: the section columns of the rows fed to
+    ``sb`` and d times the canonical projection's row at each, on ints
+    over one common denominator d.  The one maker of a projection.
 
     With r_p the reduced pivot row led by p, the row at section column q
     is e_q - sum_p (r_p[q] / r_p[p]) e_p, and d is the lcm of the
-    (positive) leads r_p[p] it uses.  These rows kill every r_p, so they
-    are also a basis of the right kernel."""
+    (positive) leads r_p[p].  These rows kill every r_p, so they are
+    also a basis of the right kernel."""
     reduced = sb._reduced_pivot_rows()
     section = tuple(j for j in range(sb.ncols) if j not in reduced)
+    d = math.lcm(*(r[p] for p, r in reduced.items()))
     rows = []
     for q in section:
-        used = [(p, r) for p, r in reduced.items() if r[q]]
-        d = math.lcm(*(r[p] for p, r in used))
         row = [0] * sb.ncols
         row[q] = d
-        for p, r in used:
-            row[p] = -r[q] * (d // r[p])
-        rows.append((d, row))
-    return section, rows
+        for p, r in reduced.items():
+            if r[q]:
+                row[p] = -r[q] * (d // r[p])
+        rows.append(row)
+    return section, d, rows
 
 
-def _quotient_from_builder(sb: SpanBuilder) -> Quotient:
-    section, rows = _projection_rows(sb)
+def _projection_matrix(ncols: int, d: int, rows: Sequence[Sequence[int]]) -> Matrix:
+    """The public ``Fraction`` matrix of int rows over the denominator d."""
     zero = Fraction(0)  # one shared zero: the projection is sparse
-    data = tuple(tuple(Fraction(x, d) if x else zero for x in row) for d, row in rows)
-    return Quotient(len(section), Matrix(len(section), sb.ncols, data), section)
+    return Matrix(len(rows), ncols, tuple(tuple(Fraction(x, d) if x else zero for x in row) for row in rows))
 
 
 def _kernel_from_builder(sb: SpanBuilder) -> Subspace:
@@ -417,7 +397,7 @@ def _kernel_from_builder(sb: SpanBuilder) -> Subspace:
     canonical projection rows, eliminated once on ints.  Every kernel in
     the package ends here."""
     kernel = SpanBuilder(sb.ncols)
-    for _, row in _projection_rows(sb)[1]:
+    for row in _projection_rows(sb)[2]:
         kernel.add_int_row(row)
     return kernel.subspace()
 

@@ -320,24 +320,35 @@ class FractionBracketOracle:
         return LieAlgebra(self.n, consts)
 
     def quotient(self, s):
-        """L / S with its projection: the quotient basis is the unit
-        vectors e_c at the non-pivot columns c of S, and the projection
-        of [e_c, e_d] gives the structure constants."""
+        """L / S with its projection, read off the RREF rows z_r of S with
+        pivot columns p_r: the quotient basis is the unit vectors e_q at
+        the other columns q, the projection's row at q is
+        e_q - sum_r z_r[q] e_(p_r), and the projection of [e_c, e_d]
+        gives the structure constants."""
         from liecap.lie import LieAlgebra
-        from liecap.linalg import quotient_with_section
+        from liecap.linalg import Matrix
 
-        q = quotient_with_section(self.n, s.basis.data)
-        columns = q.projection.transpose().data
+        rref = s.basis.data
+        pivots = [next(j for j, x in enumerate(z) if x) for z in rref]
+        section = [q for q in range(self.n) if q not in pivots]
+        rows = []
+        for q in section:
+            row = [Fraction(int(j == q)) for j in range(self.n)]
+            for z, p in zip(rref, pivots):
+                row[p] -= z[q]
+            rows.append(row)
+        projection = Matrix.from_rows(rows, cols=self.n)
+        columns = projection.transpose().data
         consts = {}
-        for a, b in itertools.combinations(range(q.dim), 2):
-            out = [Fraction(0)] * q.dim
-            for t, x in self.basis[q.section_cols[a]][q.section_cols[b]]:
+        for a, b in itertools.combinations(range(len(section)), 2):
+            out = [Fraction(0)] * len(section)
+            for t, x in self.basis[section[a]][section[b]]:
                 for r, y in enumerate(columns[t]):
                     if y:
                         out[r] += x * y
             consts[(a, b)] = out
-        labels = [self.labels[c] for c in q.section_cols]
-        return LieAlgebra(q.dim, consts, labels), q.projection
+        labels = [self.labels[c] for c in section]
+        return LieAlgebra(len(section), consts, labels), projection
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -98,6 +99,32 @@ def test_validate_witness_with_noncentral_derived_line(tmp_path, capsys, seed):
     code, _, err = run(capsys, "validate", str(path))
     assert code == EXIT_INVALID
     assert err == f"invalid: Jacobi identity fails at basis triple {expected}\n"
+
+
+def test_analyze_reports_jacobi_triple(tmp_path, capsys):
+    # [e1,e2] = e4 and [e3,e4] = e4 fails the Jacobi identity at (0, 1, 2)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(algebra_to_doc(LieAlgebra(4, {(0, 1): (0, 0, 0, 1), (2, 3): (0, 0, 0, 1)}))))
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == EXIT_INVALID
+    doc = {"input": {"source": str(path)}, "validation": {"ok": False, "jacobi_violation": [0, 1, 2]}}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert err == ""
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "validation: Jacobi identity fails at basis triple (0, 1, 2)\n"
+
+
+def test_capability_disagreement_exits_3(capsys, monkeypatch):
+    # a closed form that calls H(1) incapable contradicts its exterior
+    # center, which is zero: a defect, never a verdict
+    classify = cli.classify
+    monkeypatch.setattr(cli, "classify", lambda algebra: replace(classify(algebra), capable=False))
+    code, out, err = run(capsys, "analyze", "H(1)")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal check failed: closed form says capable=False, construction says True\n"
 
 
 def test_derived_basis_defect_exits_3(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from liecap.decompose import (
     heisenberg_decompose,
 )
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Matrix, kernel_basis, unit_vector
+from liecap.linalg import Matrix, Subspace, kernel_basis, unit_vector
 
 
 def test_induced_form_heisenberg():
@@ -255,3 +255,22 @@ def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
         heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
     assert main(["analyze", "H(1)+A(1)", "--method", "formula"]) == EXIT_INTERNAL
     assert "derived generator is not central" in capsys.readouterr().err
+
+
+def test_symplectic_reduction_checks_the_rank(monkeypatch):
+    # a radical that loses its rows no longer completes the pairs to a basis
+    class Lossy(decompose.SpanBuilder):
+        def add_int_row(self, row):
+            return False
+
+    monkeypatch.setattr(decompose, "SpanBuilder", Lossy)
+    with pytest.raises(DecompositionCheckError, match="symplectic reduction lost rank"):
+        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
+
+
+def test_abelian_factor_must_complete_the_pairs(monkeypatch):
+    # with the center lost, the split of H(1) + A(1) has no abelian factor,
+    # one short of the k = 1 the form's radical counts
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.zero(self.dim))
+    with pytest.raises(DecompositionCheckError, match="abelian factor does not complete"):
+        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))

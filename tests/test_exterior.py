@@ -398,21 +398,28 @@ def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
 def test_self_check_catches_bad_projection(monkeypatch, algebra):
     # a projection that is wrong at one relation pivot column no longer
     # kills im d3, so d2 does not factor through it
-    quotient_from_builder = exterior._quotient_from_builder
+    projection_rows = exterior._projection_rows
     pairs = list(combinations(range(algebra.dim), 2))
 
     def perturbed(sb):
-        q = quotient_from_builder(sb)
+        section, d, rows = projection_rows(sb)
         # a quotient coordinate whose basis wedge has a nonzero bracket
-        s = next(s for s, col in enumerate(q.section_cols) if any(algebra.bracket_basis(*pairs[col])))
-        p = sb.pivot_cols()[0]
-        rows = [list(r) for r in q.projection.data]
-        rows[s][p] += 1
-        return q._replace(projection=Matrix.from_rows(rows, cols=q.projection.cols))
+        s = next(s for s, col in enumerate(section) if any(algebra.bracket_basis(*pairs[col])))
+        rows[s][sb.pivot_cols()[0]] += 1
+        return section, d, rows
 
     exterior_square.__wrapped__(algebra)  # the unperturbed square passes
-    monkeypatch.setattr(exterior, "_quotient_from_builder", perturbed)
+    monkeypatch.setattr(exterior, "_projection_rows", perturbed)
     with pytest.raises(ConstructionError, match=SURVIVES):
+        exterior_square.__wrapped__(algebra)
+
+
+def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch):
+    # with [L, L] taken as all of H(1), the bracket still factors through
+    # the quotient, but its image is a line, not the whole of [L, L]
+    algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})  # a fresh H(1): its memo is empty
+    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", lambda self: Subspace.full(self.dim))
+    with pytest.raises(ConstructionError, match="commutator map is not surjective"):
         exterior_square.__wrapped__(algebra)
 
 

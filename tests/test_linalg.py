@@ -14,8 +14,9 @@ from liecap.linalg import (
     Matrix,
     SpanBuilder,
     Subspace,
+    _projection_matrix,
+    _projection_rows,
     kernel_basis,
-    quotient_with_section,
     random_invertible,
     unit_vector,
 )
@@ -122,46 +123,64 @@ def test_kernel_vectors_annihilate(m):
 # -- quotients -----------------------------------------------------------------
 
 
+def projection_of(ncols, relations):
+    """The section columns and the public projection that kill the span
+    of ``relations``, from ``_projection_rows`` and ``_projection_matrix``."""
+    sb = SpanBuilder(ncols)
+    for r in relations:
+        sb.add(r)
+    section, d, rows = _projection_rows(sb)
+    # one common denominator: every row is d times e_q plus pivot entries
+    assert [row[q] for row, q in zip(rows, section)] == [d] * len(section)
+    return section, _projection_matrix(ncols, d, rows)
+
+
 def test_quotient_by_nothing_is_identity():
-    q = quotient_with_section(3, [])
-    assert q.dim == 3
-    assert q.projection == Matrix.identity(3)
-    assert q.section_cols == (0, 1, 2)
+    section, projection = projection_of(3, [])
+    assert projection == Matrix.identity(3)
+    assert section == (0, 1, 2)
 
 
 def test_quotient_by_axis():
-    q = quotient_with_section(3, [unit_vector(3, 0)])
-    assert q.dim == 2
-    assert q.projection.mul_vec(unit_vector(3, 0)) == (Fraction(0), Fraction(0))
+    section, projection = projection_of(3, [unit_vector(3, 0)])
+    assert len(section) == 2
+    assert projection.mul_vec(unit_vector(3, 0)) == (Fraction(0), Fraction(0))
 
 
 def test_quotient_rank_two_relations():
     relations = [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, -1, 0)]
     # independent rank via minors: the quotient dimension must be 4 - rank
     expected_rank = rank_by_minors([[Fraction(x) for x in r] for r in relations])
-    q = quotient_with_section(4, relations)
-    assert q.dim == 4 - expected_rank == 2
-    zero = (Fraction(0),) * q.dim
+    section, projection = projection_of(4, relations)
+    assert len(section) == 4 - expected_rank == 2
+    zero = (Fraction(0),) * len(section)
     for r in relations:
-        assert q.projection.mul_vec(r) == zero
+        assert projection.mul_vec(r) == zero
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_rows=5, max_cols=5))
 def test_quotient_projection_properties(m):
-    q = quotient_with_section(m.cols, list(m.data))
-    assert q.dim == m.cols - m.rank()
-    zero = (Fraction(0),) * q.dim
+    section, projection = projection_of(m.cols, list(m.data))
+    assert len(section) == m.cols - m.rank()
+    zero = (Fraction(0),) * len(section)
     for r in m.data:
-        assert q.projection.mul_vec(r) == zero
-    assert q.projection.rank() == q.dim
+        assert projection.mul_vec(r) == zero
+    assert projection.rank() == len(section)
+
+
+def test_projection_rows_share_one_denominator():
+    # the reduced relations lead with 2 and 3, each used by one section column
+    sb = SpanBuilder(4)
+    for r in [(2, 1, 0, 0), (0, 0, 3, 1)]:
+        sb.add(r)
+    assert _projection_rows(sb) == ((1, 3), 6, [[-3, 6, 0, 0], [0, 0, -2, 6]])
 
 
 def test_quotient_section_round_trip():
-    q = quotient_with_section(4, [(1, 2, 0, 0)])
-    for s, col in enumerate(q.section_cols):
-        image = q.projection.mul_vec(unit_vector(4, col))
-        assert image == unit_vector(q.dim, s)
+    section, projection = projection_of(4, [(1, 2, 0, 0)])
+    for s, col in enumerate(section):
+        assert projection.mul_vec(unit_vector(4, col)) == unit_vector(len(section), s)
 
 
 # -- subspaces and helpers -------------------------------------------------------

@@ -82,8 +82,8 @@ MUTANTS = (
     Mutant(
         "quotient: cut at q + 1",
         "lie.py",
-        "rewritten._leading_block(q.dim, [self.labels[c] for c in q.section_cols])",
-        'rewritten._leading_block(q.dim + 1, [*(self.labels[c] for c in q.section_cols), "x"])',
+        "rewritten._leading_block(len(cols), [self.labels[c] for c in cols])",
+        'rewritten._leading_block(len(cols) + 1, [*(self.labels[c] for c in cols), "x"])',
         (
             "tests/test_lie.py::test_quotient_by_zero_ideal_is_same_algebra",
             "tests/test_lie.py::test_quotient_heisenberg_by_derived_is_abelian",
@@ -198,13 +198,11 @@ MUTANTS = (
     Mutant(
         "exterior square: a perturbed projection entry",
         "exterior.py",
-        """    quotient = _quotient_from_builder(sb)
+        """    section, d, rows = _projection_rows(sb)
 """,
-        """    quotient = _quotient_from_builder(sb)
-    if sb.rank and quotient.dim:
-        perturbed = [list(row) for row in quotient.projection.data]
-        perturbed[-1][sb.pivot_cols()[0]] += 1
-        quotient = quotient._replace(projection=Matrix.from_rows(perturbed, cols=len(pairs)))
+        """    section, d, rows = _projection_rows(sb)
+    if sb.rank and section:
+        rows[-1][sb.pivot_cols()[0]] += 1
 """,
         (
             "tests/test_exterior.py::test_commutator_map_is_surjective",
@@ -215,10 +213,31 @@ MUTANTS = (
         "exterior square: the gate reads the section columns",
         "exterior.py",
         "for p in sb.pivot_cols():",
-        "for p in quotient.section_cols:",
+        "for p in section:",
         (
             "tests/test_exterior.py::test_self_check_catches_bad_projection",
             "tests/test_exterior.py::test_self_check_catches_bad_relation",
+        ),
+    ),
+    Mutant(
+        "exterior square: the surjectivity check dropped",
+        "exterior.py",
+        """    if commutator_map.rank() != derived.dim:
+        raise ConstructionError("commutator map is not surjective onto [L, L]")
+""",
+        "",
+        (
+            "tests/test_exterior.py::test_self_check_catches_a_map_that_misses_the_derived_subalgebra",
+        ),
+    ),
+    Mutant(
+        "projection matrix: denominator off by one",
+        "linalg.py",
+        "Fraction(x, d) if x else zero",
+        "Fraction(x, d + 1) if x else zero",
+        (
+            "tests/test_lie.py::test_quotient_by_zero_ideal_is_same_algebra",
+            "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
         ),
     ),
     Mutant(
@@ -228,6 +247,19 @@ MUTANTS = (
         "if j >= n1:",
         (
             "tests/test_exterior.py::test_split_checks_brackets_stay_in_derived_coordinates",
+        ),
+    ),
+    Mutant(
+        "capability: the disagreement check dropped",
+        "capability.py",
+        """    if verdict.capable != constructed:
+        raise CapabilityDisagreement(
+            f"closed form says capable={verdict.capable}, construction says {constructed}"
+        )
+""",
+        "",
+        (
+            "tests/test_cli.py::test_capability_disagreement_exits_3",
         ),
     ),
     Mutant(
