@@ -17,16 +17,30 @@ multiplier M(L) = H_2(L) = ker d2 / im d3 is its kernel, so
 
 The quotient is taken with canonical coordinates (non-pivot columns of
 the relation RREF), which makes all reported bases and projections
-deterministic.  Every construction self-checks that d2 o d3 = 0 by
-checking that d2 factors through the quotient: the commutator map,
-composed with the projection, must give back d2 at every pivot column
-of the relation RREF.  That holds exactly when d2 kills each reduced
-relation row, and those rows are a basis of im d3.  Since
-d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator of the triple, which
-``LieAlgebra.validate`` has already checked, a failure signals a
-defect, and raises.  The check runs on ints: on the projection rows of
-``linalg._projection_rows`` over their one common denominator, and on
-d2 over the algebra's.
+deterministic.
+
+One integer construction, ``_square_core``, holds L ^ L: the section
+columns, the projection rows of ``linalg._projection_rows`` over their
+one common denominator as sparse dicts, and d2 on the section.  The relation rows are sparse, and the elimination sees only
+the columns some row touches, re-indexed in order; every untouched
+column is a section column.  It stops feeding rows once the rank equals
+the number of touched columns, since the span is then the whole
+coordinate subspace on them.  In H(m), written with z first, every row
+lies in the 2m columns z ^ e_l, so the stop comes after a few of the
+C(2m, 3) rows.
+
+The core self-checks that d2 o d3 = 0 by checking that d2 factors
+through the quotient: the commutator map, composed with the projection,
+must give back d2 at every pivot column of the relation RREF.  That
+holds exactly when d2 kills each reduced relation row, and those rows
+are a basis of im d3.  Since d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator
+of the triple, which ``LieAlgebra.validate`` has already checked, a
+failure signals a defect, and raises.  It also checks that the
+commutator map is onto [L, L], by the rank of its int rows.  Both
+checks run on ints, on the projection columns over their denominator
+and on d2 over the algebra's.  The dimensions, the exterior center and
+``ideal_wedge_image`` read the core; only ``exterior_square``, the
+public object, turns it into ``Fraction`` matrices.
 
 ``exterior_square`` builds L ^ L for the algebra as given.  The
 dimensions, the multiplier and the exterior center are taken instead
@@ -47,6 +61,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linalg import (
     Matrix,
@@ -54,7 +69,6 @@ from .linalg import (
     Subspace,
     Vector,
     _kernel_from_builder,
-    _normalize_int,
     _over_common_denominator,
     _projection_matrix,
     _projection_rows,
@@ -78,8 +92,6 @@ class ExteriorSquare:
     e_i ^ e_j, i < j, in lexicographic order) onto the quotient;
     ``commutator_map`` maps quotient coordinates to coordinates in the
     derived subalgebra (it is surjective by construction).
-    ``projection_ints`` is the projection times the common denominator
-    of ``linalg._projection_rows``.
     """
 
     dim: int
@@ -89,7 +101,6 @@ class ExteriorSquare:
     projection: Matrix
     commutator_map: Matrix
     derived: Subspace
-    projection_ints: tuple[tuple[int, ...], ...]
 
     def wedge(self, x, y) -> Vector:
         """Class of x ^ y in quotient coordinates."""
@@ -110,51 +121,92 @@ class ExteriorSquare:
         return self.quotient_dim - self.derived.dim
 
 
-def _wedge_index(n: int, i: int, j: int) -> int:
-    """Position of e_i ^ e_j (i < j) in the lexicographic basis of Lambda^2 L."""
-    return i * (2 * n - i - 1) // 2 + j - i - 1
+def _wedge_table(n: int) -> list[list[tuple[int, int] | None]]:
+    """``wedge[a][b] = (c, sign)`` with e_a ^ e_b = sign times the basis
+    wedge in column c of Lambda^2 L, the lexicographic basis e_i ^ e_j
+    (i < j); None for a == b."""
+    wedge: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
+    for c, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        wedge[i][j] = (c, 1)
+        wedge[j][i] = (c, -1)
+    return wedge
 
 
-def _wedge_maps(square: ExteriorSquare) -> list[list[list[int]]]:
-    """The matrices of x -> x ^ e_j on ints, read off
-    ``projection_ints``: ``maps[j][s][i]`` is D times coordinate s of the
-    class of e_i ^ e_j for the projection's common denominator D, which
-    is the column of e_i ^ e_j for i < j, the negated column of e_j ^ e_i
-    for i > j and zero for i = j."""
-    n = square.dim
-    maps = [[[0] * n for _ in square.projection_ints] for _ in range(n)]
-    for col, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        for s, row in enumerate(square.projection_ints):
-            maps[j][s][i], maps[i][s][j] = row[col], -row[col]
-    return maps
-
-
-def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[list[int]]:
-    """d3(e_i ^ e_j ^ e_k) for every i < j < k, as normalized integer rows
-    in the lexicographic Lambda^2 basis, from the integer bracket table
-    ``LieAlgebra._rows``; zero rows are dropped."""
-    # wedge_with[k]: (l, column of e_l ^ e_k, sign) for every l != k
-    wedge_with = [
-        [(l, _wedge_index(n, min(l, k), max(l, k)), 1 if l < k else -1) for l in range(n) if l != k]
-        for k in range(n)
-    ]
-    rows: list[list[int]] = []
+def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[dict[int, int]]:
+    """d3(e_i ^ e_j ^ e_k) for every i < j < k, as sparse integer rows
+    ``{column: entry}`` in the lexicographic Lambda^2 basis, from the
+    integer bracket table ``LieAlgebra._rows``; zero rows are dropped."""
+    wedge = _wedge_table(n)
+    support = {key: [(l, v) for l, v in enumerate(c) if v] for key, c in table.items()}
+    rows: list[dict[int, int]] = []
     for i, j, k in itertools.combinations(range(n), 3):
         # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i + [e_k,e_i] ^ e_j, with [e_k,e_i] = -[e_i,e_k]
-        terms = ((table.get((i, j)), k, 1), (table.get((j, k)), i, 1), (table.get((i, k)), j, -1))
-        if all(c is None for c, _, _ in terms):
-            continue
-        dense = [0] * (n * (n - 1) // 2)
+        terms = ((support.get((i, j)), k, 1), (support.get((j, k)), i, 1), (support.get((i, k)), j, -1))
+        row: dict[int, int] = {}
         for c, last, sign in terms:
-            if c is not None:
-                for l, col, s in wedge_with[last]:
-                    v = c[l]
-                    if v:
-                        dense[col] += sign * s * v
-        row = _normalize_int(dense)
-        if row is not None:
+            for l, v in c or ():
+                w = wedge[l][last]
+                if w is not None:
+                    row[w[0]] = row.get(w[0], 0) + sign * w[1] * v
+        row = {col: v for col, v in row.items() if v}
+        if row:
             rows.append(row)
     return rows
+
+
+def _relation_projection(
+    ncols: int, relations: list[dict[int, int]]
+) -> tuple[tuple[int, ...], int, tuple[dict[int, int], ...], tuple[int, ...]]:
+    """``(section, d, rows, pivots)`` for the span of the sparse
+    ``relations`` in Q^ncols: the section columns, the projection rows of
+    ``linalg._projection_rows`` over their one denominator d, each as a
+    sparse ``{column: entry}`` dict, and the pivot columns.
+
+    Only the columns that some relation touches are eliminated,
+    re-indexed in order, so the reduced rows are the full-width ones; an
+    untouched column q is a section column whose row is d e_q.  Rows stop
+    being fed once the rank equals the number of touched columns: the
+    span is then the whole coordinate subspace on them, which holds every
+    remaining row."""
+    touched = sorted({c for row in relations for c in row})
+    sb = SpanBuilder(len(touched))
+    for row in relations:
+        sb.add_int_row([row.get(c, 0) for c in touched])
+        if sb.rank == len(touched):
+            break
+    local, d, local_rows = _projection_rows(sb)
+    pivots = tuple(touched[x] for x in sb.pivot_cols())
+    reduced = {touched[q]: {touched[c]: v for c, v in enumerate(row) if v} for q, row in zip(local, local_rows)}
+    pivot_set = set(pivots)
+    section = tuple(q for q in range(ncols) if q not in pivot_set)
+    return section, d, tuple(reduced[q] if q in reduced else {q: d} for q in section), pivots
+
+
+class _SquareCore(NamedTuple):
+    """L ^ L on ints, the one construction every entry point of this
+    module reads; see ``_square_core``.  ``rows[s]`` is d times the row of
+    the canonical projection at the section column ``section[s]`` of
+    Lambda^2 L, as a sparse ``{column: entry}`` dict, and ``on_section[s]``
+    is d2 of that basis wedge in the certified coordinates of [L, L],
+    times the algebra's denominator.  It holds no reference to the
+    algebra: the cache hands one core to every equal algebra, whatever
+    its labels."""
+
+    dim: int
+    section: tuple[int, ...]
+    d: int
+    rows: tuple[dict[int, int], ...]
+    on_section: tuple[tuple[int, ...], ...]
+
+    def columns(self) -> list[list[tuple[int, int]]]:
+        """The projection by columns: ``columns[c]`` lists ``(s, x)`` for
+        every nonzero x = d times coordinate s of the class of the basis
+        wedge in column c."""
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.dim * (self.dim - 1) // 2)]
+        for s, row in enumerate(self.rows):
+            for c, x in row.items():
+                columns[c].append((s, x))
+        return columns
 
 
 # Bounded so that a long-lived caller does not keep every algebra it ever
@@ -163,50 +215,61 @@ _SQUARE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
-def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
-    """Build L ^ L with its commutator map.  Cached per algebra, for the
-    most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
+def _square_core(algebra: LieAlgebra) -> _SquareCore:
+    """The integer core of L ^ L, self-checked.  Cached per algebra, for
+    the most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
-    table = algebra._rows
     pairs = list(itertools.combinations(range(n), 2))
-    sb = SpanBuilder(len(pairs))
-    for row in _d3_rows(n, table):
-        sb.add_int_row(row)
-    section, d, rows = _projection_rows(sb)
+    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
 
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
     # of [L, L], which the algebra certifies as it reads them off; alpha
     # holds them times the algebra's denominator, on ints
-    derived = algebra.derived_subalgebra()
+    m = algebra.derived_subalgebra().dim
     alpha = algebra._derived_coordinates().alpha
-    zero = [0] * derived.dim
-    d2 = [alpha.get(pair, zero) for pair in pairs]
-    on_section = [d2[q] for q in section]
+    zero = (0,) * m
+    on_section = tuple(tuple(alpha.get(pairs[q], zero)) for q in section)
+    core = _SquareCore(n, section, d, rows, on_section)
     # d2 o d3 = 0 exactly when d2 factors through the projection: on a
     # section column it does by construction, and at a relation pivot p
     # it does exactly when d2 kills the reduced relation row led by p:
     # sum_s d2[q_s] rows[s][p] = d d2[p] for the section columns q_s
-    for p in sb.pivot_cols():
-        if any(sum(a[t] * row[p] for a, row in zip(on_section, rows)) != d * x for t, x in enumerate(d2[p])):
+    columns = core.columns()
+    for p in pivots:
+        d2 = alpha.get(pairs[p], zero)
+        if any(sum(on_section[s][t] * x for s, x in columns[p]) != d * y for t, y in enumerate(d2)):
             raise ConstructionError("relation vector survives the commutator map")
+    image = SpanBuilder(len(section))
+    for t in range(m):
+        image.add_int_row([a[t] for a in on_section])
+    if image.rank != m:
+        raise ConstructionError("commutator map is not surjective onto [L, L]")
+    return core
+
+
+@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
+    """Build L ^ L with its commutator map: the public ``Fraction`` form
+    of ``_square_core``.  Cached per algebra, like the core."""
+    core = _square_core(algebra)
+    n = algebra.dim
+    ambient = n * (n - 1) // 2
+    dense = [[row.get(c, 0) for c in range(ambient)] for row in core.rows]
+    derived = algebra.derived_subalgebra()
     commutator_map = Matrix(
         derived.dim,
-        len(section),
-        tuple(tuple(Fraction(a[t], algebra._den) for a in on_section) for t in range(derived.dim)),
+        len(core.section),
+        tuple(tuple(Fraction(a[t], algebra._den) for a in core.on_section) for t in range(derived.dim)),
     )
-    if commutator_map.rank() != derived.dim:
-        raise ConstructionError("commutator map is not surjective onto [L, L]")
-
     return ExteriorSquare(
         dim=n,
-        ambient_dim=len(pairs),
-        relation_rank=sb.rank,
-        quotient_dim=len(section),
-        projection=_projection_matrix(len(pairs), d, rows),
+        ambient_dim=ambient,
+        relation_rank=ambient - len(core.section),
+        quotient_dim=len(core.section),
+        projection=_projection_matrix(ambient, core.d, dense),
         commutator_map=commutator_map,
         derived=derived,
-        projection_ints=tuple(map(tuple, rows)),
     )
 
 
@@ -237,7 +300,7 @@ def exterior_square_dim(algebra: LieAlgebra) -> int:
     """dim(L ^ L) = dim(L1 ^ L1) + k dim(L1/[L1, L1]) + k(k - 1)/2, from
     the Kunneth terms of the split L = L1 + A(k)."""
     factor, m, k = _split_factor(algebra)
-    return exterior_square(factor).quotient_dim + k * (factor.dim - m) + k * (k - 1) // 2
+    return len(_square_core(factor).section) + k * (factor.dim - m) + k * (k - 1) // 2
 
 
 def multiplier_dim(algebra: LieAlgebra) -> int:
@@ -248,13 +311,23 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def _square_center(algebra: LieAlgebra) -> Subspace:
     """{x : x ^ y = 0 for every y} in L ^ L: the kernel of the stacked
-    maps x -> x ^ e_j, eliminated on ints and taken through
-    ``linalg._kernel_from_builder``.  Cached per algebra, like
-    ``exterior_square``."""
-    square = exterior_square(algebra)
-    sb = SpanBuilder(square.dim)
-    for rows in _wedge_maps(square):
-        for row in rows:
+    maps x -> x ^ e_j, read off the projection columns of
+    ``_square_core``, eliminated on ints and taken through
+    ``linalg._kernel_from_builder``.  Cached per algebra, like the core."""
+    core = _square_core(algebra)
+    n = core.dim
+    columns = core.columns()
+    wedge = _wedge_table(n)
+    sb = SpanBuilder(n)
+    for j in range(n):
+        # equations[s][i]: d times coordinate s of the class of e_i ^ e_j
+        equations: dict[int, list[int]] = {}
+        for i in range(n):
+            if i != j:
+                c, sign = wedge[i][j]
+                for s, x in columns[c]:
+                    equations.setdefault(s, [0] * n)[i] = sign * x
+        for row in equations.values():
             sb.add_int_row(row)
     return _kernel_from_builder(sb)
 
@@ -300,15 +373,24 @@ def quotient_exterior_dim(algebra: LieAlgebra, ideal: Subspace) -> int:
 
 
 def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
-    """Image of L ^ N inside L ^ L, for a central ideal N."""
+    """Image of L ^ N inside L ^ L, for a central ideal N, read off the
+    projection columns of ``_square_core``."""
     _require_central_ideal(algebra, ideal)
-    square = exterior_square(algebra)
+    core = _square_core(algebra)
+    columns = core.columns()
+    wedge = _wedge_table(algebra.dim)
     _, ints = _over_common_denominator(ideal.basis.data)
-    sb = SpanBuilder(square.quotient_dim)
-    for rows in _wedge_maps(square):
+    sb = SpanBuilder(len(core.section))
+    for j in range(algebra.dim):
         for u in ints:
-            # D d times the class of u ^ e_j, for u's denominator d
-            sb.add_int_row([sum(x * c for x, c in zip(row, u)) for row in rows])
+            # d D times the class of u ^ e_j, for u's denominator D
+            row = [0] * len(core.section)
+            for i, x in enumerate(u):
+                if x and i != j:
+                    c, sign = wedge[i][j]
+                    for s, y in columns[c]:
+                        row[s] += sign * x * y
+            sb.add_int_row(row)
     return sb.subspace()
 
 

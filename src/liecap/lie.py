@@ -359,13 +359,16 @@ class LieAlgebra:
     @_once
     def _abelian_split(self) -> _AbelianSplit:
         """The canonical split L = L1 + A; see ``_AbelianSplit``.  Computed
-        once per instance, from the center and [L, L] alone."""
+        once per instance, from the center and [L, L] alone, eliminated
+        on their int rows."""
         n = self.dim
         derived = self.derived_subalgebra().basis.data
         sb = SpanBuilder(n)
-        for z in derived:
-            sb.add(z)
-        factor = tuple(row for row in self.center().basis.data if sb.add(row))
+        for z in self._derived_coordinates().basis:
+            sb.add_int_row(list(z))
+        center = self.center().basis.data
+        _, ints = _over_common_denominator(center)
+        factor = tuple(row for row, x in zip(center, ints) if sb.add_int_row(x))
         pivots = set(sb.pivot_cols())
         completion = [unit_vector(n, i) for i in range(n) if i not in pivots]
         basis = Matrix.from_rows([*derived, *completion, *factor], cols=n)

@@ -187,6 +187,35 @@ def symbol_exterior_square(algebra):
     return quotient_dim, quotient_dim - algebra.derived_subalgebra().dim, center
 
 
+def full_width_projection(algebra):
+    """``(section, d, rows)`` of the projection of Lambda^2 L onto L ^ L
+    from an elimination of every d3 row at the full width C(n, 2), with no
+    stop, run through ``linalg._projection_rows``: dense int rows over one
+    denominator d, the oracle of the re-indexed core in ``exterior``."""
+    from liecap.exterior import _d3_rows
+    from liecap.linalg import SpanBuilder, _projection_rows
+
+    n = algebra.dim
+    width = n * (n - 1) // 2
+    sb = SpanBuilder(width)
+    for row in _d3_rows(n, algebra._rows):
+        dense = [0] * width
+        for col, v in row.items():
+            dense[col] = v
+        sb.add_int_row(dense)
+    return _projection_rows(sb)
+
+
+def core_projection(algebra):
+    """``(section, d, rows)`` of ``exterior._square_core``, with its sparse
+    rows written out at the full width C(n, 2)."""
+    from liecap.exterior import _square_core
+
+    core = _square_core(algebra)
+    width = algebra.dim * (algebra.dim - 1) // 2
+    return core.section, core.d, [[row.get(col, 0) for col in range(width)] for row in core.rows]
+
+
 def form_value(gram, x, y):
     """f(x, y) = x . (G y) for the alternating form with Gram matrix G."""
     from liecap.linalg import dot

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import central_extensions
+from conftest import central_extensions, core_projection, full_width_projection
 from liecap.capability import decide_capability
 from liecap.exterior import (
     exterior_center,
@@ -47,6 +47,9 @@ def test_exterior_square_properties_on_central_extensions(pair):
         assert 2 * multiplier_dim(algebra) <= (n + m - 2) * (n - m - 1) + 2
     # the split L = L1 + A(k) against the full construction of L ^ L
     assert exterior_square_dim(algebra) == exterior_square(algebra).quotient_dim
+    # the re-indexed core, which may stop early, against the full width
+    for each in pair:
+        assert core_projection(each) == full_width_projection(each)
     # the collapse criterion against membership in Z^(L)
     for x in center.basis.data:
         assert ideal_in_exterior_center(algebra, Subspace.span(n, [x])) == exterior.contains(x)

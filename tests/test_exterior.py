@@ -5,6 +5,7 @@ differential check against the n^2-symbol construction."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import null_space, symbol_exterior_square
+from conftest import core_projection, full_width_projection, null_space, symbol_exterior_square
 
 from liecap import cli, exterior, lie
 from liecap.exterior import (
     ConstructionError,
     _d3_rows,
-    _wedge_index,
     exterior_center,
     exterior_square,
     exterior_square_dim,
@@ -30,7 +30,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import InvalidAlgebraError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Matrix, Subspace, _normalize_int, unit_vector, vec_add, zero_vector
+from liecap.linalg import Matrix, SpanBuilder, Subspace, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -308,10 +308,16 @@ def test_central_collapse_exactness(seed):
 SURVIVES = "relation vector survives the commutator map"
 
 
+def _sparse(rows):
+    """Dense int rows as the sparse rows of ``_d3_rows``, zero rows dropped."""
+    return [{col: v for col, v in enumerate(r) if v} for r in rows if any(r)]
+
+
 def _square_with_d3_rows(monkeypatch, algebra, rows):
-    """Build L ^ L, bypassing the cache, from the given relation rows."""
-    monkeypatch.setattr(exterior, "_d3_rows", lambda n, table: [list(r) for r in rows])
-    return exterior_square.__wrapped__(algebra)
+    """Build the core of L ^ L, bypassing the cache, from the given dense
+    relation rows."""
+    monkeypatch.setattr(exterior, "_d3_rows", lambda n, table: _sparse(rows))
+    return exterior._square_core.__wrapped__(algebra)
 
 
 def test_self_check_catches_bad_relation(monkeypatch):
@@ -331,6 +337,11 @@ def _dense_brackets(table, n):
     return ibr
 
 
+def _column(n, i, j):
+    """Column of e_i ^ e_j (i < j) in the lexicographic basis of Lambda^2 L."""
+    return list(combinations(range(n), 2)).index((i, j))
+
+
 def _d3_rows_without(ibr, dropped):
     """d3(e_i ^ e_j ^ e_k) for i < j < k with the term number ``dropped``
     (0, 1 or 2; None keeps all three) of
@@ -344,7 +355,7 @@ def _d3_rows_without(ibr, dropped):
                 continue
             for l, x in enumerate(c):
                 if x and l != last:
-                    row[_wedge_index(n, min(l, last), max(l, last))] += x if l < last else -x
+                    row[_column(n, min(l, last), max(l, last))] += x if l < last else -x
         rows.append(row)
     return rows
 
@@ -379,8 +390,8 @@ def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
     table = algebra._rows
     ibr = _dense_brackets(table, n)
     full = _d3_rows_without(ibr, None)
-    assert [r for r in map(_normalize_int, full) if r is not None] == _d3_rows(n, table)
-    assert _square_with_d3_rows(monkeypatch, algebra, full) == exterior_square(algebra)
+    assert _sparse(full) == _d3_rows(n, table)
+    assert _square_with_d3_rows(monkeypatch, algebra, full) == exterior._square_core(algebra)
     for dropped in (0, 1, 2):
         rows = _d3_rows_without(ibr, dropped)
         if dropped in caught:
@@ -398,20 +409,20 @@ def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
 def test_self_check_catches_bad_projection(monkeypatch, algebra):
     # a projection that is wrong at one relation pivot column no longer
     # kills im d3, so d2 does not factor through it
-    projection_rows = exterior._projection_rows
+    relation_projection = exterior._relation_projection
     pairs = list(combinations(range(algebra.dim), 2))
 
-    def perturbed(sb):
-        section, d, rows = projection_rows(sb)
+    def perturbed(ncols, relations):
+        section, d, rows, pivots = relation_projection(ncols, relations)
         # a quotient coordinate whose basis wedge has a nonzero bracket
         s = next(s for s, col in enumerate(section) if any(algebra.bracket_basis(*pairs[col])))
-        rows[s][sb.pivot_cols()[0]] += 1
-        return section, d, rows
+        rows[s][pivots[0]] = rows[s].get(pivots[0], 0) + 1
+        return section, d, rows, pivots
 
-    exterior_square.__wrapped__(algebra)  # the unperturbed square passes
-    monkeypatch.setattr(exterior, "_projection_rows", perturbed)
+    exterior._square_core.__wrapped__(algebra)  # the unperturbed core passes
+    monkeypatch.setattr(exterior, "_relation_projection", perturbed)
     with pytest.raises(ConstructionError, match=SURVIVES):
-        exterior_square.__wrapped__(algebra)
+        exterior._square_core.__wrapped__(algebra)
 
 
 def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch):
@@ -420,22 +431,82 @@ def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch
     algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})  # a fresh H(1): its memo is empty
     monkeypatch.setattr(LieAlgebra, "derived_subalgebra", lambda self: Subspace.full(self.dim))
     with pytest.raises(ConstructionError, match="commutator map is not surjective"):
-        exterior_square.__wrapped__(algebra)
+        exterior._square_core.__wrapped__(algebra)
 
 
 def test_cached_square_carries_no_algebra():
-    # equal algebras share one cached square, whatever their labels, so
-    # the square must hold nothing of the algebra that built it
+    # equal algebras share one cached square and one cached core, whatever
+    # their labels, so neither may hold anything of the algebra that built it
     first = exterior_square(abelian(3))
     second = exterior_square(LieAlgebra(3, {}))
     assert second is first
     assert second.dim == 3
     assert not any(isinstance(v, LieAlgebra) for v in vars(second).values())
+    core = exterior._square_core(LieAlgebra(3, {(0, 1): (0, 0, 1)}, labels=("x", "y", "z")))
+    assert core is exterior._square_core(heisenberg(1))
+    assert core.dim == 3
+    assert not any(isinstance(v, LieAlgebra) for v in core)
 
 
 def test_exterior_square_cache_is_bounded():
-    maxsize = exterior_square.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < 10_000
+    for cached in (exterior_square, exterior._square_core):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
+
+
+def test_core_matches_full_width_elimination(frozen_catalog):
+    # the core eliminates only the columns the relations touch and stops
+    # at full rank there; its projection must be the full-width one
+    corpus = frozen_catalog + [("sl2", SL2), ("r2+A(2)", direct_sum(R2, abelian(2)))]
+    for name, algebra in corpus:
+        assert core_projection(algebra) == full_width_projection(algebra), name
+
+
+def _stop(monkeypatch, algebra):
+    """(relation rows fed, relation rows, touched columns, rank) of the
+    core of L1, the factor of the split L = L1 + A that the entry points
+    build."""
+    factor = exterior._split_factor(algebra)[0]
+    n = factor.dim
+    relations = _d3_rows(n, factor._rows)
+    fed = []
+
+    class Counting(SpanBuilder):
+        def add_int_row(self, row):
+            fed.append(row)
+            return super().add_int_row(row)
+
+    monkeypatch.setattr(exterior, "SpanBuilder", Counting)
+    _, _, _, pivots = exterior._relation_projection(n * (n - 1) // 2, relations)
+    touched = {col for row in relations for col in row}
+    return len(fed), len(relations), len(touched), len(pivots)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_elimination_stops_at_full_rank_on_heisenberg(monkeypatch, m):
+    # in the split basis [L1, L1] = <z> comes first, so every relation row
+    # lies in the 2m columns z ^ e_l: the rank reaches 2m and the rest of
+    # the C(2m, 3) rows are never fed (H(2) has only its 4 rows of rank 4)
+    fed, total, touched, rank = _stop(monkeypatch, scramble(direct_sum(heisenberg(m), abelian(2)), 40 + m))
+    assert rank == touched == 2 * m
+    assert total == math.comb(2 * m, 3)
+    assert fed < total or m == 2
+
+
+@pytest.mark.parametrize(
+    "algebra, expected",
+    [
+        (scramble(direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(1)), 47), (5, 9)),
+        (scramble(filiform(7), 48), None),
+    ],
+    ids=["H(1)+H(1)+A(1)", "L_7"],
+)
+def test_elimination_feeds_every_row_below_full_rank(monkeypatch, algebra, expected):
+    fed, total, touched, rank = _stop(monkeypatch, algebra)
+    assert fed == total
+    assert rank < touched
+    if expected is not None:
+        assert (rank, touched) == expected
 
 
 def test_d3_construction_matches_symbol_oracle(frozen_catalog):
@@ -465,7 +536,7 @@ def _full_exterior_center(algebra):
     def wedge(i, j):
         if i == j:
             return zero_vector(sq.quotient_dim)
-        col = sq.projection.column(_wedge_index(n, min(i, j), max(i, j)))
+        col = sq.projection.column(_column(n, min(i, j), max(i, j)))
         return col if i < j else tuple(-x for x in col)
 
     rows = []

@@ -188,8 +188,8 @@ MUTANTS = (
     Mutant(
         "d3: the [e_i, e_k] ^ e_j term dropped",
         "exterior.py",
-        "(table.get((j, k)), i, 1), (table.get((i, k)), j, -1))",
-        "(table.get((j, k)), i, 1))",
+        "(support.get((j, k)), i, 1), (support.get((i, k)), j, -1))",
+        "(support.get((j, k)), i, 1))",
         (
             "tests/test_extensions.py::test_exterior_square_properties_on_central_extensions",
             "tests/test_exterior.py::test_self_check_catches_dropped_d3_term",
@@ -198,11 +198,11 @@ MUTANTS = (
     Mutant(
         "exterior square: a perturbed projection entry",
         "exterior.py",
-        """    section, d, rows = _projection_rows(sb)
+        """    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
 """,
-        """    section, d, rows = _projection_rows(sb)
-    if sb.rank and section:
-        rows[-1][sb.pivot_cols()[0]] += 1
+        """    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
+    if pivots and rows:
+        rows[-1][pivots[0]] = rows[-1].get(pivots[0], 0) + 1
 """,
         (
             "tests/test_exterior.py::test_commutator_map_is_surjective",
@@ -212,7 +212,7 @@ MUTANTS = (
     Mutant(
         "exterior square: the gate reads the section columns",
         "exterior.py",
-        "for p in sb.pivot_cols():",
+        "for p in pivots:",
         "for p in section:",
         (
             "tests/test_exterior.py::test_self_check_catches_bad_projection",
@@ -222,12 +222,32 @@ MUTANTS = (
     Mutant(
         "exterior square: the surjectivity check dropped",
         "exterior.py",
-        """    if commutator_map.rank() != derived.dim:
+        """    if image.rank != m:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
 """,
         "",
         (
             "tests/test_exterior.py::test_self_check_catches_a_map_that_misses_the_derived_subalgebra",
+        ),
+    ),
+    Mutant(
+        "relation elimination: the stop one row early",
+        "exterior.py",
+        "if sb.rank == len(touched):",
+        "if sb.rank + 1 == len(touched):",
+        (
+            "tests/test_exterior.py::test_elimination_stops_at_full_rank_on_heisenberg",
+            "tests/test_exterior.py::test_core_matches_full_width_elimination",
+        ),
+    ),
+    Mutant(
+        "relation elimination: a touched column dropped from the re-indexing",
+        "exterior.py",
+        "touched = sorted({c for row in relations for c in row})",
+        "touched = sorted({c for row in relations for c in row})[1:]",
+        (
+            "tests/test_exterior.py::test_core_matches_full_width_elimination",
+            "tests/test_exterior.py::test_exterior_square_dims",
         ),
     ),
     Mutant(
