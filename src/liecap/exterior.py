@@ -19,9 +19,11 @@ The quotient is taken with canonical coordinates (non-pivot columns of
 the relation RREF), which makes all reported bases and projections
 deterministic.
 
-One integer construction, ``_square_core``, holds L ^ L: the section
-columns, the projection rows of ``linalg._projection_rows`` over their
-one common denominator as sparse dicts, and d2 on the section.  The relation rows are sparse, and the elimination sees only
+One cached construction, ``exterior_square``, holds L ^ L on ints:
+the section columns, the projection of ``linalg._projection_rows`` over
+its one common denominator, stored by columns, and d2 on the section.
+Its ``Fraction`` projection and commutator map are made only when they
+are read.  The relation rows are sparse, and the elimination sees only
 the columns some row touches, re-indexed in order; every untouched
 column is a section column.  It stops feeding rows once the rank equals
 the number of touched columns, since the span is then the whole
@@ -29,18 +31,18 @@ coordinate subspace on them.  In H(m), written with z first, every row
 lies in the 2m columns z ^ e_l, so the stop comes after a few of the
 C(2m, 3) rows.
 
-The core self-checks that d2 o d3 = 0 by checking that d2 factors
-through the quotient: the commutator map, composed with the projection,
-must give back d2 at every pivot column of the relation RREF.  That
-holds exactly when d2 kills each reduced relation row, and those rows
-are a basis of im d3.  Since d2(d3(e_i ^ e_j ^ e_k)) is the Jacobiator
-of the triple, which ``LieAlgebra.validate`` has already checked, a
-failure signals a defect, and raises.  It also checks that the
-commutator map is onto [L, L], by the rank of its int rows.  Both
+The construction self-checks that d2 o d3 = 0 by checking that d2
+factors through the quotient: the commutator map, composed with the
+projection, must give back d2 at every pivot column of the relation
+RREF.  That holds exactly when d2 kills each reduced relation row, and
+those rows are a basis of im d3.  Since d2(d3(e_i ^ e_j ^ e_k)) is the
+Jacobiator of the triple, which ``LieAlgebra.validate`` has already
+checked, a failure signals a defect, and raises.  It also checks that
+the commutator map is onto [L, L], by the rank of its int rows.  Both
 checks run on ints, on the projection columns over their denominator
 and on d2 over the algebra's.  The dimensions, the exterior center and
-``ideal_wedge_image`` read the core; only ``exterior_square``, the
-public object, turns it into ``Fraction`` matrices.
+``ideal_wedge_image`` read the int fields; the class of u ^ e_j comes
+from ``_wedge_class``.
 
 ``exterior_square`` builds L ^ L for the algebra as given.  The
 dimensions, the multiplier and the exterior center are taken instead
@@ -60,8 +62,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterable
 
 from .linalg import (
     Matrix,
@@ -84,23 +86,56 @@ class ConstructionError(RuntimeError):
 @dataclass(frozen=True)
 class ExteriorSquare:
     """The exterior square of an algebra of dimension ``dim`` in
-    canonical quotient coordinates.  It holds nothing else of the
-    algebra: the cache in ``exterior_square`` hands one instance to
+    canonical quotient coordinates, held on ints.  It holds nothing else
+    of the algebra: the cache in ``exterior_square`` hands one instance to
     every equal algebra, whatever its labels.
 
-    ``projection`` maps the C(n,2) coordinates of Lambda^2 L (basis
-    e_i ^ e_j, i < j, in lexicographic order) onto the quotient;
-    ``commutator_map`` maps quotient coordinates to coordinates in the
-    derived subalgebra (it is surjective by construction).
+    ``section`` lists the section columns of Lambda^2 L (basis e_i ^ e_j,
+    i < j, in lexicographic order), one per quotient coordinate.
+    ``columns[c]`` lists ``(s, x)`` for every nonzero x = d times
+    coordinate s of the class of the basis wedge in column c.
+    ``on_section[s]`` is the commutator of the basis wedge in column
+    ``section[s]`` in the coordinates of ``derived``, times ``den``.
+
+    ``projection`` maps the C(n,2) coordinates of Lambda^2 L onto the
+    quotient; ``commutator_map`` maps quotient coordinates to coordinates
+    in the derived subalgebra (it is surjective by construction).  They
+    are the ``Fraction`` forms of the int fields, made on first use.
     """
 
     dim: int
-    ambient_dim: int
-    relation_rank: int
-    quotient_dim: int
-    projection: Matrix
-    commutator_map: Matrix
+    section: tuple[int, ...]
+    d: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    on_section: tuple[tuple[int, ...], ...]
+    den: int
     derived: Subspace
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.dim * (self.dim - 1) // 2
+
+    @property
+    def quotient_dim(self) -> int:
+        return len(self.section)
+
+    @property
+    def relation_rank(self) -> int:
+        return self.ambient_dim - self.quotient_dim
+
+    @cached_property
+    def projection(self) -> Matrix:
+        rows = [[0] * self.ambient_dim for _ in self.section]
+        for c, column in enumerate(self.columns):
+            for s, x in column:
+                rows[s][c] = x
+        return _projection_matrix(self.ambient_dim, self.d, rows)
+
+    @cached_property
+    def commutator_map(self) -> Matrix:
+        m = self.derived.dim
+        data = tuple(tuple(Fraction(a[t], self.den) for a in self.on_section) for t in range(m))
+        return Matrix(m, self.quotient_dim, data)
 
     def wedge(self, x, y) -> Vector:
         """Class of x ^ y in quotient coordinates."""
@@ -121,22 +156,15 @@ class ExteriorSquare:
         return self.quotient_dim - self.derived.dim
 
 
-def _wedge_table(n: int) -> list[list[tuple[int, int] | None]]:
-    """``wedge[a][b] = (c, sign)`` with e_a ^ e_b = sign times the basis
-    wedge in column c of Lambda^2 L, the lexicographic basis e_i ^ e_j
-    (i < j); None for a == b."""
-    wedge: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
-    for c, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        wedge[i][j] = (c, 1)
-        wedge[j][i] = (c, -1)
-    return wedge
+def _column(n: int, i: int, j: int) -> int:
+    """Column of e_i ^ e_j (i < j) in the lexicographic basis of Lambda^2 L."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[dict[int, int]]:
     """d3(e_i ^ e_j ^ e_k) for every i < j < k, as sparse integer rows
     ``{column: entry}`` in the lexicographic Lambda^2 basis, from the
     integer bracket table ``LieAlgebra._rows``; zero rows are dropped."""
-    wedge = _wedge_table(n)
     support = {key: [(l, v) for l, v in enumerate(c) if v] for key, c in table.items()}
     rows: list[dict[int, int]] = []
     for i, j, k in itertools.combinations(range(n), 3):
@@ -145,9 +173,12 @@ def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[dict[int, 
         row: dict[int, int] = {}
         for c, last, sign in terms:
             for l, v in c or ():
-                w = wedge[l][last]
-                if w is not None:
-                    row[w[0]] = row.get(w[0], 0) + sign * w[1] * v
+                if l < last:
+                    col = _column(n, l, last)
+                    row[col] = row.get(col, 0) + sign * v
+                elif l > last:
+                    col = _column(n, last, l)
+                    row[col] = row.get(col, 0) - sign * v
         row = {col: v for col, v in row.items() if v}
         if row:
             rows.append(row)
@@ -156,11 +187,11 @@ def _d3_rows(n: int, table: dict[tuple[int, int], list[int]]) -> list[dict[int, 
 
 def _relation_projection(
     ncols: int, relations: list[dict[int, int]]
-) -> tuple[tuple[int, ...], int, tuple[dict[int, int], ...], tuple[int, ...]]:
-    """``(section, d, rows, pivots)`` for the span of the sparse
-    ``relations`` in Q^ncols: the section columns, the projection rows of
-    ``linalg._projection_rows`` over their one denominator d, each as a
-    sparse ``{column: entry}`` dict, and the pivot columns.
+) -> tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """``(section, d, columns, pivots)`` for the span of the sparse
+    ``relations`` in Q^ncols: the section columns, the projection of
+    ``linalg._projection_rows`` over its one denominator d by columns, as
+    in ``ExteriorSquare.columns``, and the pivot columns.
 
     Only the columns that some relation touches are eliminated,
     re-indexed in order, so the reduced rows are the full-width ones; an
@@ -176,37 +207,18 @@ def _relation_projection(
             break
     local, d, local_rows = _projection_rows(sb)
     pivots = tuple(touched[x] for x in sb.pivot_cols())
-    reduced = {touched[q]: {touched[c]: v for c, v in enumerate(row) if v} for q, row in zip(local, local_rows)}
     pivot_set = set(pivots)
     section = tuple(q for q in range(ncols) if q not in pivot_set)
-    return section, d, tuple(reduced[q] if q in reduced else {q: d} for q in section), pivots
-
-
-class _SquareCore(NamedTuple):
-    """L ^ L on ints, the one construction every entry point of this
-    module reads; see ``_square_core``.  ``rows[s]`` is d times the row of
-    the canonical projection at the section column ``section[s]`` of
-    Lambda^2 L, as a sparse ``{column: entry}`` dict, and ``on_section[s]``
-    is d2 of that basis wedge in the certified coordinates of [L, L],
-    times the algebra's denominator.  It holds no reference to the
-    algebra: the cache hands one core to every equal algebra, whatever
-    its labels."""
-
-    dim: int
-    section: tuple[int, ...]
-    d: int
-    rows: tuple[dict[int, int], ...]
-    on_section: tuple[tuple[int, ...], ...]
-
-    def columns(self) -> list[list[tuple[int, int]]]:
-        """The projection by columns: ``columns[c]`` lists ``(s, x)`` for
-        every nonzero x = d times coordinate s of the class of the basis
-        wedge in column c."""
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.dim * (self.dim - 1) // 2)]
-        for s, row in enumerate(self.rows):
-            for c, x in row.items():
-                columns[c].append((s, x))
-        return columns
+    reduced = {touched[x]: row for x, row in zip(local, local_rows)}
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for s, q in enumerate(section):
+        if q in reduced:
+            for x, v in enumerate(reduced[q]):
+                if v:
+                    columns[touched[x]].append((s, v))
+        else:
+            columns[q].append((s, d))
+    return section, d, tuple(map(tuple, columns)), pivots
 
 
 # Bounded so that a long-lived caller does not keep every algebra it ever
@@ -215,62 +227,49 @@ _SQUARE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
-def _square_core(algebra: LieAlgebra) -> _SquareCore:
-    """The integer core of L ^ L, self-checked.  Cached per algebra, for
-    the most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
+def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
+    """Build L ^ L with its commutator map, self-checked.  Cached per
+    algebra, for the most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
     algebra.require_valid()
     n = algebra.dim
     pairs = list(itertools.combinations(range(n), 2))
-    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
+    section, d, columns, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
 
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
     # of [L, L], which the algebra certifies as it reads them off; alpha
     # holds them times the algebra's denominator, on ints
-    m = algebra.derived_subalgebra().dim
+    derived = algebra.derived_subalgebra()
     alpha = algebra._derived_coordinates().alpha
-    zero = (0,) * m
+    zero = (0,) * derived.dim
     on_section = tuple(tuple(alpha.get(pairs[q], zero)) for q in section)
-    core = _SquareCore(n, section, d, rows, on_section)
     # d2 o d3 = 0 exactly when d2 factors through the projection: on a
     # section column it does by construction, and at a relation pivot p
     # it does exactly when d2 kills the reduced relation row led by p:
-    # sum_s d2[q_s] rows[s][p] = d d2[p] for the section columns q_s
-    columns = core.columns()
+    # sum of x d2[q_s] over (s, x) in columns[p] = d d2[p], for the
+    # section columns q_s
     for p in pivots:
         d2 = alpha.get(pairs[p], zero)
         if any(sum(on_section[s][t] * x for s, x in columns[p]) != d * y for t, y in enumerate(d2)):
             raise ConstructionError("relation vector survives the commutator map")
     image = SpanBuilder(len(section))
-    for t in range(m):
+    for t in range(derived.dim):
         image.add_int_row([a[t] for a in on_section])
-    if image.rank != m:
+    if image.rank != derived.dim:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
-    return core
+    return ExteriorSquare(n, section, d, columns, on_section, algebra._den, derived)
 
 
-@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
-def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
-    """Build L ^ L with its commutator map: the public ``Fraction`` form
-    of ``_square_core``.  Cached per algebra, like the core."""
-    core = _square_core(algebra)
-    n = algebra.dim
-    ambient = n * (n - 1) // 2
-    dense = [[row.get(c, 0) for c in range(ambient)] for row in core.rows]
-    derived = algebra.derived_subalgebra()
-    commutator_map = Matrix(
-        derived.dim,
-        len(core.section),
-        tuple(tuple(Fraction(a[t], algebra._den) for a in core.on_section) for t in range(derived.dim)),
-    )
-    return ExteriorSquare(
-        dim=n,
-        ambient_dim=ambient,
-        relation_rank=ambient - len(core.section),
-        quotient_dim=len(core.section),
-        projection=_projection_matrix(ambient, core.d, dense),
-        commutator_map=commutator_map,
-        derived=derived,
-    )
+def _wedge_class(square: ExteriorSquare, u: Iterable[tuple[int, int]], j: int) -> dict[int, int]:
+    """d times the class of u ^ e_j, for the int vector u given by its
+    ``(index, entry)`` pairs, as a sparse ``{coordinate: entry}`` dict."""
+    n = square.dim
+    out: dict[int, int] = {}
+    for i, x in u:
+        if x and i != j:
+            c, x = (_column(n, i, j), x) if i < j else (_column(n, j, i), -x)
+            for s, y in square.columns[c]:
+                out[s] = out.get(s, 0) + x * y
+    return out
 
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
@@ -300,7 +299,7 @@ def exterior_square_dim(algebra: LieAlgebra) -> int:
     """dim(L ^ L) = dim(L1 ^ L1) + k dim(L1/[L1, L1]) + k(k - 1)/2, from
     the Kunneth terms of the split L = L1 + A(k)."""
     factor, m, k = _split_factor(algebra)
-    return len(_square_core(factor).section) + k * (factor.dim - m) + k * (k - 1) // 2
+    return exterior_square(factor).quotient_dim + k * (factor.dim - m) + k * (k - 1) // 2
 
 
 def multiplier_dim(algebra: LieAlgebra) -> int:
@@ -311,22 +310,18 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def _square_center(algebra: LieAlgebra) -> Subspace:
     """{x : x ^ y = 0 for every y} in L ^ L: the kernel of the stacked
-    maps x -> x ^ e_j, read off the projection columns of
-    ``_square_core``, eliminated on ints and taken through
-    ``linalg._kernel_from_builder``.  Cached per algebra, like the core."""
-    core = _square_core(algebra)
-    n = core.dim
-    columns = core.columns()
-    wedge = _wedge_table(n)
+    maps x -> x ^ e_j, eliminated on ints and taken through
+    ``linalg._kernel_from_builder``.  Cached per algebra, like
+    ``exterior_square``."""
+    square = exterior_square(algebra)
+    n = square.dim
     sb = SpanBuilder(n)
     for j in range(n):
         # equations[s][i]: d times coordinate s of the class of e_i ^ e_j
         equations: dict[int, list[int]] = {}
         for i in range(n):
-            if i != j:
-                c, sign = wedge[i][j]
-                for s, x in columns[c]:
-                    equations.setdefault(s, [0] * n)[i] = sign * x
+            for s, x in _wedge_class(square, ((i, 1),), j).items():
+                equations.setdefault(s, [0] * n)[i] = x
         for row in equations.values():
             sb.add_int_row(row)
     return _kernel_from_builder(sb)
@@ -373,23 +368,17 @@ def quotient_exterior_dim(algebra: LieAlgebra, ideal: Subspace) -> int:
 
 
 def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
-    """Image of L ^ N inside L ^ L, for a central ideal N, read off the
-    projection columns of ``_square_core``."""
+    """Image of L ^ N inside L ^ L, for a central ideal N."""
     _require_central_ideal(algebra, ideal)
-    core = _square_core(algebra)
-    columns = core.columns()
-    wedge = _wedge_table(algebra.dim)
+    square = exterior_square(algebra)
     _, ints = _over_common_denominator(ideal.basis.data)
-    sb = SpanBuilder(len(core.section))
+    sb = SpanBuilder(square.quotient_dim)
     for j in range(algebra.dim):
         for u in ints:
             # d D times the class of u ^ e_j, for u's denominator D
-            row = [0] * len(core.section)
-            for i, x in enumerate(u):
-                if x and i != j:
-                    c, sign = wedge[i][j]
-                    for s, y in columns[c]:
-                        row[s] += sign * x * y
+            row = [0] * square.quotient_dim
+            for s, x in _wedge_class(square, enumerate(u), j).items():
+                row[s] = x
             sb.add_int_row(row)
     return sb.subspace()
 

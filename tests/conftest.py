@@ -207,13 +207,16 @@ def full_width_projection(algebra):
 
 
 def core_projection(algebra):
-    """``(section, d, rows)`` of ``exterior._square_core``, with its sparse
-    rows written out at the full width C(n, 2)."""
-    from liecap.exterior import _square_core
+    """``(section, d, rows)`` of ``exterior_square``, with its projection
+    columns written out as int rows at the full width C(n, 2)."""
+    from liecap.exterior import exterior_square
 
-    core = _square_core(algebra)
-    width = algebra.dim * (algebra.dim - 1) // 2
-    return core.section, core.d, [[row.get(col, 0) for col in range(width)] for row in core.rows]
+    square = exterior_square(algebra)
+    rows = [[0] * square.ambient_dim for _ in square.section]
+    for col, column in enumerate(square.columns):
+        for s, x in column:
+            rows[s][col] = x
+    return square.section, square.d, rows
 
 
 def form_value(gram, x, y):

@@ -314,10 +314,10 @@ def _sparse(rows):
 
 
 def _square_with_d3_rows(monkeypatch, algebra, rows):
-    """Build the core of L ^ L, bypassing the cache, from the given dense
-    relation rows."""
+    """Build L ^ L, bypassing the cache, from the given dense relation
+    rows."""
     monkeypatch.setattr(exterior, "_d3_rows", lambda n, table: _sparse(rows))
-    return exterior._square_core.__wrapped__(algebra)
+    return exterior_square.__wrapped__(algebra)
 
 
 def test_self_check_catches_bad_relation(monkeypatch):
@@ -391,7 +391,7 @@ def test_self_check_catches_dropped_d3_term(monkeypatch, algebra, caught):
     ibr = _dense_brackets(table, n)
     full = _d3_rows_without(ibr, None)
     assert _sparse(full) == _d3_rows(n, table)
-    assert _square_with_d3_rows(monkeypatch, algebra, full) == exterior._square_core(algebra)
+    assert _square_with_d3_rows(monkeypatch, algebra, full) == exterior_square(algebra)
     for dropped in (0, 1, 2):
         rows = _d3_rows_without(ibr, dropped)
         if dropped in caught:
@@ -413,16 +413,19 @@ def test_self_check_catches_bad_projection(monkeypatch, algebra):
     pairs = list(combinations(range(algebra.dim), 2))
 
     def perturbed(ncols, relations):
-        section, d, rows, pivots = relation_projection(ncols, relations)
+        section, d, columns, pivots = relation_projection(ncols, relations)
         # a quotient coordinate whose basis wedge has a nonzero bracket
         s = next(s for s, col in enumerate(section) if any(algebra.bracket_basis(*pairs[col])))
-        rows[s][pivots[0]] = rows[s].get(pivots[0], 0) + 1
-        return section, d, rows, pivots
+        column = dict(columns[pivots[0]])
+        column[s] = column.get(s, 0) + 1
+        columns = list(columns)
+        columns[pivots[0]] = tuple(column.items())
+        return section, d, tuple(columns), pivots
 
-    exterior._square_core.__wrapped__(algebra)  # the unperturbed core passes
+    exterior_square.__wrapped__(algebra)  # the unperturbed square passes
     monkeypatch.setattr(exterior, "_relation_projection", perturbed)
     with pytest.raises(ConstructionError, match=SURVIVES):
-        exterior._square_core.__wrapped__(algebra)
+        exterior_square.__wrapped__(algebra)
 
 
 def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch):
@@ -431,27 +434,27 @@ def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch
     algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})  # a fresh H(1): its memo is empty
     monkeypatch.setattr(LieAlgebra, "derived_subalgebra", lambda self: Subspace.full(self.dim))
     with pytest.raises(ConstructionError, match="commutator map is not surjective"):
-        exterior._square_core.__wrapped__(algebra)
+        exterior_square.__wrapped__(algebra)
 
 
 def test_cached_square_carries_no_algebra():
-    # equal algebras share one cached square and one cached core, whatever
-    # their labels, so neither may hold anything of the algebra that built it
+    # equal algebras share one cached square, whatever their labels, so
+    # the square must hold nothing of the algebra that built it, also once
+    # its Fraction matrices have been made
     first = exterior_square(abelian(3))
     second = exterior_square(LieAlgebra(3, {}))
     assert second is first
     assert second.dim == 3
-    assert not any(isinstance(v, LieAlgebra) for v in vars(second).values())
-    core = exterior._square_core(LieAlgebra(3, {(0, 1): (0, 0, 1)}, labels=("x", "y", "z")))
-    assert core is exterior._square_core(heisenberg(1))
-    assert core.dim == 3
-    assert not any(isinstance(v, LieAlgebra) for v in core)
+    square = exterior_square(LieAlgebra(3, {(0, 1): (0, 0, 1)}, labels=("x", "y", "z")))
+    assert square is exterior_square(heisenberg(1))
+    assert (square.projection.rows, square.commutator_map.rows) == (3, 1)
+    for sq in (second, square):
+        assert not any(isinstance(v, LieAlgebra) for v in vars(sq).values())
 
 
 def test_exterior_square_cache_is_bounded():
-    for cached in (exterior_square, exterior._square_core):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10_000
+    maxsize = exterior_square.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10_000
 
 
 def test_core_matches_full_width_elimination(frozen_catalog):

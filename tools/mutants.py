@@ -198,11 +198,12 @@ MUTANTS = (
     Mutant(
         "exterior square: a perturbed projection entry",
         "exterior.py",
-        """    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
+        """    section, d, columns, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
 """,
-        """    section, d, rows, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
-    if pivots and rows:
-        rows[-1][pivots[0]] = rows[-1].get(pivots[0], 0) + 1
+        """    section, d, columns, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
+    if pivots and section:
+        p = pivots[0]
+        columns = columns[:p] + (columns[p] + ((len(section) - 1, 1),),) + columns[p + 1 :]
 """,
         (
             "tests/test_exterior.py::test_commutator_map_is_surjective",
@@ -222,7 +223,7 @@ MUTANTS = (
     Mutant(
         "exterior square: the surjectivity check dropped",
         "exterior.py",
-        """    if image.rank != m:
+        """    if image.rank != derived.dim:
         raise ConstructionError("commutator map is not surjective onto [L, L]")
 """,
         "",
