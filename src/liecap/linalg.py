@@ -10,7 +10,7 @@ Kernels and quotients share one canonical section.  ``_projection_rows``
 is the one maker of the projection that kills a row space: integer
 rows over one common denominator, which are also a basis of its right
 kernel.  ``_projection_matrix`` turns them into the public ``Fraction``
-projection; the core of ``exterior`` checks them as they are, and
+projection; ``exterior_square`` checks them as they are, and
 ``_kernel_from_builder`` eliminates them once more on ints:
 ``kernel_basis``, ``LieAlgebra.center`` and the exterior center all end
 there.
