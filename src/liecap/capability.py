@@ -19,7 +19,7 @@ The closed-form multipliers and the ``analyze`` report read its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import exterior
 from .decompose import heisenberg_decompose
@@ -30,8 +30,7 @@ class CapabilityDisagreement(RuntimeError):
     """Closed form and constructive verdicts disagree; indicates a defect."""
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     """Outcome of classification, optionally checked against the oracle.
 
     ``family`` is "abelian", "heisenberg-sum" or "unclassified"; the
@@ -99,15 +98,15 @@ def _with_construction(verdict: ClassVerdict, constructed: bool, mode: str) -> C
     or "both" mode); ``constructed`` is whether Z^(L) is zero."""
     if mode == "oracle":
         reason = f"constructed exterior center is {'zero' if constructed else 'nonzero'}"
-        return replace(verdict, capable=constructed, reasons=(reason,))
+        return verdict._replace(capable=constructed, reasons=(reason,))
     if verdict.capable is None:
         reasons = verdict.reasons + ("verdict taken from the constructed exterior center",)
-        return replace(verdict, capable=constructed, reasons=reasons)
+        return verdict._replace(capable=constructed, reasons=reasons)
     if verdict.capable != constructed:
         raise CapabilityDisagreement(
             f"closed form says capable={verdict.capable}, construction says {constructed}"
         )
-    return replace(verdict, oracle_agreement=True)
+    return verdict._replace(oracle_agreement=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ exterior squares are (``lie`` says why).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector, _over_common_denominator
 from .lie import LieAlgebra, _once, abelian, direct_sum, heisenberg
@@ -31,8 +30,7 @@ class DecompositionCheckError(RuntimeError):
     """The assembled basis failed re-verification; indicates a defect."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Certified isomorphism L = H(m) + A(k).
 
     ``basis_change`` rows are the new basis in original coordinates,
@@ -168,18 +166,19 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 @_once
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     pairs, _ = _symplectic_basis(_gram(algebra))
-    z = algebra.derived_subalgebra().basis.data[0]
+    derived = algebra.derived_subalgebra()
+    z = tuple(Fraction(x, derived._den) for x in derived._rows[0])
     m = len(pairs)
     n = algebra.dim
     k = n - 2 * m - 1
 
     # the radical of the form is Z(L), so the complement of span{z} inside
     # it is the abelian factor of the canonical split L = L1 + A
-    complement = list(algebra._abelian_split().factor)
+    complement = algebra._abelian_split().factor.basis.data
     if len(complement) != k:
         raise DecompositionCheckError("the abelian factor does not complete the Heisenberg pairs")
 
-    rows = [p[0] for p in pairs] + [p[1] for p in pairs] + [z] + complement
+    rows = [p[0] for p in pairs] + [p[1] for p in pairs] + [z, *complement]
     basis_change = Matrix.from_rows(rows, cols=n)
 
     # certify: the rewritten algebra must match the canonical constants

@@ -60,7 +60,6 @@ independent witness the formulas are checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -70,10 +69,12 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
+    _combine,
     _kernel_from_builder,
-    _over_common_denominator,
     _projection_matrix,
     _projection_rows,
+    _Record,
+    _set,
     vector,
 )
 from .lie import LieAlgebra
@@ -83,8 +84,7 @@ class ConstructionError(RuntimeError):
     """Internal consistency check failed while building an exterior square."""
 
 
-@dataclass(frozen=True)
-class ExteriorSquare:
+class ExteriorSquare(_Record):
     """The exterior square of an algebra of dimension ``dim`` in
     canonical quotient coordinates, held on ints.  It holds nothing else
     of the algebra: the cache in ``exterior_square`` hands one instance to
@@ -103,13 +103,20 @@ class ExteriorSquare:
     are the ``Fraction`` forms of the int fields, made on first use.
     """
 
-    dim: int
-    section: tuple[int, ...]
-    d: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    on_section: tuple[tuple[int, ...], ...]
-    den: int
-    derived: Subspace
+    _fields = ("dim", "section", "d", "columns", "on_section", "den", "derived")
+
+    def __init__(
+        self,
+        dim: int,
+        section: tuple[int, ...],
+        d: int,
+        columns: tuple[tuple[tuple[int, int], ...], ...],
+        on_section: tuple[tuple[int, ...], ...],
+        den: int,
+        derived: Subspace,
+    ):
+        for name, value in zip(self._fields, (dim, section, d, columns, on_section, den, derived)):
+            _set(self, name, value)
 
     @property
     def ambient_dim(self) -> int:
@@ -286,9 +293,9 @@ def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
     otherwise."""
     algebra.require_valid()
     split = algebra._abelian_split()
-    m, k = algebra.derived_subalgebra().dim, len(split.factor)
+    m, k = algebra.derived_subalgebra().dim, split.factor.dim
     n1 = algebra.dim - k
-    rewritten = algebra.change_basis(split.basis)
+    rewritten = algebra._change_basis(split.den, split.basis)
     for (_, j), c in rewritten._rows.items():
         if j >= n1 or any(c[m:]):
             raise ConstructionError("the split basis does not split off a central direct factor")
@@ -309,22 +316,32 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def _square_center(algebra: LieAlgebra) -> Subspace:
-    """{x : x ^ y = 0 for every y} in L ^ L: the kernel of the stacked
-    maps x -> x ^ e_j, eliminated on ints and taken through
-    ``linalg._kernel_from_builder``.  Cached per algebra, like
-    ``exterior_square``."""
+    """{x : x ^ y = 0 for every y} in L ^ L.  Cached per algebra, like
+    ``exterior_square``.
+
+    Such an x is central, since [x, y] is the commutator of x ^ y, so
+    x = sum_t c_t w_t over the int rows w_t of ``center()``, and only the
+    c_t are solved for: the kernel of the stacked maps
+    c -> (sum_t c_t w_t) ^ e_j, eliminated on ints and taken through
+    ``linalg._kernel_from_builder``."""
     square = exterior_square(algebra)
     n = square.dim
-    sb = SpanBuilder(n)
+    center = algebra.center()._rows
+    c = len(center)
+    sb = SpanBuilder(c)
     for j in range(n):
-        # equations[s][i]: d times coordinate s of the class of e_i ^ e_j
+        # equations[s][t]: d D times coordinate s of the class of w_t ^ e_j
         equations: dict[int, list[int]] = {}
-        for i in range(n):
-            for s, x in _wedge_class(square, ((i, 1),), j).items():
-                equations.setdefault(s, [0] * n)[i] = x
+        for t, w in enumerate(center):
+            for s, x in _wedge_class(square, enumerate(w), j).items():
+                if x:
+                    equations.setdefault(s, [0] * c)[t] = x
         for row in equations.values():
             sb.add_int_row(row)
-    return _kernel_from_builder(sb)
+    out = SpanBuilder(n)
+    for coeffs in _kernel_from_builder(sb)._rows:
+        out.add_int_row(_combine(coeffs, center, n))
+    return out.subspace()
 
 
 def exterior_center(algebra: LieAlgebra) -> Subspace:
@@ -340,15 +357,16 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     first m coordinates, which is checked instead of intersecting."""
     factor, m, k = _split_factor(algebra)
     # the first m split basis vectors are the RREF basis of [L, L]
-    to_original = algebra.derived_subalgebra().basis.transpose()
-    rows = []
-    for x in _square_center(factor).basis.data:
+    derived = algebra.derived_subalgebra()._rows
+    sb = SpanBuilder(algebra.dim)
+    for x in _square_center(factor)._rows:
         if any(x[m:]):
             raise ConstructionError("the exterior center of L1 leaves [L, L]")
-        rows.append(to_original.mul_vec(x[:m]))
+        sb.add_int_row(_combine(x, derived, algebra.dim))
     if k == 1 and m == factor.dim:
-        rows.extend(algebra._abelian_split().factor)
-    return Subspace.span(algebra.dim, rows)
+        for a in algebra._abelian_split().factor._rows:
+            sb.add_int_row(list(a))
+    return sb.subspace()
 
 
 def is_capable(algebra: LieAlgebra) -> bool:
@@ -371,10 +389,9 @@ def ideal_wedge_image(algebra: LieAlgebra, ideal: Subspace) -> Subspace:
     """Image of L ^ N inside L ^ L, for a central ideal N."""
     _require_central_ideal(algebra, ideal)
     square = exterior_square(algebra)
-    _, ints = _over_common_denominator(ideal.basis.data)
     sb = SpanBuilder(square.quotient_dim)
     for j in range(algebra.dim):
-        for u in ints:
+        for u in ideal._rows:
             # d D times the class of u ^ e_j, for u's denominator D
             row = [0] * square.quotient_dim
             for s, x in _wedge_class(square, enumerate(u), j).items():

@@ -36,12 +36,12 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
+    _combine,
     _kernel_from_builder,
     _over_common_denominator,
     _projection_matrix,
     _projection_rows,
     random_invertible,
-    unit_vector,
     vector,
     zero_vector,
 )
@@ -63,16 +63,16 @@ class _DerivedCoordinates(NamedTuple):
     ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
     stored i < j: the coordinates of [e_i, e_j] times the common
     denominator d of the integer table, which the algebra holds as
-    ``_den``.  ``basis[r]`` is the int row D z_r, where D = ``scale``
-    clears the denominators of the z_r, and ``beta[r]`` is the dict
-    ``_ad`` gives for D z_r: ``beta[r][b]`` is d D times the coordinates
-    of [z_r, e_b], for every b that z_r reaches; a missing b has
-    [z_r, e_b] = 0.
+    ``_den``.  ``basis[r]`` is the int row D z_r that the derived
+    ``Subspace`` holds over its denominator D = ``scale``, and
+    ``beta[r]`` is the dict ``_ad`` gives for D z_r: ``beta[r][b]`` is
+    d D times the coordinates of [z_r, e_b], for every b that z_r
+    reaches; a missing b has [z_r, e_b] = 0.
     """
 
     alpha: dict[tuple[int, int], list[int]]
     scale: int
-    basis: list[list[int]]
+    basis: Sequence[Sequence[int]]
     beta: list[dict[int, list[int]]]
 
     def jacobiator(self, i: int, j: int, k: int) -> list[int]:
@@ -95,16 +95,18 @@ class _AbelianSplit(NamedTuple):
     """The canonical split L = L1 + A into an ideal L1 that contains
     [L, L] and an abelian direct factor A.
 
-    ``factor`` spans A: the RREF rows of the center that enlarge the span
-    of [L, L], so A is central with A and [L, L] meeting in 0.  The rows
-    of ``basis`` are the RREF basis of [L, L] (its first dim [L, L]
-    rows), the unit vectors at the non-pivot columns of the RREF of
-    [L, L] + A, which complete it to a complement of A, and then
-    ``factor``: its first dim - k rows span L1.
+    ``factor`` is A: the span of the RREF rows of the center that enlarge
+    the span of [L, L], so A is central with A and [L, L] meeting in 0.
+    The split basis is ``basis`` / ``den``, int rows over one common
+    denominator: the RREF basis of [L, L] (its first dim [L, L] rows),
+    the unit vectors at the non-pivot columns of the RREF of [L, L] + A,
+    which complete it to a complement of A, and then the rows of A: its
+    first dim - k rows span L1.
     """
 
-    factor: tuple[Vector, ...]
-    basis: Matrix
+    factor: Subspace
+    den: int
+    basis: list[list[int]]
 
 
 T = TypeVar("T")
@@ -301,16 +303,11 @@ class LieAlgebra:
         Raises DerivedBasisError if a bracket is not recomposed."""
         derived = self.derived_subalgebra()
         pivots = derived.pivot_cols()
-        big_d, zs = _over_common_denominator(derived.basis.data)
+        big_d, zs = derived._den, derived._rows
         alpha: dict[tuple[int, int], list[int]] = {}
         for key, c in self._rows.items():
             a = [c[p] for p in pivots]
-            rebuilt = [0] * self.dim
-            for coef, z in zip(a, zs):
-                if coef:
-                    for t, x in enumerate(z):
-                        if x:
-                            rebuilt[t] += coef * x
+            rebuilt = _combine(a, zs, self.dim)
             if rebuilt != [big_d * x for x in c]:
                 raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
             alpha[key] = a
@@ -362,26 +359,27 @@ class LieAlgebra:
         once per instance, from the center and [L, L] alone, eliminated
         on their int rows."""
         n = self.dim
-        derived = self.derived_subalgebra().basis.data
+        derived = self.derived_subalgebra()
+        center = self.center()
         sb = SpanBuilder(n)
-        for z in self._derived_coordinates().basis:
+        for z in derived._rows:
             sb.add_int_row(list(z))
-        center = self.center().basis.data
-        _, ints = _over_common_denominator(center)
-        factor = tuple(row for row, x in zip(center, ints) if sb.add_int_row(x))
+        factor = [row for row in center._rows if sb.add_int_row(list(row))]
         pivots = set(sb.pivot_cols())
-        completion = [unit_vector(n, i) for i in range(n) if i not in pivots]
-        basis = Matrix.from_rows([*derived, *completion, *factor], cols=n)
-        return _AbelianSplit(factor, basis)
+        den = lcm(derived._den, center._den)
+        sd, sc = den // derived._den, den // center._den
+        basis = [[sd * x for x in z] for z in derived._rows]
+        basis += [[den * (t == i) for t in range(n)] for i in range(n) if i not in pivots]
+        basis += [[sc * x for x in a] for a in factor]
+        return _AbelianSplit(Subspace._from_rref_ints(n, center._den, factor), den, basis)
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         ad = _adjoint_index(self.dim, self._rows)
-        _, ints = _over_common_denominator(s.basis.data)
         sb = SpanBuilder(self.dim)
-        for w in ints:
+        for w in s._rows:
             for row in _ad(ad, w, self.dim).values():
                 if any(row):
                     sb.add_int_row(row)
@@ -429,12 +427,14 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        sb = SpanBuilder(self.dim)
-        for row in ideal.basis.data:
-            sb.add(row)
+        n = self.dim
+        sb = SpanBuilder(n)
+        for row in ideal._rows:
+            sb.add_int_row(list(row))
         cols, d, rows = _projection_rows(sb)
-        section = [unit_vector(self.dim, c) for c in cols]
-        rewritten = self.change_basis(Matrix.from_rows([*section, *ideal.basis.data], cols=self.dim))
+        # the unit vectors at cols, over the denominator of N's rows
+        section = [[ideal._den * (t == c) for t in range(n)] for c in cols]
+        rewritten = self._change_basis(ideal._den, [*section, *ideal._rows])
         quotient = rewritten._leading_block(len(cols), [self.labels[c] for c in cols])
         return quotient, _projection_matrix(self.dim, d, rows)
 
@@ -450,22 +450,25 @@ class LieAlgebra:
         DerivedBasisError if a bracket escapes the computed [L, L], a
         defect.
         """
-        n = self.dim
-        if p.rows != n or p.cols != n:
+        if p.rows != self.dim or p.cols != self.dim:
             raise ValueError("change of basis matrix has wrong shape")
+        return self._change_basis(*_over_common_denominator(p.data))
+
+    def _change_basis(self, dp: int, pi: Sequence[Sequence[int]]) -> "LieAlgebra":
+        """``change_basis`` on ints, for p = pi / dp with n int rows pi of
+        length n over a positive common denominator dp."""
+        n = self.dim
         coords = self._derived_coordinates()
         m = len(coords.basis)
-        dp, pi = _over_common_denominator(p.data)
         # row k of [dp p^T | D Z^T]: its RREF solves for D z_r / dp in the f basis
         sb = SpanBuilder(n + m)
         for k in range(n):
             sb.add_int_row([row[k] for row in pi] + [z[k] for z in coords.basis])
         if sb.pivot_cols() != tuple(range(n)):
             raise ValueError("matrix is singular")
-        solved = sb._reduced_pivot_rows()
-        dy = lcm(*(solved[i][i] for i in range(n)))
         # ys[r] = dy D / dp times the coordinates of z_r in the f basis
-        ys = [[solved[i][n + r] * (dy // solved[i][i]) for i in range(n)] for r in range(m)]
+        dy, solved = sb._reduced_rows()
+        ys = [[solved[i][n + r] for i in range(n)] for r in range(m)]
         ad = _adjoint_index(n, coords.alpha)
         consts: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
@@ -547,8 +550,8 @@ def heisenberg(m: int) -> LieAlgebra:
     labels = tuple(
         [f"a{i + 1}" for i in range(m)] + [f"b{i + 1}" for i in range(m)] + ["z"]
     )
-    z = unit_vector(dim, 2 * m)
-    return LieAlgebra(dim, {(i, m + i): z for i in range(m)}, labels=labels)
+    z = [0] * (2 * m) + [1]
+    return LieAlgebra._from_int_rows(dim, 1, {(i, m + i): z for i in range(m)}, labels)
 
 
 def direct_sum(left: LieAlgebra, right: LieAlgebra) -> LieAlgebra:

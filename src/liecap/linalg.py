@@ -18,22 +18,29 @@ there.
 The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 ``fractions.Fraction``s, but the work runs on plain ``int``.  The
 elimination core, ``SpanBuilder``, stores integer rows, each divided by
-its gcd.  ``add_int_row`` takes rows that are already integers: the
-callers in ``lie``, ``decompose`` and ``exterior`` feed it rows computed
-from ``LieAlgebra``'s one integer table of structure constants (every
-bracket over one common denominator) or from a projection over one
-common denominator, and ``LieAlgebra.change_basis`` reads a solved
-system straight off the integer pivot rows.  ``add`` brings a rational
+its gcd, and ``SpanBuilder._reduced_rows`` hands out its reduced rows
+over the lcm of their leads, the one common denominator that the
+subspaces, the projections and ``LieAlgebra.change_basis`` read.
+``add_int_row`` takes rows that are already integers: the callers in
+``lie``, ``decompose`` and ``exterior`` feed it rows computed from
+``LieAlgebra``'s one integer table of structure constants (every
+bracket over one common denominator), from a projection or from the
+integer rows of a ``Subspace``.  A ``Subspace`` holds its canonical
+basis that way, as int rows over one common denominator, and makes its
+``Fraction`` ``basis`` only when it is read.  ``add`` brings a rational
 row to ints with ``_over_common_denominator``, the one helper every
-module uses for that.  Fractions are made only where a result leaves
-the core: RREF rows, projections and the ``Matrix`` helpers.
+module uses for that.
+
+``Matrix`` and ``Subspace`` are plain classes on ``_Record``, which
+makes them immutable, comparable and hashable without ``dataclasses``:
+that module imports ``inspect``, ``ast`` and ``dis``, which a fresh
+interpreter would load for every ``liecap`` command.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -87,6 +94,17 @@ def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, l
     rows = list(rows)
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """sum_t coeffs[t] rows[t], an int row of length ``width``."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t, x in enumerate(row):
+                if x:
+                    out[t] += c * x
+    return out
 
 
 def _normalize_int(row: list[int]) -> list[int] | None:
@@ -173,8 +191,14 @@ class SpanBuilder:
     def pivot_cols(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivots))
 
-    def _reduced_pivot_rows(self) -> dict[int, list[int]]:
-        """Jordan step: clear every pivot column from the other rows."""
+    def _reduced_rows(self) -> tuple[int, dict[int, list[int]]]:
+        """``(d, {pivot column: row})``: the reduced row echelon rows,
+        each d times its lead-1 row, for the lcm d of the leads.
+
+        The Jordan step clears every pivot column from the other rows,
+        each kept divided by its gcd with a positive lead; d is then the
+        lcm of every denominator of the lead-1 rows, so the rows are
+        canonical."""
         rows = {c: list(r) for c, r in self._pivots.items()}
         for c in sorted(rows, reverse=True):
             prow = rows[c]
@@ -191,42 +215,79 @@ class SpanBuilder:
                     else:
                         merged = [a * x - b * y for x, y in zip(drow, prow)]
                     rows[d] = _normalize_int(merged)  # type: ignore[assignment]
-        return rows
+        d = math.lcm(*(r[c] for c, r in rows.items()))
+        return d, {c: r if r[c] == d else [x * (d // r[c]) for x in r] for c, r in rows.items()}
 
     def rref_rows(self) -> list[Vector]:
         """Canonical lead-1 reduced rows, sorted by pivot column."""
-        rows = self._reduced_pivot_rows()
-        out = []
-        for c in sorted(rows):
-            r = rows[c]
-            lead = r[c]
-            out.append(tuple(Fraction(v, lead) for v in r))
-        return out
+        d, rows = self._reduced_rows()
+        return [tuple(Fraction(x, d) for x in rows[c]) for c in sorted(rows)]
 
     def subspace(self) -> "Subspace":
-        return Subspace(self.ncols, Matrix.from_rows(self.rref_rows(), cols=self.ncols))
+        d, rows = self._reduced_rows()
+        return Subspace._from_rref_ints(self.ncols, d, [rows[c] for c in sorted(rows)])
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Record:
+    """Base of the immutable value classes: ``__init__`` sets each
+    attribute once through ``object.__setattr__``, after which assigning
+    or deleting one raises.  A value equals, and hashes as, a value of its
+    own class with the same ``_key()``, by default the ``_fields``, the
+    constructor's arguments."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a value through its constructor
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+_set = object.__setattr__
+
+
+class Matrix(_Record):
     """Immutable dense matrix of Fractions, row major."""
 
-    rows: int
-    cols: int
-    data: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows", "cols", "data")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple[tuple[Fraction, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.data) != self.rows:
+        if len(data) != rows:
             raise ValueError("row count mismatch")
-        for r in self.data:
-            if len(r) != self.cols:
+        for r in data:
+            if len(r) != cols:
                 raise ValueError("ragged matrix rows")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -282,19 +343,25 @@ class Matrix:
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Q^n held as a canonical RREF basis (no zero rows)."""
+class Subspace(_Record):
+    """A subspace of Q^n held as its canonical RREF basis (no zero rows).
 
-    ambient_dim: int
-    basis: Matrix
+    The basis is kept on ints: ``_rows`` holds d times the lead-1 RREF
+    rows, for the lcm d (``_den``) of their denominators, which is the
+    lcm of the leads of the reduced rows of ``SpanBuilder``.  That form
+    is canonical, so equality and the hash read it.  ``basis``, the
+    ``Fraction`` matrix of the rows, is made when it is first read.
+    ``Subspace(n, basis)`` checks that ``basis`` is in reduced echelon
+    form; ``span`` is the safe constructor."""
 
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
+    __slots__ = ("ambient_dim", "_den", "_rows", "_basis")
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        # light canonical-form check; span() is the safe constructor
         pivots: list[int] = []
-        for r in self.basis.data:
+        for r in basis.data:
             piv = next((j for j, x in enumerate(r) if x), None)
             if piv is None:
                 raise ValueError("zero row in subspace basis")
@@ -302,8 +369,37 @@ class Subspace:
                 raise ValueError("subspace basis is not in reduced echelon form")
             pivots.append(piv)
         # reduced: each pivot column is zero outside its own row
-        if any(sum(1 for p in pivots if r[p]) != 1 for r in self.basis.data):
+        if any(sum(1 for p in pivots if r[p]) != 1 for r in basis.data):
             raise ValueError("subspace basis is not in reduced echelon form")
+        den, rows = _over_common_denominator(basis.data)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "_den", den)
+        _set(self, "_rows", tuple(map(tuple, rows)))
+        _set(self, "_basis", basis)
+
+    @classmethod
+    def _from_rref_ints(cls, ambient_dim: int, den: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+        """The subspace with the RREF rows rows / den, from a caller that
+        holds them on ints over a positive common denominator; the form
+        is not checked.  Dividing den and every entry by their gcd leaves
+        den as the lcm of the denominators, the canonical form."""
+        rows = list(rows)
+        g = math.gcd(den, *(x for r in rows for x in r))
+        s = cls.__new__(cls)
+        _set(s, "ambient_dim", ambient_dim)
+        _set(s, "_den", den // g)
+        _set(s, "_rows", tuple(tuple(r) if g == 1 else tuple(x // g for x in r) for r in rows))
+        _set(s, "_basis", None)
+        return s
+
+    def _key(self) -> tuple:
+        return (self.ambient_dim, self._den, self._rows)
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            _set(self, "_basis", _projection_matrix(self.ambient_dim, self._den, self._rows))
+        return self._basis
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]] = ()) -> "Subspace":
@@ -314,29 +410,38 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, ()))
+        return cls._from_rref_ints(ambient_dim, 1, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        unit = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
+        return cls._from_rref_ints(ambient_dim, 1, unit)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self._rows
 
     def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(r) if x) for r in self.basis.data)
+        return tuple(next(j for j, x in enumerate(r) if x) for r in self._rows)
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Whether other lies in this subspace, on the int rows: a row w of
+        other lies in it exactly when it is rebuilt from the rows r_p at
+        its own entries w[p] at the pivots p, as d w = sum_p w[p] r_p."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(r) for r in other.basis.data)
+        pivots = self.pivot_cols()
+        d = self._den
+        for w in other._rows:
+            if _combine([w[p] for p in pivots], self._rows, self.ambient_dim) != [d * x for x in w]:
+                return False
+        return True
 
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
@@ -368,26 +473,26 @@ def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], int, list[list[i
     ``sb`` and d times the canonical projection's row at each, on ints
     over one common denominator d.  The one maker of a projection.
 
-    With r_p the reduced pivot row led by p, the row at section column q
-    is e_q - sum_p (r_p[q] / r_p[p]) e_p, and d is the lcm of the
-    (positive) leads r_p[p].  These rows kill every r_p, so they are
-    also a basis of the right kernel."""
-    reduced = sb._reduced_pivot_rows()
+    With r_p the lead-1 reduced row led by p, the row at section column
+    q is e_q - sum_p r_p[q] e_p, and d is the common denominator of the
+    r_p that ``SpanBuilder._reduced_rows`` gives.  These rows kill every
+    r_p, so they are also a basis of the right kernel."""
+    d, reduced = sb._reduced_rows()
     section = tuple(j for j in range(sb.ncols) if j not in reduced)
-    d = math.lcm(*(r[p] for p, r in reduced.items()))
     rows = []
     for q in section:
         row = [0] * sb.ncols
         row[q] = d
         for p, r in reduced.items():
             if r[q]:
-                row[p] = -r[q] * (d // r[p])
+                row[p] = -r[q]
         rows.append(row)
     return section, d, rows
 
 
 def _projection_matrix(ncols: int, d: int, rows: Sequence[Sequence[int]]) -> Matrix:
-    """The public ``Fraction`` matrix of int rows over the denominator d."""
+    """The public ``Fraction`` matrix of int rows over the denominator d:
+    a projection, or the basis of a ``Subspace``."""
     zero = Fraction(0)  # one shared zero: the projection is sparse
     return Matrix(len(rows), ncols, tuple(tuple(Fraction(x, d) if x else zero for x in row) for row in rows))
 

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .capability import classify
 from .lie import LieAlgebra
@@ -36,8 +36,7 @@ def direct_sum_multiplier_dim(dim_m1: int, dim_m2: int, ab1: int, ab2: int) -> i
     return dim_m1 + dim_m2 + ab1 * ab2
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(NamedTuple):
     description: str
     dim_multiplier: int
     dim_exterior_square: int

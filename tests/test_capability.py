@@ -11,6 +11,7 @@ from liecap.capability import (
     classify,
     decide_capability,
 )
+from liecap.decompose import heisenberg_decompose
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 from liecap.multiplier import classified_multiplier
 
@@ -22,6 +23,21 @@ def test_classify_abelian():
     assert (v.family, v.n, v.capable) == ("abelian", 1, False)
     v = classify(abelian(5))
     assert (v.family, v.n, v.capable) == ("abelian", 5, True)
+
+
+def test_results_are_immutable_and_hashable():
+    algebra = direct_sum(heisenberg(2), abelian(1))
+    verdict = classify(algebra)
+    for value, field in (
+        (verdict, "capable"),
+        (heisenberg_decompose(algebra), "m"),
+        (classified_multiplier(algebra), "dim_multiplier"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        again = type(value)(*value)
+        assert again == value and hash(again) == hash(value)
+    assert verdict._replace(capable=True).capable and verdict.capable is False
 
 
 def test_classify_heisenberg_sum():

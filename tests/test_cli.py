@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -120,7 +119,7 @@ def test_capability_disagreement_exits_3(capsys, monkeypatch):
     # a closed form that calls H(1) incapable contradicts its exterior
     # center, which is zero: a defect, never a verdict
     classify = cli.classify
-    monkeypatch.setattr(cli, "classify", lambda algebra: replace(classify(algebra), capable=False))
+    monkeypatch.setattr(cli, "classify", lambda algebra: classify(algebra)._replace(capable=False))
     code, out, err = run(capsys, "analyze", "H(1)")
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -469,6 +468,20 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == EXIT_USAGE
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every verify-paper run starts a fresh interpreter and pays for each
+    # module liecap imports: dataclasses alone pulls in inspect, ast and
+    # dis.  Only the modules the import adds count, whatever site loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; before = set(sys.modules); import liecap.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "liecap.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("expression", ["A(\u0663)", "H(\u0661)+A(2)", "A(\uff13)"])

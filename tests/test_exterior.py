@@ -4,6 +4,7 @@ differential check against the n^2-symbol construction."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from conftest import core_projection, full_width_projection, null_space, symbol_
 from liecap import cli, exterior, lie
 from liecap.exterior import (
     ConstructionError,
+    ExteriorSquare,
     _d3_rows,
     exterior_center,
     exterior_square,
@@ -30,7 +32,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import InvalidAlgebraError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import Matrix, SpanBuilder, Subspace, unit_vector, vec_add, zero_vector
+from liecap.linalg import SpanBuilder, Subspace, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -452,6 +454,17 @@ def test_cached_square_carries_no_algebra():
         assert not any(isinstance(v, LieAlgebra) for v in vars(sq).values())
 
 
+def test_square_is_immutable_and_compares_by_its_fields():
+    square = exterior_square(heisenberg(2))
+    with pytest.raises(AttributeError):
+        square.d = 2
+    fields = (square.dim, square.section, square.d, square.columns, square.on_section, square.den, square.derived)
+    again = ExteriorSquare(*fields)
+    assert again == square and hash(again) == hash(square)
+    assert again != exterior_square(abelian(5))
+    assert copy.deepcopy(square) == square
+
+
 def test_exterior_square_cache_is_bounded():
     maxsize = exterior_square.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 10_000
@@ -483,6 +496,27 @@ def _stop(monkeypatch, algebra):
     _, _, _, pivots = exterior._relation_projection(n * (n - 1) // 2, relations)
     touched = {col for row in relations for col in row}
     return len(fed), len(relations), len(touched), len(pivots)
+
+
+def test_square_center_is_solved_over_the_center(monkeypatch):
+    # Z^(L1) lies in Z(L1), so only the coordinates in the center are
+    # unknowns.  On scrambled H(6) the factor L1 has dim 13 and a center of
+    # dim 1, and every z ^ e_j vanishes: no equation is fed, the kernel
+    # takes one projection row and Z^ its one row (solving for all 13
+    # coordinates fed 189 equations)
+    factor = exterior._split_factor(scramble(heisenberg(6), 4_204))[0]
+    assert (factor.dim, factor.center().dim) == (13, 1)
+    exterior_square(factor)
+    fed = []
+    add_int_row = SpanBuilder.add_int_row
+
+    def counted(self, row):
+        fed.append(self.ncols)
+        return add_int_row(self, row)
+
+    monkeypatch.setattr(SpanBuilder, "add_int_row", counted)
+    assert exterior._square_center.__wrapped__(factor) == factor.derived_subalgebra()
+    assert fed == [1, 13]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -589,18 +623,19 @@ def test_split_checks_brackets_stay_in_derived_coordinates():
     # second and A stays last, so every bracket stays inside L1 (j < n1),
     # but [f1, f3] = f2 lands in coordinate 1, past m = 1
     algebra = LieAlgebra(4, {(0, 1): (0, 0, 1, 0)})
-    e = [unit_vector(4, i) for i in range(4)]
-    basis = Matrix.from_rows([e[0], e[2], e[1], e[3]], cols=4)
-    algebra._memo[LieAlgebra._abelian_split.__wrapped__] = lie._AbelianSplit((e[3],), basis)
+    e = [[int(t == i) for t in range(4)] for i in range(4)]
+    split = lie._AbelianSplit(Subspace.span(4, [e[3]]), 1, [e[0], e[2], e[1], e[3]])
+    algebra._memo[LieAlgebra._abelian_split.__wrapped__] = split
     exterior._split_factor.cache_clear()  # an equal algebra may hold the true split
     with pytest.raises(ConstructionError, match="central direct factor"):
         exterior._split_factor(algebra)
 
 
 def test_split_checks_exterior_center_inside_derived(monkeypatch):
-    # with the center lost, sl2+A(1) keeps its abelian factor inside L1,
-    # and its exterior center A(1) escapes [L, L] = sl2
+    # with its center lost, sl2+A(1) keeps its abelian factor inside L1,
+    # and the exterior center A(1) of L1 escapes [L, L] = sl2
     algebra = scramble(direct_sum(SL2, abelian(1)), 4_203)
-    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.zero(self.dim))
+    center = LieAlgebra.center
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.zero(4) if self == algebra else center(self))
     with pytest.raises(ConstructionError, match="leaves"):
         exterior_center(algebra)

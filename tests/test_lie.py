@@ -50,6 +50,18 @@ def test_family_shapes():
         heisenberg(0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_heisenberg_matches_the_fraction_built_table(m):
+    # heisenberg() writes its int table directly; the public constructor
+    # reads the brackets [a_i, b_i] = z as Fraction unit vectors
+    dim = 2 * m + 1
+    labels = [f"a{i + 1}" for i in range(m)] + [f"b{i + 1}" for i in range(m)] + ["z"]
+    built = LieAlgebra(dim, {(i, m + i): unit_vector(dim, 2 * m) for i in range(m)}, labels=labels)
+    h = heisenberg(m)
+    assert (h, hash(h), h.labels) == (built, hash(built), built.labels)
+    assert dict(h.brackets) == dict(built.brackets)
+
+
 def test_zero_dimensional_algebra():
     zero = abelian(0)
     assert zero.dim == 0
@@ -261,20 +273,21 @@ def test_center_examples():
 
 def test_center_is_eliminated_once(monkeypatch):
     # the report's center dimension, the abelian split and the
-    # decomposition all ask one instance for its center
+    # decomposition all ask one instance for its center; the exterior
+    # center then asks the split's factor L1 = H(2) for its own, once
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 79)
     calls = []
     kernel_from_builder = lie._kernel_from_builder
 
     def counted(sb):
-        calls.append(sb)
+        calls.append(sb.ncols)
         return kernel_from_builder(sb)
 
     monkeypatch.setattr(lie, "_kernel_from_builder", counted)
     first = L.center()
     build_report(L, "input", "both")
     assert L.center() is first
-    assert len(calls) == 1
+    assert calls == [L.dim, L.dim - 2]
 
 
 def test_lower_central_series_abelian():

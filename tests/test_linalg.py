@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, rank_by_minors
+from conftest import _gauss_jordan, det_cofactor, rank_by_minors
 from liecap.linalg import (
     Matrix,
     SpanBuilder,
@@ -212,6 +214,56 @@ def test_subspace_rejects_unreduced_basis():
     assert Subspace(2, Matrix.from_rows([[1, 0], [0, 1]])) == Subspace.full(2)
     # a nonzero entry outside the pivot columns is allowed
     assert Subspace(3, Matrix.from_rows([[1, 2, 0], [0, 0, 1]])).contains((1, 2, 1))
+
+
+def test_values_are_immutable_and_hashable():
+    m = Matrix.from_rows([[1, 2], [0, 1]])
+    s = Subspace.span(2, [(2, 4)])
+    for value, field in ((m, "rows"), (m, "data"), (s, "ambient_dim"), (s, "basis")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert (m.rows, m.cols, s.ambient_dim, s.basis) == (2, 2, 2, Matrix.from_rows([[1, 2]]))
+    same = Matrix(2, 2, m.data)
+    assert m == same and hash(m) == hash(same)
+    assert m != m.data and s != s.basis  # a value equals only values of its own class
+    assert {s: "s"}[Subspace(2, Matrix.from_rows([[1, 2]]))] == "s"
+    assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(s)) == s
+
+
+def test_int_subspace_matches_fraction_gauss_jordan(frozen_catalog):
+    # the derived subalgebras, centers, series terms and abelian factors
+    # of the catalog, each spanned again by seeded dense rational rows:
+    # the Subspace checked from conftest's Fraction Gauss-Jordan,
+    # Subspace.span and SpanBuilder.subspace() all equal the library's
+    # own, with equal hashes, and basis gives the Fraction RREF rows
+    rng = random.Random(23)
+
+    def weight(i, t):
+        # row i of a triangular recombination with a nonzero diagonal
+        if t < i:
+            return 0
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)) if t == i else rng.randint(-3, 3), rng.randint(1, 4))
+
+    for name, algebra in frozen_catalog:
+        n = algebra.dim
+        terms = [algebra.derived_subalgebra(), algebra.center(), *algebra.lower_central_series()]
+        terms.append(algebra._abelian_split().factor)
+        for s in dict.fromkeys(terms):
+            vectors = []
+            for i in [*range(s.dim), -1, -1]:  # -1: a combination of every row
+                coeffs = [weight(i, t) for t in range(s.dim)]
+                vectors.append([sum((c * r[t] for c, r in zip(coeffs, s.basis.data)), Fraction(0)) for t in range(n)])
+            rng.shuffle(vectors)
+            expected = _gauss_jordan(vectors, n)
+            sb = SpanBuilder(n)
+            for v in vectors:
+                sb.add(v)
+            made = [s, Subspace(n, Matrix.from_rows(expected, cols=n)), Subspace.span(n, vectors), sb.subspace()]
+            for x in made:
+                assert x == s and hash(x) == hash(s), name
+                assert x.basis.data == tuple(map(tuple, expected)), name
 
 
 def test_span_builder_tracks_rank_growth():

@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant(
         "quotient: the rows of N before the section",
         "lie.py",
-        "Matrix.from_rows([*section, *ideal.basis.data], cols=self.dim)",
-        "Matrix.from_rows([*ideal.basis.data, *section], cols=self.dim)",
+        "self._change_basis(ideal._den, [*section, *ideal._rows])",
+        "self._change_basis(ideal._den, [*ideal._rows, *section])",
         (
             "tests/test_lie.py::test_quotient_heisenberg_by_derived_is_abelian",
             "tests/test_lie.py::test_quotient_sum_by_abelian_summand_is_heisenberg",
@@ -249,6 +249,48 @@ MUTANTS = (
         (
             "tests/test_exterior.py::test_core_matches_full_width_elimination",
             "tests/test_exterior.py::test_exterior_square_dims",
+        ),
+    ),
+    Mutant(
+        "reduced rows: the d // lead factor dropped",
+        "linalg.py",
+        "return d, {c: r if r[c] == d else [x * (d // r[c]) for x in r] for c, r in rows.items()}",
+        "return d, rows",
+        (
+            "tests/test_linalg.py::test_projection_rows_share_one_denominator",
+            "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
+        "kernel: the first projection row dropped",
+        "linalg.py",
+        "for row in _projection_rows(sb)[2]:",
+        "for row in _projection_rows(sb)[2][1:]:",
+        (
+            "tests/test_linalg.py::test_kernel_of_zero_map_is_everything",
+            "tests/test_lie.py::test_center_examples",
+        ),
+    ),
+    Mutant(
+        "subspace: int rows kept over a denominator that is not the lcm",
+        "linalg.py",
+        "g = math.gcd(den, *(x for r in rows for x in r))",
+        "g = 1",
+        (
+            "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
+        "subspace: the rebuild check of contains_subspace dropped",
+        "linalg.py",
+        """            if _combine([w[p] for p in pivots], self._rows, self.ambient_dim) != [d * x for x in w]:
+                return False
+""",
+        """            _combine([w[p] for p in pivots], self._rows, self.ambient_dim)
+""",
+        (
+            "tests/test_lie.py::test_is_ideal",
+            "tests/test_lie.py::test_quotient_rejects_non_ideals",
         ),
     ),
     Mutant(
