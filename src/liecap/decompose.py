@@ -14,11 +14,11 @@ exterior squares are (``lie`` says why).
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .linalg import Fraction, Matrix, SpanBuilder, Subspace, Vector, _over_common_denominator
+from .linalg import Matrix, SpanBuilder, Subspace, _projection_matrix
 from .lie import LieAlgebra, _once, abelian, direct_sum, heisenberg
 
 
@@ -28,6 +28,10 @@ class AbelianAlgebraError(ValueError):
 
 class DecompositionCheckError(RuntimeError):
     """The assembled basis failed re-verification; indicates a defect."""
+
+
+# an int row and its positive denominator: the vector row / den
+_Row = tuple[list[int], int]
 
 
 class Decomposition(NamedTuple):
@@ -44,13 +48,14 @@ class Decomposition(NamedTuple):
     basis_change: Matrix
 
 
-def _gram(algebra: LieAlgebra) -> Matrix:
-    """Gram matrix of the form f with [x, y] = f(x, y) z.
+def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
+    """``(d, g)``: the Gram matrix g / d of the form f with
+    [x, y] = f(x, y) z, as int rows over the algebra's denominator d.
 
     Runs behind the gate of heisenberg_decompose (a valid nilpotent
     algebra with dim [L, L] = 1); z is the RREF basis vector of the
     derived line, which makes f canonical.  The entries are the certified
-    [L, L] coordinates alpha / d of the basis brackets.
+    [L, L] coordinates alpha of the basis brackets.
     """
     # each bracket is certified a multiple of z as its coordinate is read
     coords = algebra._derived_coordinates()
@@ -58,39 +63,36 @@ def _gram(algebra: LieAlgebra) -> Matrix:
     if any(b[0] for b in coords.beta[0].values()):
         raise DecompositionCheckError("derived generator is not central")
     n = algebra.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for (i, j), (a,) in coords.alpha.items():
-        t = Fraction(a, algebra._den)
-        rows[i][j] = t
-        rows[j][i] = -t
-    return Matrix.from_rows(rows, cols=n)
+        g[i][j] = a
+        g[j][i] = -a
+    return algebra._den, g
 
 
-def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspace]:
-    """Symplectic Gram-Schmidt over Q on the form with Gram matrix ``gram``.
+def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> tuple[list[tuple[_Row, _Row]], Subspace]:
+    """Symplectic Gram-Schmidt over Q on the form with Gram matrix g / dg,
+    for int rows g over a positive denominator dg.
 
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
-    f-orthogonal to each other, plus the radical of the form.  Pair
-    selection is deterministic: vectors are scanned in ascending index
-    order and the first nonzero pairing wins.
+    f-orthogonal to each other, each vector an int row over its own
+    positive denominator, plus the radical of the form.  Pair selection
+    is deterministic: vectors are scanned in ascending index order and
+    the first nonzero pairing wins.
 
     Each working vector v keeps the Gram column G e_i of the unit vector
     e_i it started from.  v - e_i is a combination of the pairs found so
     far, and every x the pass evaluates f(x, v) at is f-orthogonal to
     those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
-    with a column that never needs updating.
-
-    The pass runs on ints: ``gram`` is scaled once to the int matrix
-    dg G, and each working vector is an int row over its own positive
-    denominator, so every pairing is an int dot product.  Fractions are
-    made only for the returned pairs and the radical.
+    with a column that never needs updating.  The pass runs on ints: each
+    working vector is an int row over its own denominator, so every
+    pairing is an int dot product of it with a column of g.
     """
-    n = gram.rows
-    dg, g = _over_common_denominator(gram.data)
+    n = len(g)
     columns = [[row[i] for row in g] for i in range(n)]
     # (x, dx, gx): the vector x / dx and the Gram column dg G e_i it keeps
     working = [([int(t == i) for t in range(n)], 1, columns[i]) for i in range(n)]
-    pairs: list[tuple[Vector, Vector]] = []
+    pairs: list[tuple[_Row, _Row]] = []
     while True:
         hit = None
         for ai in range(len(working)):
@@ -121,12 +123,9 @@ def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspa
             if s:
                 x = [y * c - s * w for y, w in zip(x, a)]
                 dx *= c
-            k = gcd(dx, *x)
-            if dx < 0:
-                k = -k
-            rest.append(([y // k for y in x], dx // k, gx))
-        b_den = dv * c  # b = v da dg / (dv c), so that f(a, b) = 1
-        pairs.append((tuple(Fraction(y, da) for y in a), tuple(Fraction(y * da * dg, b_den) for y in v)))
+            rest.append((*_lowest(x, dx), gx))
+        # b = v da dg / (dv c), so that f(a, b) = 1
+        pairs.append(((a, da), _lowest([y * da * dg for y in v], dv * c)))
         working = rest
     sb = SpanBuilder(n)
     for x, _, _ in working:
@@ -135,6 +134,14 @@ def _symplectic_basis(gram: Matrix) -> tuple[list[tuple[Vector, Vector]], Subspa
     if 2 * len(pairs) + radical.dim != n:
         raise DecompositionCheckError("symplectic reduction lost rank")
     return pairs, radical
+
+
+def _lowest(x: list[int], dx: int) -> _Row:
+    """The vector x / dx as ``(row, den)`` in lowest terms, den > 0."""
+    k = gcd(dx, *x)
+    if dx < 0:
+        k = -k
+    return [y // k for y in x], dx // k
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -165,23 +172,24 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
 @_once
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
-    pairs, _ = _symplectic_basis(_gram(algebra))
+    pairs, _ = _symplectic_basis(*_gram(algebra))
     derived = algebra.derived_subalgebra()
-    z = tuple(Fraction(x, derived._den) for x in derived._rows[0])
     m = len(pairs)
     n = algebra.dim
     k = n - 2 * m - 1
 
     # the radical of the form is Z(L), so the complement of span{z} inside
     # it is the abelian factor of the canonical split L = L1 + A
-    complement = algebra._abelian_split().factor.basis.data
-    if len(complement) != k:
+    factor = algebra._abelian_split().factor
+    if factor.dim != k:
         raise DecompositionCheckError("the abelian factor does not complete the Heisenberg pairs")
 
-    rows = [p[0] for p in pairs] + [p[1] for p in pairs] + [z, *complement]
-    basis_change = Matrix.from_rows(rows, cols=n)
+    vectors = [p[0] for p in pairs] + [p[1] for p in pairs] + [(derived._rows[0], derived._den)]
+    vectors += [(row, factor._den) for row in factor._rows]
+    dp = lcm(*(d for _, d in vectors))
+    rows = [[x * (dp // d) for x in row] for row, d in vectors]
 
     # certify: the rewritten algebra must match the canonical constants
-    if algebra.change_basis(basis_change) != direct_sum(heisenberg(m), abelian(k)):
+    if algebra._change_basis(dp, rows) != direct_sum(heisenberg(m), abelian(k)):
         raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
-    return Decomposition(m, k, basis_change)
+    return Decomposition(m, k, _projection_matrix(n, dp, rows))

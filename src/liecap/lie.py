@@ -36,7 +36,6 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
-    _combine,
     _kernel_from_builder,
     _over_common_denominator,
     _projection_matrix,
@@ -63,16 +62,16 @@ class _DerivedCoordinates(NamedTuple):
     ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
     stored i < j: the coordinates of [e_i, e_j] times the common
     denominator d of the integer table, which the algebra holds as
-    ``_den``.  ``basis[r]`` is the int row D z_r that the derived
-    ``Subspace`` holds over its denominator D = ``scale``, and
-    ``beta[r]`` is the dict ``_ad`` gives for D z_r: ``beta[r][b]`` is
+    ``_den``.  ``ad`` is the adjoint index of alpha, the one index of
+    the algebra that ``center`` and ``_change_basis`` read too.  With D z_r
+    the int row that the derived ``Subspace`` holds over its denominator
+    D, ``beta[r]`` is the dict ``_ad`` gives for D z_r: ``beta[r][b]`` is
     d D times the coordinates of [z_r, e_b], for every b that z_r
     reaches; a missing b has [z_r, e_b] = 0.
     """
 
     alpha: dict[tuple[int, int], list[int]]
-    scale: int
-    basis: Sequence[Sequence[int]]
+    ad: _AdjointIndex
     beta: list[dict[int, list[int]]]
 
     def jacobiator(self, i: int, j: int, k: int) -> list[int]:
@@ -229,6 +228,10 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return f"<LieAlgebra dim={self.dim} brackets={len(self._rows)}>"
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the table; the memo is not carried
+        return LieAlgebra._from_int_rows, (self.dim, self._den, dict(self._rows), self.labels)
+
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
         """The nonzero [e_i, e_j] for i < j, as a read-only mapping built
@@ -296,24 +299,19 @@ class LieAlgebra:
         """The bracket in the coordinates of [L, L]; see
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
         entries at the pivot columns, so alpha is read off the stored
-        table and certified by recomposing every stored bracket from the
-        basis, in ints; beta expands each D z_r by ``_ad`` through the
-        adjoint index of alpha, since D d [z_r, e_k] =
-        sum_t (D z_r)_t d [e_t, e_k].  Computed once per instance.
-        Raises DerivedBasisError if a bracket is not recomposed."""
+        table and certified by the derived ``Subspace``'s membership rule,
+        in ints; beta expands each D z_r by ``_ad`` through the adjoint
+        index of alpha, since D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].
+        Computed once per instance.  Raises DerivedBasisError if a bracket
+        is not recomposed."""
         derived = self.derived_subalgebra()
-        pivots = derived.pivot_cols()
-        big_d, zs = derived._den, derived._rows
         alpha: dict[tuple[int, int], list[int]] = {}
-        for key, c in self._rows.items():
-            a = [c[p] for p in pivots]
-            rebuilt = _combine(a, zs, self.dim)
-            if rebuilt != [big_d * x for x in c]:
+        for key, a in zip(self._rows, derived._int_coordinates(self._rows.values())):
+            if a is None:
                 raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
             alpha[key] = a
         ad = _adjoint_index(self.dim, alpha)
-        beta = [_ad(ad, z, len(zs)) for z in zs]
-        return _DerivedCoordinates(alpha, big_d, zs, beta)
+        return _DerivedCoordinates(alpha, ad, [_ad(ad, z, derived.dim) for z in derived._rows])
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -343,8 +341,8 @@ class LieAlgebra:
         n = self.dim
         coords = self._derived_coordinates()
         sb = SpanBuilder(n)
-        for entries in _adjoint_index(n, coords.alpha):
-            for r in range(len(coords.basis)):
+        for entries in coords.ad:
+            for r in range(len(coords.beta)):
                 # row[i] = d [e_j, e_i]_r, the coefficient of x_i in d [e_j, x]_r
                 row = [0] * n
                 for i, sign, c in entries:
@@ -458,18 +456,18 @@ class LieAlgebra:
         """``change_basis`` on ints, for p = pi / dp with n int rows pi of
         length n over a positive common denominator dp."""
         n = self.dim
-        coords = self._derived_coordinates()
-        m = len(coords.basis)
+        ad = self._derived_coordinates().ad
+        derived = self.derived_subalgebra()
+        m = derived.dim
         # row k of [dp p^T | D Z^T]: its RREF solves for D z_r / dp in the f basis
         sb = SpanBuilder(n + m)
         for k in range(n):
-            sb.add_int_row([row[k] for row in pi] + [z[k] for z in coords.basis])
+            sb.add_int_row([row[k] for row in pi] + [z[k] for z in derived._rows])
         if sb.pivot_cols() != tuple(range(n)):
             raise ValueError("matrix is singular")
         # ys[r] = dy D / dp times the coordinates of z_r in the f basis
         dy, solved = sb._reduced_rows()
         ys = [[solved[i][n + r] for i in range(n)] for r in range(m)]
-        ad = _adjoint_index(n, coords.alpha)
         consts: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
             u = _ad(ad, pi[i], m)  # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
@@ -490,7 +488,7 @@ class LieAlgebra:
                                 out[t] += y * v
                     consts[(i, j)] = out
         # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)
-        return LieAlgebra._from_int_rows(n, dp * self._den * coords.scale * dy, consts)
+        return LieAlgebra._from_int_rows(n, dp * self._den * derived._den * dy, consts)
 
     def _leading_block(self, size: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         """The brackets among the first ``size`` basis vectors, cut to

@@ -27,9 +27,13 @@ subspaces, the projections and ``LieAlgebra.change_basis`` read.
 bracket over one common denominator), from a projection or from the
 integer rows of a ``Subspace``.  A ``Subspace`` holds its canonical
 basis that way, as int rows over one common denominator, and makes its
-``Fraction`` ``basis`` only when it is read.  ``add`` brings a rational
-row to ints with ``_over_common_denominator``, the one helper every
-module uses for that.
+``Fraction`` ``basis`` only when it is read.  Membership has one rule,
+``Subspace._int_coordinates``: an int row lies in the subspace exactly
+when it is rebuilt from the rows at its own pivot entries.
+``contains``, ``coordinates``, ``contains_subspace`` and the certified
+``[L, L]`` coordinates of ``lie`` all go through it.  ``add``,
+``coordinates`` and ``lie`` bring rational rows to ints with
+``_over_common_denominator``, the one helper for that.
 
 ``Matrix`` and ``Subspace`` are plain classes on ``_Record``, which
 makes them immutable, comparable and hashable without ``dataclasses``:
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction | int | str
 Vector = tuple[Fraction, ...]
@@ -431,28 +435,30 @@ class Subspace(_Record):
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        """Whether other lies in this subspace, on the int rows: a row w of
-        other lies in it exactly when it is rebuilt from the rows r_p at
-        its own entries w[p] at the pivots p, as d w = sum_p w[p] r_p."""
+        """Whether other lies in this subspace, on the int rows."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        pivots = self.pivot_cols()
-        d = self._den
-        for w in other._rows:
-            if _combine([w[p] for p in pivots], self._rows, self.ambient_dim) != [d * x for x in w]:
-                return False
-        return True
+        return None not in self._int_coordinates(other._rows)
 
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
         w = vector(v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        coords = tuple(w[p] for p in self.pivot_cols())
-        rebuilt = zero_vector(self.ambient_dim)
-        for c, r in zip(coords, self.basis.data):
-            rebuilt = vec_add(rebuilt, vec_scale(c, r))
-        return coords if rebuilt == w else None
+        d, rows = _over_common_denominator([w])
+        coords = next(self._int_coordinates(rows))
+        return None if coords is None else tuple(Fraction(x, d) for x in coords)
+
+    def _int_coordinates(self, rows: Iterable[Sequence[int]]) -> Iterator[list[int] | None]:
+        """For each int row w in turn, its coordinates [w[p] for the pivots
+        p] in the int rows r_p when w lies in the subspace, else None.  The
+        one membership rule: w lies in it exactly when it is rebuilt from
+        the r_p at its own entries w[p], as d w = sum_p w[p] r_p."""
+        pivots = self.pivot_cols()
+        d = self._den
+        for w in rows:
+            coords = [w[p] for p in pivots]
+            yield coords if _combine(coords, self._rows, self.ambient_dim) == [d * x for x in w] else None
 
 
 # ---------------------------------------------------------------------------

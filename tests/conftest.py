@@ -69,6 +69,17 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
     return done
 
 
+def fraction_solve(vectors: list[list[Fraction]], v: list[Fraction]):
+    """The coefficients c with sum_t c[t] vectors[t] = v, for linearly
+    independent vectors, by Gauss-Jordan on the augmented rows of
+    [vectors^T | v]; None when v is outside their span."""
+    k = len(vectors)
+    reduced = _gauss_jordan([[w[i] for w in vectors] + [v[i]] for i in range(len(v))], k + 1)
+    if any(next(j for j, x in enumerate(r) if x) == k for r in reduced):
+        return None
+    return tuple(r[k] for r in reduced)
+
+
 def null_space(rows: list[list[Fraction]], ncols: int):
     """{x : r . x = 0 for every row r} as a ``Subspace``, whose own check
     confirms the RREF form.  One basis vector per free column f of the

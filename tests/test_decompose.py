@@ -3,6 +3,7 @@ symplectic pass and the certified decomposition round trip."""
 
 from __future__ import annotations
 
+import math
 import random
 import traceback
 from fractions import Fraction
@@ -23,13 +24,26 @@ from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 from liecap.linalg import Matrix, Subspace, kernel_basis, unit_vector
 
 
+def gram_matrix(algebra):
+    """``_gram``'s int rows over the algebra's denominator, as the
+    ``Fraction`` Gram matrix."""
+    d, g = _gram(algebra)
+    return Matrix.from_rows([[Fraction(x, d) for x in row] for row in g], cols=algebra.dim)
+
+
+def symplectic_basis(gram):
+    """``_symplectic_basis`` on a ``Fraction`` Gram matrix, brought to int
+    rows over one denominator; its pairs come back as ``Fraction`` vectors."""
+    dg = math.lcm(*(x.denominator for row in gram.data for x in row))
+    pairs, radical = _symplectic_basis(dg, [[int(x * dg) for x in row] for row in gram.data])
+    return [tuple(tuple(Fraction(x, d) for x in row) for row, d in pair) for pair in pairs], radical
+
+
 def test_induced_form_heisenberg():
     L = heisenberg(1)
     # z, the RREF generator of [L, L], is the basis vector after the pairs
     assert heisenberg_decompose(L).basis_change.data[2] == unit_vector(3, 2)
-    assert _gram(L) == Matrix.from_rows(
-        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-    )
+    assert _gram(L) == (1, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
 
 def test_induced_form_matches_public_bracket(frozen_catalog):
@@ -39,7 +53,7 @@ def test_induced_form_matches_public_bracket(frozen_catalog):
     for name, algebra in frozen_catalog:
         if algebra.derived_subalgebra().dim != 1:
             continue
-        gram = _gram(algebra)
+        gram = gram_matrix(algebra)
         z = algebra.derived_subalgebra().basis.data[0]
         dec = heisenberg_decompose(algebra)
         assert dec.basis_change.data[2 * dec.m] == z, name
@@ -61,21 +75,21 @@ def test_induced_form_matches_public_bracket(frozen_catalog):
 
 def test_induced_form_rank_is_basis_invariant():
     L = direct_sum(heisenberg(2), abelian(1))
-    base_rank = _gram(L).rank()
+    base_rank = gram_matrix(L).rank()
     assert base_rank == 4
     for seed in (1, 2, 3):
-        assert _gram(scramble(L, seed)).rank() == 4
+        assert gram_matrix(scramble(L, seed)).rank() == 4
 
 
 def test_symplectic_basis_zero_form():
-    pairs, radical = _symplectic_basis(Matrix.from_rows([[0, 0, 0]] * 3))
+    pairs, radical = symplectic_basis(Matrix.from_rows([[0, 0, 0]] * 3))
     assert pairs == []
     assert radical.dim == 3
 
 
 def test_symplectic_basis_standard_pair():
     gram = Matrix.from_rows([[0, 1], [-1, 0]])
-    pairs, radical = _symplectic_basis(gram)
+    pairs, radical = symplectic_basis(gram)
     assert len(pairs) == 1
     assert radical.dim == 0
     a, b = pairs[0]
@@ -90,7 +104,7 @@ def test_symplectic_basis_random_skew(seed):
     skew = [[raw[i][j] - raw[j][i] for j in range(6)] for i in range(6)]
     gram = Matrix.from_rows(skew)
     rank = rank_by_minors(skew)
-    pairs, radical = _symplectic_basis(gram)
+    pairs, radical = symplectic_basis(gram)
     assert (pairs, radical) == matrix_symplectic_basis(gram)
     assert 2 * len(pairs) == rank
     assert 2 * len(pairs) + radical.dim == 6
@@ -143,7 +157,7 @@ def test_form_radical_equals_center():
     # induced form is exactly the center
     for base, seed in ((heisenberg(2), 31), (direct_sum(heisenberg(1), abelian(2)), 32)):
         L = scramble(base, seed)
-        assert kernel_basis(_gram(L)) == L.center()
+        assert kernel_basis(gram_matrix(L)) == L.center()
 
 
 def test_decompose_dimension_count():
@@ -174,8 +188,8 @@ def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
     for name, algebra in frozen_catalog:
         if algebra.derived_subalgebra().dim != 1:
             continue
-        gram = _gram(algebra)
-        assert _symplectic_basis(gram) == matrix_symplectic_basis(gram), name
+        gram = gram_matrix(algebra)
+        assert symplectic_basis(gram) == matrix_symplectic_basis(gram), name
         checked += 1
     assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
 
@@ -211,28 +225,28 @@ def test_decompose_rejection_is_raised_afresh(algebra, error):
 
 def test_decomposition_is_certified_once(monkeypatch):
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 77)
-    calls = {"change_basis": 0, "_gram": 0}
-    change_basis, gram = LieAlgebra.change_basis, decompose._gram
+    calls = {"_change_basis": 0, "_gram": 0}
+    change_basis, gram = LieAlgebra._change_basis, decompose._gram
 
-    def counted_change_basis(self, p):
-        calls["change_basis"] += 1
-        return change_basis(self, p)
+    def counted_change_basis(self, dp, pi):
+        calls["_change_basis"] += 1
+        return change_basis(self, dp, pi)
 
     def counted_gram(algebra):
         calls["_gram"] += 1
         return gram(algebra)
 
-    monkeypatch.setattr(LieAlgebra, "change_basis", counted_change_basis)
+    monkeypatch.setattr(LieAlgebra, "_change_basis", counted_change_basis)
     monkeypatch.setattr(decompose, "_gram", counted_gram)
     first = heisenberg_decompose(L)
     assert heisenberg_decompose(L) is first
     assert heisenberg_decompose(L) is first
-    assert calls == {"change_basis": 1, "_gram": 1}
+    assert calls == {"_change_basis": 1, "_gram": 1}
 
 
 def test_failed_certification_is_not_memoized(monkeypatch):
     L = scramble(heisenberg(2), 78)
-    monkeypatch.setattr(LieAlgebra, "change_basis", lambda self, p: abelian(self.dim))
+    monkeypatch.setattr(LieAlgebra, "_change_basis", lambda self, dp, pi: abelian(self.dim))
     for _ in range(2):
         with pytest.raises(DecompositionCheckError):
             heisenberg_decompose(L)

@@ -3,6 +3,8 @@ quotients and changes of basis."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -202,6 +204,21 @@ def test_key_keeps_the_common_denominator():
     # both store the int row (0, 0, 1); only the denominator tells them apart
     assert LieAlgebra(3, {(0, 1): (0, 0, Fraction(1, 2))}) != LieAlgebra(3, {(0, 1): (0, 0, 1)})
     assert LieAlgebra(3, {(0, 1): (0, 0, Fraction(1, 2))}) != heisenberg(1)
+
+
+def test_algebra_copies_and_pickles():
+    # a copy is rebuilt from the integer table: equal, with the same hash
+    # and labels, its brackets read-only, and a fresh memo of its own
+    L = scramble(direct_sum(heisenberg(1), abelian(1)), 4)
+    L.center()
+    for twin in (pickle.loads(pickle.dumps(L)), copy.copy(L), copy.deepcopy(L)):
+        assert twin == L and hash(twin) == hash(L) and twin.labels == L.labels
+        assert twin._rows == L._rows and not twin._memo
+        with pytest.raises(TypeError):
+            twin._rows[(0, 1)] = ()
+        assert twin.center() == L.center()
+    labelled = LieAlgebra(3, {(0, 1): ("0", "0", "1/2")}, labels=("x", "y", "z"))
+    assert pickle.loads(pickle.dumps(labelled)).labels == ("x", "y", "z")
 
 
 def test_brackets_round_trip(frozen_catalog):

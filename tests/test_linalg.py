@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _gauss_jordan, det_cofactor, rank_by_minors
+from conftest import _gauss_jordan, det_cofactor, fraction_solve, rank_by_minors
 from liecap.linalg import (
     Matrix,
     SpanBuilder,
@@ -237,7 +237,10 @@ def test_int_subspace_matches_fraction_gauss_jordan(frozen_catalog):
     # of the catalog, each spanned again by seeded dense rational rows:
     # the Subspace checked from conftest's Fraction Gauss-Jordan,
     # Subspace.span and SpanBuilder.subspace() all equal the library's
-    # own, with equal hashes, and basis gives the Fraction RREF rows
+    # own, with equal hashes, and basis gives the Fraction RREF rows;
+    # coordinates and contains give a Fraction solve's answer for a
+    # combination inside the span, and None and False once it is moved
+    # off the span at a column that is not a pivot
     rng = random.Random(23)
 
     def weight(i, t):
@@ -264,6 +267,15 @@ def test_int_subspace_matches_fraction_gauss_jordan(frozen_catalog):
             for x in made:
                 assert x == s and hash(x) == hash(s), name
                 assert x.basis.data == tuple(map(tuple, expected)), name
+            inside = vectors[-1]
+            assert s.coordinates(inside) == fraction_solve(list(s.basis.data), inside) is not None, name
+            assert s.contains(inside), name
+            free = [q for q in range(n) if q not in s.pivot_cols()]
+            if free:
+                outside = list(inside)
+                outside[rng.choice(free)] += weight(0, 0)
+                assert s.coordinates(outside) is None and fraction_solve(list(s.basis.data), outside) is None, name
+                assert not s.contains(outside), name
 
 
 def test_span_builder_tracks_rank_growth():

@@ -59,17 +59,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "derived coordinates: recomposition certificate dropped",
-        "lie.py",
-        """            if rebuilt != [big_d * x for x in c]:
-                raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
-""",
-        "",
-        (
-            "tests/test_cli.py::test_derived_basis_defect_exits_3",
-        ),
-    ),
-    Mutant(
         "quotient: the rows of N before the section",
         "lie.py",
         "self._change_basis(ideal._den, [*section, *ideal._rows])",
@@ -186,6 +175,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "symplectic pass: b scaled without dg",
+        "decompose.py",
+        "_lowest([y * da * dg for y in v], dv * c)",
+        "_lowest([y * da for y in v], dv * c)",
+        (
+            "tests/test_decompose.py::test_gram_column_pass_matches_matrix_oracle",
+            "tests/test_decompose.py::test_decompose_dimension_count",
+        ),
+    ),
+    Mutant(
+        "symplectic pass: the second projection step x - f(x, b) a dropped",
+        "decompose.py",
+        """            s = _dot(x, gv)
+            if s:
+                x = [y * c - s * w for y, w in zip(x, a)]
+                dx *= c
+""",
+        "",
+        (
+            "tests/test_decompose.py::test_symplectic_basis_random_skew",
+            "tests/test_decompose.py::test_decompose_dimension_count",
+        ),
+    ),
+    Mutant(
         "d3: the [e_i, e_k] ^ e_j term dropped",
         "exterior.py",
         "(support.get((j, k)), i, 1), (support.get((i, k)), j, -1))",
@@ -281,16 +294,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "subspace: the rebuild check of contains_subspace dropped",
+        "membership rule: the rebuild check dropped (derived coordinates, contains_subspace)",
         "linalg.py",
-        """            if _combine([w[p] for p in pivots], self._rows, self.ambient_dim) != [d * x for x in w]:
-                return False
-""",
-        """            _combine([w[p] for p in pivots], self._rows, self.ambient_dim)
-""",
+        "yield coords if _combine(coords, self._rows, self.ambient_dim) == [d * x for x in w] else None",
+        "yield coords",
         (
+            "tests/test_cli.py::test_derived_basis_defect_exits_3",
             "tests/test_lie.py::test_is_ideal",
-            "tests/test_lie.py::test_quotient_rejects_non_ideals",
+        ),
+    ),
+    Mutant(
+        "membership rule: rebuilt without the denominator d",
+        "linalg.py",
+        "== [d * x for x in w] else None",
+        "== list(w) else None",
+        (
+            "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+            "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
         ),
     ),
     Mutant(
