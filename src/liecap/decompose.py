@@ -54,20 +54,17 @@ def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
 
     Runs behind the gate of heisenberg_decompose (a valid nilpotent
     algebra with dim [L, L] = 1); z is the RREF basis vector of the
-    derived line, which makes f canonical.  The entries are the certified
-    [L, L] coordinates alpha of the basis brackets.
+    derived line, which makes f canonical.  g is the one form of the
+    algebra's certified [L, L] coordinates (see
+    ``lie._DerivedCoordinates``), shared with the algebra: nothing may
+    mutate it.
     """
     # each bracket is certified a multiple of z as its coordinate is read
     coords = algebra._derived_coordinates()
     # z must be central or the structure constants are inconsistent
     if any(b[0] for b in coords.beta[0].values()):
         raise DecompositionCheckError("derived generator is not central")
-    n = algebra.dim
-    g = [[0] * n for _ in range(n)]
-    for (i, j), (a,) in coords.alpha.items():
-        g[i][j] = a
-        g[j][i] = -a
-    return algebra._den, g
+    return algebra._den, coords.forms[0]
 
 
 def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> tuple[list[tuple[_Row, _Row]], Subspace]:

@@ -26,6 +26,7 @@ import random
 from functools import update_wrapper
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -62,16 +63,20 @@ class _DerivedCoordinates(NamedTuple):
     ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
     stored i < j: the coordinates of [e_i, e_j] times the common
     denominator d of the integer table, which the algebra holds as
-    ``_den``.  ``ad`` is the adjoint index of alpha, the one index of
-    the algebra that ``center`` and ``_change_basis`` read too.  With D z_r
-    the int row that the derived ``Subspace`` holds over its denominator
-    D, ``beta[r]`` is the dict ``_ad`` gives for D z_r: ``beta[r][b]`` is
-    d D times the coordinates of [z_r, e_b], for every b that z_r
-    reaches; a missing b has [z_r, e_b] = 0.
+    ``_den``.  ``forms`` holds the same numbers as m dense alternating
+    n x n int matrices, ``forms[r][a][b] = d [e_a, e_b]_r``: the one
+    form of the bracket that ``center``, ``bracket_span``,
+    ``_change_basis`` and ``decompose._gram`` read, and that nothing
+    mutates.  For an int vector w, [w, e_b]_r is entry b of the
+    combination of the rows of ``forms[r]`` at the nonzero entries of w,
+    ``_combination(w, forms[r], n)``: the one bracket kernel.  With D z_r the int row that the derived
+    ``Subspace`` holds over its denominator D, ``beta[r][b]`` is d D
+    times the coordinates of [z_r, e_b], for every b with
+    [z_r, e_b] != 0; a missing b has [z_r, e_b] = 0.
     """
 
     alpha: dict[tuple[int, int], list[int]]
-    ad: _AdjointIndex
+    forms: list[list[list[int]]]
     beta: list[dict[int, list[int]]]
 
     def jacobiator(self, i: int, j: int, k: int) -> list[int]:
@@ -219,6 +224,9 @@ class LieAlgebra:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LieAlgebra is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LieAlgebra is immutable")
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LieAlgebra) and self._key == other._key
 
@@ -300,18 +308,26 @@ class LieAlgebra:
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
         entries at the pivot columns, so alpha is read off the stored
         table and certified by the derived ``Subspace``'s membership rule,
-        in ints; beta expands each D z_r by ``_ad`` through the adjoint
-        index of alpha, since D d [z_r, e_k] = sum_t (D z_r)_t d [e_t, e_k].
-        Computed once per instance.  Raises DerivedBasisError if a bracket
-        is not recomposed."""
+        in ints; the forms are alpha laid out densely, and beta expands
+        each D z_r through them, since D d [z_r, e_b] = sum_t (D z_r)_t
+        d [e_t, e_b].  Computed once per instance.  Raises
+        DerivedBasisError if a bracket is not recomposed."""
+        n = self.dim
         derived = self.derived_subalgebra()
         alpha: dict[tuple[int, int], list[int]] = {}
         for key, a in zip(self._rows, derived._int_coordinates(self._rows.values())):
             if a is None:
                 raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
             alpha[key] = a
-        ad = _adjoint_index(self.dim, alpha)
-        return _DerivedCoordinates(alpha, ad, [_ad(ad, z, derived.dim) for z in derived._rows])
+        forms = [[[0] * n for _ in range(n)] for _ in range(derived.dim)]
+        for (i, j), a in alpha.items():
+            for g, x in zip(forms, a):
+                if x:
+                    g[i][j] = x
+                    g[j][i] = -x
+        # beta[r] keeps the nonzero columns b of the brackets [D z_r, e_b]
+        columns = [zip(*[_combination(z, g, n) for g in forms]) for z in derived._rows]
+        return _DerivedCoordinates(alpha, forms, [{b: list(c) for b, c in enumerate(cs) if any(c)} for cs in columns])
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -333,22 +349,19 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, eliminated once per instance on ints
         and taken through ``linalg._kernel_from_builder``, the one kernel
-        route of the package.  [x, e_j] lies in [L, L], so it vanishes
-        exactly when its m = dim [L, L] certified coordinates do: the
-        kernel of the n m equations sum_i x_i alpha(i, j)_r = 0, not of
-        n^2.  Raises DerivedBasisError if a bracket escapes the computed
-        [L, L], a defect."""
-        n = self.dim
-        coords = self._derived_coordinates()
-        sb = SpanBuilder(n)
-        for entries in coords.ad:
-            for r in range(len(coords.beta)):
-                # row[i] = d [e_j, e_i]_r, the coefficient of x_i in d [e_j, x]_r
-                row = [0] * n
-                for i, sign, c in entries:
-                    row[i] = sign * c[r]
-                if any(row):
-                    sb.add_int_row(row)
+        route of the package.  [e_j, x] lies in [L, L], so it vanishes
+        exactly when its m = dim [L, L] certified coordinates do: row j of
+        the form r, d [e_j, e_i]_r for every i, is the equation of the
+        coordinate r, and x is in the center when it solves the nonzero
+        rows of the forms, n m equations instead of n^2.  Raises
+        DerivedBasisError if a bracket escapes the computed [L, L], a
+        defect."""
+        forms = self._derived_coordinates().forms
+        sb = SpanBuilder(self.dim)
+        for j in range(self.dim):
+            for g in forms:
+                if any(g[j]):
+                    sb.add_int_row(list(g[j]))
         return _kernel_from_builder(sb)
 
     @_once
@@ -372,16 +385,26 @@ class LieAlgebra:
         return _AbelianSplit(Subspace._from_rref_ints(n, center._den, factor), den, basis)
 
     def bracket_span(self, s: Subspace) -> Subspace:
-        """[L, S] for a subspace S."""
+        """[L, S] for a subspace S.  It lies in [L, L], so the brackets
+        [w, e_b] of the rows w of S are eliminated in their m = dim [L, L]
+        coordinates, and at rank m they span [L, L] itself; otherwise the
+        pivot rows are mapped back through the derived basis rows and
+        spanned in Q^n.  Raises DerivedBasisError if a bracket escapes the
+        computed [L, L], a defect."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        ad = _adjoint_index(self.dim, self._rows)
-        sb = SpanBuilder(self.dim)
+        n = self.dim
+        forms = self._derived_coordinates().forms
+        derived = self.derived_subalgebra()
+        sb = SpanBuilder(derived.dim)
         for w in s._rows:
-            for row in _ad(ad, w, self.dim).values():
-                if any(row):
-                    sb.add_int_row(row)
-        return sb.subspace()
+            for col in zip(*[_combination(w, g, n) for g in forms]):
+                if any(col) and sb.add_int_row(list(col)) and sb.rank == derived.dim:
+                    return derived
+        span = SpanBuilder(n)
+        for c in sb._pivots.values():
+            span.add_int_row(_combination(c, derived._rows, n))
+        return span.subspace()
 
     def lower_central_series(self) -> list[Subspace]:
         """L^1 = L, L^{i+1} = [L, L^i], listed until it stabilizes.
@@ -440,10 +463,13 @@ class LieAlgebra:
         """The same algebra written in the basis f_i = sum_j p[i][j] e_j.
 
         Works on ints in the certified coordinates of [L, L] (see
-        ``_DerivedCoordinates``): [f_i, f_j] = sum p[i][a] p[j][b] [e_a, e_b]
-        is formed as an m-vector, m = dim [L, L], and the m basis vectors
-        z_r of [L, L] are written in the f basis once, by one elimination
-        of p^T y = z_r.  That costs O(n^3 m), not O(n^4).  Raises
+        ``_DerivedCoordinates``): [f_i, f_j] is formed as an m-vector,
+        m = dim [L, L], of the Gram products (p_i G_r) . p_j with the
+        forms G_r, where the row p_i G_r comes from the bracket kernel and
+        an f_i with p_i G_r = 0 for every r brackets to zero.  The m basis
+        vectors z_r of [L, L] are written in the f basis once: forward
+        elimination of [p^T | Z^T], then back substitution on the m
+        right-hand sides only.  That costs O(n^3 m), not O(n^4).  Raises
         ValueError if p is not square invertible of matching size, and
         DerivedBasisError if a bracket escapes the computed [L, L], a
         defect.
@@ -456,37 +482,40 @@ class LieAlgebra:
         """``change_basis`` on ints, for p = pi / dp with n int rows pi of
         length n over a positive common denominator dp."""
         n = self.dim
-        ad = self._derived_coordinates().ad
+        forms = self._derived_coordinates().forms
         derived = self.derived_subalgebra()
-        m = derived.dim
-        # row k of [dp p^T | D Z^T]: its RREF solves for D z_r / dp in the f basis
-        sb = SpanBuilder(n + m)
+        # row k of [dp p^T | D Z^T]; forward elimination leaves row k led by column k
+        sb = SpanBuilder(n + len(forms))
         for k in range(n):
             sb.add_int_row([row[k] for row in pi] + [z[k] for z in derived._rows])
         if sb.pivot_cols() != tuple(range(n)):
             raise ValueError("matrix is singular")
-        # ys[r] = dy D / dp times the coordinates of z_r in the f basis
-        dy, solved = sb._reduced_rows()
-        ys = [[solved[i][n + r] for i in range(n)] for r in range(m)]
+        # back substitution on the m right-hand sides only: ys[r] / dy is
+        # D / dp times the coordinates of z_r in the f basis
+        ys = [[0] * n for _ in forms]
+        dy = 1
+        for k in range(n - 1, -1, -1):
+            u = sb._pivots[k]  # zero before column k, its lead u[k] > 0
+            if not any(u[k + 1 :]):
+                continue  # u[k] y[k] = 0 for every r
+            # y[k] is still 0, so u . y runs over the solved y[t], t > k
+            num = [b * dy - sum(map(mul, u[:n], y)) for b, y in zip(u[n:], ys)]
+            g = gcd(u[k], *num)
+            f = u[k] // g
+            if f != 1:
+                ys = [[f * x for x in y] for y in ys]
+                dy *= f
+            for y, x in zip(ys, num):
+                y[k] = x // g
+        ts = [[_combination(row, g, n) for g in forms] for row in pi]  # ts[i][r][b] = dp d [f_i, e_b]_r
+        # [f_i, f_j] = 0 unless both brackets [f_i, -] and [f_j, -] are nonzero
+        live = [i for i, t in enumerate(ts) if any(map(any, t))]
         consts: dict[tuple[int, int], list[int]] = {}
-        for i in range(n):
-            u = _ad(ad, pi[i], m)  # u[b] = dp d [f_i, e_b] in the coordinates of [L, L]
-            for j in range(i + 1, n):
-                rj = pi[j]
-                w = [0] * m
-                for b, row in u.items():
-                    x = rj[b]
-                    if x:
-                        for r, y in enumerate(row):
-                            if y:
-                                w[r] += x * y
+        for k, i in enumerate(live):
+            for j in live[k + 1 :]:
+                w = [sum(map(mul, tr, pi[j])) for tr in ts[i]]  # dp^2 d [f_i, f_j]_r
                 if any(w):
-                    out = [0] * n
-                    for y, yr in zip(w, ys):
-                        if y:
-                            for t, v in enumerate(yr):
-                                out[t] += y * v
-                    consts[(i, j)] = out
+                    consts[(i, j)] = _combination(w, ys, n)
         # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)
         return LieAlgebra._from_int_rows(n, dp * self._den * derived._den * dy, consts)
 
@@ -498,34 +527,16 @@ class LieAlgebra:
         return LieAlgebra._from_int_rows(size, self._den, block, labels)
 
 
-_AdjointIndex = list[list[tuple[int, int, Sequence[int]]]]
-
-
-def _adjoint_index(n: int, table: Mapping[tuple[int, int], Sequence[int]]) -> _AdjointIndex:
-    """The adjoint index of a table keyed by i < j: ``ad[i]`` lists
-    ``(j, sign, table[(min(i, j), max(i, j))])`` for every key holding i,
-    with sign -1 when j < i, the sign that [e_i, e_j] takes."""
-    ad: _AdjointIndex = [[] for _ in range(n)]
-    for (a, b), c in table.items():
-        ad[a].append((b, 1, c))
-        ad[b].append((a, -1, c))
-    return ad
-
-
-def _ad(index: _AdjointIndex, w: Sequence[int], width: int) -> dict[int, list[int]]:
-    """[w, e_b] through the adjoint index of a table: ``{b: row}`` with
-    row = sum_a w[a] [e_a, e_b], as an int row of length ``width``, for
-    every b that w reaches; a missing b has [w, e_b] = 0."""
-    out: dict[int, list[int]] = {}
-    for a, x in enumerate(w):
-        if x:
-            for b, sign, c in index[a]:
-                row = out.setdefault(b, [0] * width)
-                coef = sign * x
-                for r, y in enumerate(c):
-                    if y:
-                        row[r] += coef * y
-    return out
+def _combination(w: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """sum_a w[a] rows[a], an int row of length ``width``: the combination
+    of the rows at the nonzero entries of w, skipping zero rows, in whole
+    row passes.  On ``forms[r]`` of ``_DerivedCoordinates`` it is the
+    bracket kernel: entry b is d [w, e_b]_r."""
+    out = None
+    for x, row in zip(w, rows):
+        if x and any(row):
+            out = [x * v for v in row] if out is None else [y + x * v for y, v in zip(out, row)]
+    return [0] * width if out is None else out
 
 
 # ---------------------------------------------------------------------------

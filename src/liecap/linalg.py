@@ -20,7 +20,7 @@ The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 elimination core, ``SpanBuilder``, stores integer rows, each divided by
 its gcd, and ``SpanBuilder._reduced_rows`` hands out its reduced rows
 over the lcm of their leads, the one common denominator that the
-subspaces, the projections and ``LieAlgebra.change_basis`` read.
+subspaces and the projections read.
 ``add_int_row`` takes rows that are already integers: the callers in
 ``lie``, ``decompose`` and ``exterior`` feed it rows computed from
 ``LieAlgebra``'s one integer table of structure constants (every

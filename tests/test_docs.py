@@ -1,14 +1,17 @@
 """The README's Python API example runs and gives the values its
-comments state."""
+comments state, and the README's count of source mutants is the
+length of the table in ``tools/mutants.py``."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from fractions import Fraction
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # expression -> the value its README comment starts with
 STATED = {
@@ -48,3 +51,11 @@ def test_public_names_resolve():
     import liecap
 
     assert [name for name in liecap.__all__ if not hasattr(liecap, name)] == []
+
+
+def test_readme_counts_the_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    stated = re.findall(r"table\s+of\s+(\d+)\s+source\s+mutants", README.read_text(encoding="utf-8"))
+    assert stated == [str(len(mutants.MUTANTS))]

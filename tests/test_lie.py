@@ -440,6 +440,69 @@ def test_change_basis_preserves_invariants(seed):
     ]
 
 
+def _library_bases(algebra, rng):
+    """The sparse bases the library hands its own change of basis: the
+    split basis of L = L1 + A, the quotient section over the center (the
+    unit vectors at its non-pivot columns, then its RREF rows) and a
+    seeded permutation of the unit vectors."""
+    n = algebra.dim
+    split = algebra._abelian_split()
+    center = algebra.center()
+    pivots = center.pivot_cols()
+    section = [unit_vector(n, c) for c in range(n) if c not in pivots] + list(center.basis.data)
+    order = list(range(n))
+    rng.shuffle(order)
+    return {
+        "split": Matrix.from_rows([[Fraction(x, split.den) for x in row] for row in split.basis], cols=n),
+        "quotient section": Matrix.from_rows(section, cols=n),
+        "permutation": Matrix.from_rows([unit_vector(n, i) for i in order], cols=n),
+    }
+
+
+@pytest.mark.parametrize("name", ["H(2)+A(2)", "H(1)+H(1)+A(1)", "L_6", "sl2+A(2)", "r2+A(3)"])
+def test_change_basis_on_library_bases_matches_fraction_oracle(name):
+    # the back substitution and the Gram products on the sparse bases the
+    # library feeds itself, in the standard basis and scrambled
+    algebra = {
+        "H(2)+A(2)": direct_sum(heisenberg(2), abelian(2)),
+        "H(1)+H(1)+A(1)": direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(1)),
+        "L_6": _filiform(6),
+        "sl2+A(2)": direct_sum(SL2, abelian(2)),
+        "r2+A(3)": direct_sum(R2, abelian(3)),
+    }[name]
+    rng = random.Random(name)
+    for rewritten in (algebra, scramble(algebra, 4)):
+        oracle = FractionBracketOracle(rewritten)
+        for basis, p in _library_bases(rewritten, rng).items():
+            assert rewritten.change_basis(p) == oracle.change_basis(p), (name, basis)
+
+
+def test_change_basis_names_a_singular_matrix():
+    L = scramble(direct_sum(heisenberg(1), abelian(1)), 2)
+    repeated = Matrix.from_rows([unit_vector(4, 0), unit_vector(4, 0), unit_vector(4, 2), unit_vector(4, 3)])
+    rows = [[1, -2, 3, 1], [2, 1, -1, 3], [0, 5, 2, 1]]
+    dense = Matrix.from_rows(rows + [[a - 2 * b + Fraction(c, 2) for a, b, c in zip(*rows)]])
+    assert dense.rank() == 3
+    for p in (repeated, dense):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            L.change_basis(p)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_abelian_algebras_have_no_forms(n):
+    # m = 0: no forms, every bracket span is zero, the center is everything
+    L = abelian(n)
+    assert L._derived_coordinates().forms == []
+    assert L.center() == Subspace.full(n)
+    for s in (Subspace.zero(n), Subspace.full(n)):
+        assert L.bracket_span(s) == Subspace.zero(n)
+    assert [t.dim for t in L.lower_central_series()] == ([0] if n == 0 else [n, 0])
+    assert L.change_basis(random_invertible(n, random.Random(n))) == L
+    if n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            L.change_basis(Matrix.from_rows([unit_vector(n, 0)] * n))
+
+
 def test_scramble_is_seed_deterministic():
     L = direct_sum(heisenberg(1), abelian(2))
     assert scramble(L, 7) == scramble(L, 7)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _gauss_jordan, det_cofactor, fraction_solve, rank_by_minors
+from liecap.lie import heisenberg
 from liecap.linalg import (
     Matrix,
     SpanBuilder,
@@ -219,12 +220,16 @@ def test_subspace_rejects_unreduced_basis():
 def test_values_are_immutable_and_hashable():
     m = Matrix.from_rows([[1, 2], [0, 1]])
     s = Subspace.span(2, [(2, 4)])
-    for value, field in ((m, "rows"), (m, "data"), (s, "ambient_dim"), (s, "basis")):
+    h = heisenberg(1)
+    fields = ((m, "rows"), (m, "data"), (s, "ambient_dim"), (s, "basis"), (h, "labels"), (h, "dim"), (h, "_memo"))
+    for value, field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert (m.rows, m.cols, s.ambient_dim, s.basis) == (2, 2, 2, Matrix.from_rows([[1, 2]]))
+    assert (h.labels, h.dim, h._memo) == (("a1", "b1", "z"), 3, {})
+    assert h == heisenberg(1) and hash(h) == hash(heisenberg(1))
     same = Matrix(2, 2, m.data)
     assert m == same and hash(m) == hash(same)
     assert m != m.data and s != s.basis  # a value equals only values of its own class

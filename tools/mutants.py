@@ -98,33 +98,57 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_adjoint_index: sign dropped for j < i",
+        "forms: the antisymmetric entry keeps the sign of alpha",
         "lie.py",
-        "ad[b].append((a, -1, c))",
-        "ad[b].append((a, 1, c))",
+        "g[j][i] = -x",
+        "g[j][i] = x",
         (
             "tests/test_lie.py::test_change_basis_swap_flips_sign",
             "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
         ),
     ),
     Mutant(
-        "_ad: sign of the adjoint index dropped",
+        "forms: the antisymmetric entry dropped (the center reads half the equations)",
         "lie.py",
-        "coef = sign * x",
-        "coef = x",
-        (
-            "tests/test_lie.py::test_change_basis_swap_flips_sign",
-            "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
-        ),
-    ),
-    Mutant(
-        "center: sign dropped in the equations",
-        "lie.py",
-        "row[i] = sign * c[r]",
-        "row[i] = c[r]",
+        """                    g[i][j] = x
+                    g[j][i] = -x
+""",
+        """                    g[i][j] = x
+""",
         (
             "tests/test_lie.py::test_change_basis_preserves_invariants",
             "tests/test_decompose.py::test_form_radical_equals_center",
+        ),
+    ),
+    Mutant(
+        "bracket kernel: the sign of w[a] dropped",
+        "lie.py",
+        "out = [x * v for v in row] if out is None else [y + x * v for y, v in zip(out, row)]",
+        "out = [abs(x) * v for v in row] if out is None else [y + abs(x) * v for y, v in zip(out, row)]",
+        (
+            "tests/test_lie.py::test_change_basis_swap_flips_sign",
+            "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "back substitution: the earlier solutions not rescaled",
+        "lie.py",
+        """                ys = [[f * x for x in y] for y in ys]
+""",
+        "",
+        (
+            "tests/test_lie.py::test_change_basis_on_library_bases_matches_fraction_oracle",
+            "tests/test_lie.py::test_change_basis_preserves_invariants",
+        ),
+    ),
+    Mutant(
+        "bracket_span: mapped back through the wrong derived rows",
+        "lie.py",
+        "span.add_int_row(_combination(c, derived._rows, n))",
+        "span.add_int_row(_combination(c, derived._rows[::-1], n))",
+        (
+            "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
+            "tests/test_cli.py::test_deep_file_analyze_json_is_pinned[L_7 scrambled]",
         ),
     ),
     Mutant(
