@@ -325,9 +325,11 @@ class LieAlgebra:
                 if x:
                     g[i][j] = x
                     g[j][i] = -x
-        # beta[r] keeps the nonzero columns b of the brackets [D z_r, e_b]
-        columns = [zip(*[_combination(z, g, n) for g in forms]) for z in derived._rows]
-        return _DerivedCoordinates(alpha, forms, [{b: list(c) for b, c in enumerate(cs) if any(c)} for cs in columns])
+        beta = []
+        for z in derived._rows:
+            rows = [_combination(z, g, n) for g in forms]  # rows[s][b] = d D [z_r, e_b]_s
+            beta.append({b: list(c) for b, c in enumerate(zip(*rows)) if any(c)} if any(map(any, rows)) else {})
+        return _DerivedCoordinates(alpha, forms, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -485,7 +487,7 @@ class LieAlgebra:
         forms = self._derived_coordinates().forms
         derived = self.derived_subalgebra()
         # row k of [dp p^T | D Z^T]; forward elimination leaves row k led by column k
-        sb = SpanBuilder(n + len(forms))
+        sb = SpanBuilder(n + derived.dim)
         for k in range(n):
             sb.add_int_row([row[k] for row in pi] + [z[k] for z in derived._rows])
         if sb.pivot_cols() != tuple(range(n)):
@@ -531,7 +533,10 @@ def _combination(w: Sequence[int], rows: Sequence[Sequence[int]], width: int) ->
     """sum_a w[a] rows[a], an int row of length ``width``: the combination
     of the rows at the nonzero entries of w, skipping zero rows, in whole
     row passes.  On ``forms[r]`` of ``_DerivedCoordinates`` it is the
-    bracket kernel: entry b is d [w, e_b]_r."""
+    bracket kernel: entry b is d [w, e_b]_r.  ``linalg._combine`` has the
+    same rule entry by entry; the kernel stays in this module, since
+    ``bench/tracer.py`` times a private helper that another module
+    imports as a span of its own module, not of ``lie``."""
     out = None
     for x, row in zip(w, rows):
         if x and any(row):
