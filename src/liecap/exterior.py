@@ -243,20 +243,19 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     section, d, columns, pivots = _relation_projection(len(pairs), _d3_rows(n, algebra._rows))
 
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
-    # of [L, L], which the algebra certifies as it reads them off; alpha
-    # holds them times the algebra's denominator, on ints
+    # of [L, L], which the algebra certifies as it reads them off; the
+    # forms hold them times the algebra's denominator, on ints
     derived = algebra.derived_subalgebra()
-    alpha = algebra._derived_coordinates().alpha
-    zero = (0,) * derived.dim
-    on_section = tuple(tuple(alpha.get(pairs[q], zero)) for q in section)
+    forms = algebra._derived_coordinates().forms
+    on_section = tuple(tuple(g[a][b] for g in forms) for a, b in (pairs[q] for q in section))
     # d2 o d3 = 0 exactly when d2 factors through the projection: on a
     # section column it does by construction, and at a relation pivot p
     # it does exactly when d2 kills the reduced relation row led by p:
     # sum of x d2[q_s] over (s, x) in columns[p] = d d2[p], for the
     # section columns q_s
     for p in pivots:
-        d2 = alpha.get(pairs[p], zero)
-        if any(sum(on_section[s][t] * x for s, x in columns[p]) != d * y for t, y in enumerate(d2)):
+        a, b = pairs[p]
+        if any(sum(on_section[s][t] * x for s, x in columns[p]) != d * g[a][b] for t, g in enumerate(forms)):
             raise ConstructionError("relation vector survives the commutator map")
     image = SpanBuilder(len(section))
     for t in range(derived.dim):

@@ -37,6 +37,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
+    _combine,
     _kernel_from_builder,
     _over_common_denominator,
     _projection_matrix,
@@ -60,22 +61,21 @@ class _DerivedCoordinates(NamedTuple):
     """The bracket in the coordinates of [L, L] = span(z_1..z_m), where
     z_r is the RREF basis of the derived subalgebra with pivot column p_r.
 
-    ``alpha[(i, j)]`` is d [e_i, e_j] at the pivots p_1..p_m, for the
-    stored i < j: the coordinates of [e_i, e_j] times the common
-    denominator d of the integer table, which the algebra holds as
-    ``_den``.  ``forms`` holds the same numbers as m dense alternating
-    n x n int matrices, ``forms[r][a][b] = d [e_a, e_b]_r``: the one
-    form of the bracket that ``center``, ``bracket_span``,
-    ``_change_basis`` and ``decompose._gram`` read, and that nothing
+    ``forms`` holds m dense alternating n x n int matrices,
+    ``forms[r][a][b] = d [e_a, e_b]_r``: the coordinates of [e_a, e_b]
+    times the common denominator d of the integer table, which the
+    algebra holds as ``_den``.  It is the one stored form of the bracket,
+    which ``validate``, ``center``, ``bracket_span``, ``_change_basis``,
+    ``decompose._gram`` and ``exterior_square`` read, and that nothing
     mutates.  For an int vector w, [w, e_b]_r is entry b of the
     combination of the rows of ``forms[r]`` at the nonzero entries of w,
-    ``_combination(w, forms[r], n)``: the one bracket kernel.  With D z_r the int row that the derived
-    ``Subspace`` holds over its denominator D, ``beta[r][b]`` is d D
-    times the coordinates of [z_r, e_b], for every b with
-    [z_r, e_b] != 0; a missing b has [z_r, e_b] = 0.
+    ``linalg._combine(w, forms[r], n)``: the one bracket kernel.  With
+    D z_r the int row that the derived ``Subspace`` holds over its
+    denominator D, ``beta[r][b]`` is d D times the coordinates of
+    [z_r, e_b], for every b with [z_r, e_b] != 0; a missing b has
+    [z_r, e_b] = 0.
     """
 
-    alpha: dict[tuple[int, int], list[int]]
     forms: list[list[list[int]]]
     beta: list[dict[int, list[int]]]
 
@@ -85,13 +85,12 @@ class _DerivedCoordinates(NamedTuple):
         i < j < k: zero exactly when the Jacobiator is, since it lies in
         [L, L]."""
         out = [0] * len(self.beta)
-        for key, col, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
-            a = self.alpha.get(key)
-            if a is not None:
-                for r, coef in enumerate(a):
-                    if coef:
-                        for s, x in enumerate(self.beta[r].get(col, ())):
-                            out[s] += sign * coef * x
+        for p, q, col, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+            for g, b in zip(self.forms, self.beta):
+                x = g[p][q]
+                if x:
+                    for s, y in enumerate(b.get(col, ())):
+                        out[s] += sign * x * y
         return out
 
 
@@ -283,9 +282,11 @@ class LieAlgebra:
         Antisymmetry holds by construction (only i < j brackets are
         stored), so the Jacobi identity is the whole check.  Every
         Jacobiator lies in [L, L], so it is evaluated in the m = dim [L, L]
-        coordinates of that subspace, on the stored integer constants (each
-        term scales by the same factor, so vanishing is unaffected): the
-        pass costs O(n^3 m^2), not O(n^5).  The verdict is cached on the
+        coordinates of that subspace, on the integer forms (each term
+        scales by the same factor, so vanishing is unaffected): the pass
+        costs O(n^3 m^2), not O(n^5).  A triple is skipped when none of
+        its three pairs has a stored bracket, since then every term of
+        its Jacobiator is zero.  The verdict is cached on the
         instance.  Raises DerivedBasisError if a bracket escapes the
         computed [L, L], a defect.
         """
@@ -294,9 +295,9 @@ class LieAlgebra:
         # central, as in every 2-step nilpotent algebra, all of them vanish
         if not any(x for row in coords.beta for col in row.values() for x in col):
             return None
-        alpha = coords.alpha
+        rows = self._rows
         for i, j, k in combinations(range(self.dim), 3):
-            if (i, j) not in alpha and (j, k) not in alpha and (i, k) not in alpha:
+            if (i, j) not in rows and (j, k) not in rows and (i, k) not in rows:
                 continue
             if any(coords.jacobiator(i, j, k)):
                 return (i, j, k)
@@ -306,30 +307,27 @@ class LieAlgebra:
     def _derived_coordinates(self) -> _DerivedCoordinates:
         """The bracket in the coordinates of [L, L]; see
         ``_DerivedCoordinates``.  An RREF vector's coordinates are its
-        entries at the pivot columns, so alpha is read off the stored
+        entries at the pivot columns, so the forms are read off the stored
         table and certified by the derived ``Subspace``'s membership rule,
-        in ints; the forms are alpha laid out densely, and beta expands
-        each D z_r through them, since D d [z_r, e_b] = sum_t (D z_r)_t
-        d [e_t, e_b].  Computed once per instance.  Raises
-        DerivedBasisError if a bracket is not recomposed."""
+        in ints, and beta expands each D z_r through them, since
+        D d [z_r, e_b] = sum_t (D z_r)_t d [e_t, e_b].  Computed once per
+        instance.  Raises DerivedBasisError if a bracket is not
+        recomposed."""
         n = self.dim
         derived = self.derived_subalgebra()
-        alpha: dict[tuple[int, int], list[int]] = {}
-        for key, a in zip(self._rows, derived._int_coordinates(self._rows.values())):
-            if a is None:
-                raise DerivedBasisError(f"bracket {key} is not recomposed from the basis of [L, L]")
-            alpha[key] = a
         forms = [[[0] * n for _ in range(n)] for _ in range(derived.dim)]
-        for (i, j), a in alpha.items():
+        for (i, j), a in zip(self._rows, derived._int_coordinates(self._rows.values())):
+            if a is None:
+                raise DerivedBasisError(f"bracket {(i, j)} is not recomposed from the basis of [L, L]")
             for g, x in zip(forms, a):
                 if x:
                     g[i][j] = x
                     g[j][i] = -x
         beta = []
         for z in derived._rows:
-            rows = [_combination(z, g, n) for g in forms]  # rows[s][b] = d D [z_r, e_b]_s
+            rows = [_combine(z, g, n) for g in forms]  # rows[s][b] = d D [z_r, e_b]_s
             beta.append({b: list(c) for b, c in enumerate(zip(*rows)) if any(c)} if any(map(any, rows)) else {})
-        return _DerivedCoordinates(alpha, forms, beta)
+        return _DerivedCoordinates(forms, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -400,12 +398,12 @@ class LieAlgebra:
         derived = self.derived_subalgebra()
         sb = SpanBuilder(derived.dim)
         for w in s._rows:
-            for col in zip(*[_combination(w, g, n) for g in forms]):
+            for col in zip(*[_combine(w, g, n) for g in forms]):
                 if any(col) and sb.add_int_row(list(col)) and sb.rank == derived.dim:
                     return derived
         span = SpanBuilder(n)
         for c in sb._pivots.values():
-            span.add_int_row(_combination(c, derived._rows, n))
+            span.add_int_row(_combine(c, derived._rows, n))
         return span.subspace()
 
     def lower_central_series(self) -> list[Subspace]:
@@ -509,7 +507,7 @@ class LieAlgebra:
                 dy *= f
             for y, x in zip(ys, num):
                 y[k] = x // g
-        ts = [[_combination(row, g, n) for g in forms] for row in pi]  # ts[i][r][b] = dp d [f_i, e_b]_r
+        ts = [[_combine(row, g, n) for g in forms] for row in pi]  # ts[i][r][b] = dp d [f_i, e_b]_r
         # [f_i, f_j] = 0 unless both brackets [f_i, -] and [f_j, -] are nonzero
         live = [i for i, t in enumerate(ts) if any(map(any, t))]
         consts: dict[tuple[int, int], list[int]] = {}
@@ -517,7 +515,7 @@ class LieAlgebra:
             for j in live[k + 1 :]:
                 w = [sum(map(mul, tr, pi[j])) for tr in ts[i]]  # dp^2 d [f_i, f_j]_r
                 if any(w):
-                    consts[(i, j)] = _combination(w, ys, n)
+                    consts[(i, j)] = _combine(w, ys, n)
         # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)
         return LieAlgebra._from_int_rows(n, dp * self._den * derived._den * dy, consts)
 
@@ -527,21 +525,6 @@ class LieAlgebra:
         modulo the span of the rest, when that span is an ideal."""
         block = {(i, j): c[:size] for (i, j), c in self._rows.items() if j < size}
         return LieAlgebra._from_int_rows(size, self._den, block, labels)
-
-
-def _combination(w: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """sum_a w[a] rows[a], an int row of length ``width``: the combination
-    of the rows at the nonzero entries of w, skipping zero rows, in whole
-    row passes.  On ``forms[r]`` of ``_DerivedCoordinates`` it is the
-    bracket kernel: entry b is d [w, e_b]_r.  ``linalg._combine`` has the
-    same rule entry by entry; the kernel stays in this module, since
-    ``bench/tracer.py`` times a private helper that another module
-    imports as a span of its own module, not of ``lie``."""
-    out = None
-    for x, row in zip(w, rows):
-        if x and any(row):
-            out = [x * v for v in row] if out is None else [y + x * v for y, v in zip(out, row)]
-    return [0] * width if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -101,14 +101,17 @@ def _over_common_denominator(rows: Iterable[Sequence[Fraction]]) -> tuple[int, l
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """sum_t coeffs[t] rows[t], an int row of length ``width``."""
-    out = [0] * width
+    """sum_t coeffs[t] rows[t], an int row of length ``width``: the
+    combination of the rows at the nonzero coefficients, skipping zero
+    rows, in one whole-row pass per row; ``zip`` stops at the shorter of
+    coeffs and rows.  The one row kernel of the package: on ``forms[r]``
+    of ``lie._DerivedCoordinates`` it is the bracket kernel, entry b
+    being d [w, e_b]_r."""
+    out = None
     for c, row in zip(coeffs, rows):
-        if c:
-            for t, x in enumerate(row):
-                if x:
-                    out[t] += c * x
-    return out
+        if c and any(row):
+            out = [c * x for x in row] if out is None else [y + c * x for y, x in zip(out, row)]
+    return [0] * width if out is None else out
 
 
 def _normalize_int(row: list[int]) -> list[int] | None:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _gauss_jordan, det_cofactor, fraction_solve, rank_by_minors
@@ -17,11 +17,15 @@ from liecap.linalg import (
     Matrix,
     SpanBuilder,
     Subspace,
+    _combine,
     _projection_matrix,
     _projection_rows,
     kernel_basis,
     random_invertible,
     unit_vector,
+    vec_add,
+    vec_scale,
+    zero_vector,
 )
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -35,6 +39,40 @@ def matrices(draw, max_rows=5, max_cols=5):
         st.lists(st.lists(fractions_st, min_size=c, max_size=c), min_size=r, max_size=r)
     )
     return Matrix.from_rows(data, cols=c)
+
+
+# -- the row kernel -----------------------------------------------------------
+
+
+@st.composite
+def combinations_st(draw):
+    """(coeffs, rows, width): int rows of one width, some of them zero, and
+    coefficients, some of them zero, whose count need not match the rows'."""
+    width = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(st.just([0] * width), row), max_size=5))
+    coeffs = draw(st.lists(st.integers(-3, 3), max_size=6))
+    return coeffs, rows, width
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(combinations_st())
+@example(([], [], 3))
+@example(([2, -1], [], 2))
+@example(([], [[1, 2]], 2))
+@example(([0, 3, 5], [[1, 2], [0, 0]], 2))
+@example(([1, 2], [[0, 1], [1, 0], [7, 7]], 2))
+def test_combine_matches_fraction_sum(case):
+    """``_combine`` against the Fraction combination built with vec_add and
+    vec_scale over the pairs that ``zip`` makes of coeffs and rows."""
+    coeffs, rows, width = case
+    expected = zero_vector(width)
+    for c, row in zip(coeffs, rows):
+        expected = vec_add(expected, vec_scale(Fraction(c), [Fraction(x) for x in row]))
+    out = _combine(coeffs, rows, width)
+    assert out == list(expected)
+    assert all(type(x) is int for x in out)
+    assert all(out is not row for row in rows)  # a fresh row: callers may keep or change it
 
 
 # -- reduced echelon bases ------------------------------------------------------

@@ -49,10 +49,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "jacobiator: + sign on the alpha(i, k) term",
+        "jacobiator: + sign on the (i, k) term",
         "lie.py",
-        "((i, k), j, -1)):",
-        "((i, k), j, 1)):",
+        "(i, k, j, -1)):",
+        "(i, k, j, 1)):",
         (
             "tests/test_lie.py::test_validate_skips_the_triples_when_the_derived_algebra_is_central",
             "tests/test_exterior.py::test_self_check_catches_dropped_d3_term",
@@ -98,7 +98,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "forms: the antisymmetric entry keeps the sign of alpha",
+        "forms: the antisymmetric entry keeps the sign of the stored bracket",
         "lie.py",
         "g[j][i] = -x",
         "g[j][i] = x",
@@ -122,9 +122,9 @@ MUTANTS = (
     ),
     Mutant(
         "bracket kernel: the sign of w[a] dropped",
-        "lie.py",
-        "out = [x * v for v in row] if out is None else [y + x * v for y, v in zip(out, row)]",
-        "out = [abs(x) * v for v in row] if out is None else [y + abs(x) * v for y, v in zip(out, row)]",
+        "linalg.py",
+        "out = [c * x for x in row] if out is None else [y + c * x for y, x in zip(out, row)]",
+        "out = [abs(c) * x for x in row] if out is None else [y + abs(c) * x for y, x in zip(out, row)]",
         (
             "tests/test_lie.py::test_change_basis_swap_flips_sign",
             "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
@@ -144,8 +144,8 @@ MUTANTS = (
     Mutant(
         "bracket_span: mapped back through the wrong derived rows",
         "lie.py",
-        "span.add_int_row(_combination(c, derived._rows, n))",
-        "span.add_int_row(_combination(c, derived._rows[::-1], n))",
+        "span.add_int_row(_combine(c, derived._rows, n))",
+        "span.add_int_row(_combine(c, derived._rows[::-1], n))",
         (
             "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
             "tests/test_cli.py::test_deep_file_analyze_json_is_pinned[L_7 scrambled]",
@@ -315,6 +315,15 @@ MUTANTS = (
         "g = 1",
         (
             "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
+        "row kernel: a row skipped when its first entry is zero",
+        "linalg.py",
+        "if c and any(row):",
+        "if c and row[0]:",
+        (
+            "tests/test_linalg.py::test_combine_matches_fraction_sum",
         ),
     ),
     Mutant(
