@@ -5,21 +5,21 @@ Any such algebra is isomorphic to H(m) + A(k) for exactly one pair
 (m, k): writing [x, y] = f(x, y) z for the derived generator z gives an
 alternating bilinear form f, a symplectic Gram-Schmidt pass over f
 yields the Heisenberg pairs, and what is left over is the abelian part.
-The decomposition returns an explicit change of basis and re-checks it,
-so a returned witness is always certified.  It is kept per algebra
-instance by ``lie._once``, like every other invariant of a
-``LieAlgebra``, not in a cache shared between equal algebras as the
-exterior squares are (``lie`` says why).
+The decomposition returns an explicit change of basis and re-checks it
+from the Gram products of the new basis, so a returned witness is
+always certified.  It is kept per algebra instance by ``lie._once``,
+like every other invariant of a ``LieAlgebra``, not in a cache shared
+between equal algebras as the exterior squares are (``lie`` says why).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .linalg import Matrix, SpanBuilder, Subspace, _projection_matrix
-from .lie import LieAlgebra, _once, abelian, direct_sum, heisenberg
+from .linalg import Matrix, SpanBuilder, _combine, _projection_matrix, _Record, _set
+from .lie import LieAlgebra, _once
 
 
 class AbelianAlgebraError(ValueError):
@@ -34,18 +34,43 @@ class DecompositionCheckError(RuntimeError):
 _Row = tuple[list[int], int]
 
 
-class Decomposition(NamedTuple):
+class Decomposition(_Record):
     """Certified isomorphism L = H(m) + A(k).
 
     ``basis_change`` rows are the new basis in original coordinates,
     ordered a_1..a_m, b_1..b_m, z, then the abelian part; rewriting the
     algebra in this basis reproduces the canonical structure constants
-    bit for bit (verified at construction time).
+    bit for bit (verified at construction time).  The certificate hands
+    over the rows as ints over one common denominator, and the
+    ``Fraction`` ``basis_change`` is made when it is first read, as
+    ``Subspace.basis`` is.  A value compares, hashes and unpacks as
+    ``(m, k, basis_change)``.
     """
 
-    m: int
-    k: int
-    basis_change: Matrix
+    __slots__ = ("m", "k", "_den", "_rows", "_basis")
+    _fields = ("m", "k", "basis_change")
+
+    def __init__(self, m: int, k: int, basis_change: Matrix):
+        for name, value in zip(self.__slots__, (m, k, None, None, basis_change)):
+            _set(self, name, value)
+
+    @classmethod
+    def _from_ints(cls, m: int, k: int, den: int, rows: list[list[int]]) -> "Decomposition":
+        """The decomposition with basis rows rows / den, for int rows over
+        a positive common denominator."""
+        dec = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (m, k, den, rows, None)):
+            _set(dec, name, value)
+        return dec
+
+    @property
+    def basis_change(self) -> Matrix:
+        if self._basis is None:
+            _set(self, "_basis", _projection_matrix(len(self._rows), self._den, self._rows))
+        return self._basis
+
+    def __iter__(self) -> Iterator:
+        return iter((self.m, self.k, self.basis_change))
 
 
 def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
@@ -67,23 +92,26 @@ def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
     return algebra._den, coords.forms[0]
 
 
-def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> tuple[list[tuple[_Row, _Row]], Subspace]:
+def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _Row]]:
     """Symplectic Gram-Schmidt over Q on the form with Gram matrix g / dg,
     for int rows g over a positive denominator dg.
 
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
     f-orthogonal to each other, each vector an int row over its own
-    positive denominator, plus the radical of the form.  Pair selection
-    is deterministic: vectors are scanned in ascending index order and
-    the first nonzero pairing wins.
+    positive denominator.  The vectors left over span the radical of
+    the form; only their rank is checked, since the certificate takes
+    the abelian part from the center.  Pair selection is deterministic:
+    vectors are scanned in ascending index order and the first nonzero
+    pairing wins.
 
     Each working vector v keeps the Gram column G e_i of the unit vector
     e_i it started from.  v - e_i is a combination of the pairs found so
     far, and every x the pass evaluates f(x, v) at is f-orthogonal to
     those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
     with a column that never needs updating.  The pass runs on ints: each
-    working vector is an int row over its own denominator, so every
-    pairing is an int dot product of it with a column of g.
+    working vector is an int row over its own denominator, in lowest
+    terms, so every pairing is an int dot product of it with a column of
+    g.  A vector that neither projection step moves stays as it is.
     """
     n = len(g)
     columns = [[row[i] for row in g] for i in range(n)]
@@ -106,9 +134,10 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> tuple[list[tuple[_
         v, dv, gv = working[bi]
         c = _dot(a, gv)  # f(a, v) = c / (da dg)
         rest = []
-        for t, (x, dx, gx) in enumerate(working):
+        for t, item in enumerate(working):
             if t in (ai, bi):
                 continue
+            x, dx, gx = item
             # project x onto the f-complement of the pair (a, b), b = v / f(a, v):
             # first x + f(x, a) b, with f(x, a) = (x . ga) / (dx dg) ...
             s = _dot(x, ga)
@@ -120,17 +149,16 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> tuple[list[tuple[_
             if s:
                 x = [y * c - s * w for y, w in zip(x, a)]
                 dx *= c
-            rest.append((*_lowest(x, dx), gx))
+            rest.append(item if x is item[0] else (*_lowest(x, dx), gx))
         # b = v da dg / (dv c), so that f(a, b) = 1
         pairs.append(((a, da), _lowest([y * da * dg for y in v], dv * c)))
         working = rest
     sb = SpanBuilder(n)
     for x, _, _ in working:
         sb.add_int_row(list(x))
-    radical = sb.subspace()
-    if 2 * len(pairs) + radical.dim != n:
+    if 2 * len(pairs) + sb.rank != n:
         raise DecompositionCheckError("symplectic reduction lost rank")
-    return pairs, radical
+    return pairs
 
 
 def _lowest(x: list[int], dx: int) -> _Row:
@@ -169,7 +197,20 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 
 @_once
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
-    pairs, _ = _symplectic_basis(*_gram(algebra))
+    """The decomposition of a gated algebra, certified from the Gram
+    products of its basis p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the
+    abelian factor.
+
+    Every bracket is certified f(x, y) z as the Gram matrix is read, and
+    z is the basis vector p_2m, so the rewritten constants are
+    [p_i, p_j] = f(p_i, p_j) p_2m: they are those of H(m) + A(k) exactly
+    when, for i < j, f(p_i, p_j) is 1 at (i, m + i) with i < m and 0
+    elsewhere.  Then the pairs are independent modulo everything else
+    (pair a combination with b_i and a_i), so the basis is invertible
+    exactly when z and the abelian rows are independent, which one rank
+    check tests."""
+    dg, g = _gram(algebra)
+    pairs = _symplectic_basis(dg, g)
     derived = algebra.derived_subalgebra()
     m = len(pairs)
     n = algebra.dim
@@ -183,10 +224,19 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
 
     vectors = [p[0] for p in pairs] + [p[1] for p in pairs] + [(derived._rows[0], derived._den)]
     vectors += [(row, factor._den) for row in factor._rows]
-    dp = lcm(*(d for _, d in vectors))
-    rows = [[x * (dp // d) for x in row] for row, d in vectors]
 
-    # certify: the rewritten algebra must match the canonical constants
-    if algebra._change_basis(dp, rows) != direct_sum(heisenberg(m), abelian(k)):
-        raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
-    return Decomposition(m, k, _projection_matrix(n, dp, rows))
+    # certify: f(p_i, p_j) = (x_i G x_j) / (d_i d_j dg) for p_i = x_i / d_i
+    for i, (x, dx) in enumerate(vectors):
+        xg = _combine(x, g, n)
+        for j in range(i + 1, n):
+            y, dy = vectors[j]
+            if _dot(xg, y) != (dx * dy * dg if j == m + i and i < m else 0):
+                raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
+    sb = SpanBuilder(n)
+    for x, _ in vectors[2 * m :]:
+        sb.add_int_row(list(x))
+    if sb.rank != k + 1:
+        raise DecompositionCheckError("the basis is singular: z lies in the span of the abelian factor")
+
+    dp = lcm(*(d for _, d in vectors))
+    return Decomposition._from_ints(m, k, dp, [[x * (dp // d) for x in row] for row, d in vectors])

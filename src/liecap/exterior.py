@@ -70,7 +70,7 @@ from .linalg import (
     Subspace,
     Vector,
     _combine,
-    _kernel_from_builder,
+    _kernel,
     _projection_matrix,
     _projection_rows,
     _Record,
@@ -321,26 +321,24 @@ def _square_center(algebra: LieAlgebra) -> Subspace:
     Such an x is central, since [x, y] is the commutator of x ^ y, so
     x = sum_t c_t w_t over the int rows w_t of ``center()``, and only the
     c_t are solved for: the kernel of the stacked maps
-    c -> (sum_t c_t w_t) ^ e_j, eliminated on ints and taken through
-    ``linalg._kernel_from_builder``."""
+    c -> (sum_t c_t w_t) ^ e_j, eliminated once on ints by
+    ``linalg._kernel``.  Its RREF rows, mapped through the center's RREF
+    basis, are already the RREF of Z^ (``Subspace._image``)."""
     square = exterior_square(algebra)
     n = square.dim
-    center = algebra.center()._rows
-    c = len(center)
-    sb = SpanBuilder(c)
+    center = algebra.center()
+    c = center.dim
+    rows = []
     for j in range(n):
         # equations[s][t]: d D times coordinate s of the class of w_t ^ e_j
         equations: dict[int, list[int]] = {}
-        for t, w in enumerate(center):
+        for t, w in enumerate(center._rows):
             for s, x in _wedge_class(square, enumerate(w), j).items():
                 if x:
                     equations.setdefault(s, [0] * c)[t] = x
-        for row in equations.values():
-            sb.add_int_row(row)
-    out = SpanBuilder(n)
-    for coeffs in _kernel_from_builder(sb)._rows:
-        out.add_int_row(_combine(coeffs, center, n))
-    return out.subspace()
+        rows += equations.values()
+    kernel = _kernel(c, rows)
+    return center._image(kernel._den, kernel._rows)
 
 
 def exterior_center(algebra: LieAlgebra) -> Subspace:

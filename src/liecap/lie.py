@@ -38,7 +38,7 @@ from .linalg import (
     Subspace,
     Vector,
     _combine,
-    _kernel_from_builder,
+    _kernel,
     _over_common_denominator,
     _projection_matrix,
     _projection_rows,
@@ -348,21 +348,17 @@ class LieAlgebra:
     @_once
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, eliminated once per instance on ints
-        and taken through ``linalg._kernel_from_builder``, the one kernel
-        route of the package.  [e_j, x] lies in [L, L], so it vanishes
-        exactly when its m = dim [L, L] certified coordinates do: row j of
-        the form r, d [e_j, e_i]_r for every i, is the equation of the
-        coordinate r, and x is in the center when it solves the nonzero
-        rows of the forms, n m equations instead of n^2.  Raises
+        by ``linalg._kernel``, the one kernel route of the package, which
+        reads the kernel off that one elimination.  [e_j, x] lies in
+        [L, L], so it vanishes exactly when its m = dim [L, L] certified
+        coordinates do: row j of the form r, d [e_j, e_i]_r for every i,
+        is the equation of the coordinate r, and x is in the center when
+        it solves the nonzero rows of the forms, n m equations instead of
+        n^2.  Raises
         DerivedBasisError if a bracket escapes the computed [L, L], a
         defect."""
         forms = self._derived_coordinates().forms
-        sb = SpanBuilder(self.dim)
-        for j in range(self.dim):
-            for g in forms:
-                if any(g[j]):
-                    sb.add_int_row(list(g[j]))
-        return _kernel_from_builder(sb)
+        return _kernel(self.dim, (g[j] for j in range(self.dim) for g in forms if any(g[j])))
 
     @_once
     def _abelian_split(self) -> _AbelianSplit:
@@ -388,9 +384,10 @@ class LieAlgebra:
         """[L, S] for a subspace S.  It lies in [L, L], so the brackets
         [w, e_b] of the rows w of S are eliminated in their m = dim [L, L]
         coordinates, and at rank m they span [L, L] itself; otherwise the
-        pivot rows are mapped back through the derived basis rows and
-        spanned in Q^n.  Raises DerivedBasisError if a bracket escapes the
-        computed [L, L], a defect."""
+        reduced coordinate rows are mapped back through the derived basis
+        rows, which gives the RREF of [L, S] in Q^n without eliminating
+        again (``Subspace._image``).  Raises DerivedBasisError if a
+        bracket escapes the computed [L, L], a defect."""
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         n = self.dim
@@ -401,10 +398,8 @@ class LieAlgebra:
             for col in zip(*[_combine(w, g, n) for g in forms]):
                 if any(col) and sb.add_int_row(list(col)) and sb.rank == derived.dim:
                     return derived
-        span = SpanBuilder(n)
-        for c in sb._pivots.values():
-            span.add_int_row(_combine(c, derived._rows, n))
-        return span.subspace()
+        d, rows = sb._reduced_rows()
+        return derived._image(d, [rows[c] for c in sorted(rows)])
 
     def lower_central_series(self) -> list[Subspace]:
         """L^1 = L, L^{i+1} = [L, L^i], listed until it stabilizes.

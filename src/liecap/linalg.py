@@ -10,10 +10,14 @@ Kernels and quotients share one canonical section.  ``_projection_rows``
 is the one maker of the projection that kills a row space: integer
 rows over one common denominator, which are also a basis of its right
 kernel.  ``_projection_matrix`` turns them into the public ``Fraction``
-projection; ``exterior_square`` checks them as they are, and
-``_kernel_from_builder`` eliminates them once more on ints:
+projection, and ``exterior_square`` checks them as they are.
+``_kernel`` eliminates a kernel's equations once, with their columns
+reversed, and reads the kernel's RREF straight off the projection rows:
 ``kernel_basis``, ``LieAlgebra.center`` and the exterior center all end
-there.
+there.  An image is read off the same way: ``Subspace._image`` maps
+RREF coordinate rows through an RREF basis, which gives RREF rows
+without a second elimination (``LieAlgebra.bracket_span`` and the
+exterior center).
 
 The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 ``fractions.Fraction``s, but the work runs on plain ``int``.  The
@@ -182,9 +186,12 @@ class SpanBuilder:
                 a = pv // g
                 b = v // g
                 if a == 1:
-                    row[c:] = [x - b * y for x, y in zip(row[c:], p[c:])]
+                    rest = [x - b * y for x, y in zip(row[c:], p[c:])]
                 else:
-                    row[c:] = [a * x - b * y for x, y in zip(row[c:], p[c:])]
+                    rest = [a * x - b * y for x, y in zip(row[c:], p[c:])]
+                if not any(rest):
+                    return None
+                row[c:] = rest
                 # keep entries small: cross-multiplication compounds quickly
                 steps += 1
                 if steps % 8 == 0:
@@ -463,6 +470,16 @@ class Subspace(_Record):
             coords = [w[p] for p in pivots]
             yield coords if _combine(coords, self._rows, self.ambient_dim) == [d * x for x in w] else None
 
+    def _image(self, d: int, coords: Iterable[Sequence[int]]) -> "Subspace":
+        """The subspace with the RREF coordinate rows coords / d in this
+        basis, for int rows over a positive common denominator d.  A
+        coordinate row c led by t maps to sum_r c[r] r_r, which vanishes
+        before the pivot of r_t, holds d D there and 0 at every other
+        pivot: the mapped rows are RREF rows over d D, for this basis's
+        denominator D, and are not eliminated again."""
+        n = self.ambient_dim
+        return Subspace._from_rref_ints(n, d * self._den, [_combine(c, self._rows, n) for c in coords])
+
 
 # ---------------------------------------------------------------------------
 # kernels and quotients
@@ -470,11 +487,8 @@ class Subspace(_Record):
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Right kernel {x : m x = 0} as a subspace of Q^cols; see
-    ``_kernel_from_builder``."""
-    sb = SpanBuilder(m.cols)
-    for r in m.data:
-        sb.add(r)
-    return _kernel_from_builder(sb)
+    ``_kernel``."""
+    return _kernel(m.cols, (_over_common_denominator([r])[1][0] for r in m.data))
 
 
 def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], int, list[list[int]]]:
@@ -506,14 +520,21 @@ def _projection_matrix(ncols: int, d: int, rows: Sequence[Sequence[int]]) -> Mat
     return Matrix(len(rows), ncols, tuple(tuple(Fraction(x, d) if x else zero for x in row) for row in rows))
 
 
-def _kernel_from_builder(sb: SpanBuilder) -> Subspace:
-    """The right kernel of the rows fed to ``sb``: the span of the
-    canonical projection rows, eliminated once on ints.  Every kernel in
-    the package ends here."""
-    kernel = SpanBuilder(sb.ncols)
-    for row in _projection_rows(sb)[2]:
-        kernel.add_int_row(row)
-    return kernel.subspace()
+def _kernel(ncols: int, rows: Iterable[Sequence[int]]) -> Subspace:
+    """The right kernel of the int rows of length ``ncols``, from one
+    elimination.  Every kernel in the package ends here.
+
+    The rows are eliminated with their columns reversed.  There, the
+    projection row at section column q is d e_q minus entries at pivot
+    columns before q.  Read back in the original column order, it leads
+    with d at the column of q, and no other projection row has an entry
+    there: the projection rows, reversed in order and in columns, are
+    the kernel's RREF rows over the one denominator d."""
+    sb = SpanBuilder(ncols)
+    for row in rows:
+        sb.add_int_row(list(reversed(row)))
+    _, d, kernel = _projection_rows(sb)
+    return Subspace._from_rref_ints(ncols, d, [row[::-1] for row in reversed(kernel)])
 
 
 def random_invertible(n: int, rng: random.Random) -> Matrix:

@@ -244,7 +244,7 @@ def matrix_symplectic_basis(gram):
 
     The same pair selection as the library (ascending scan, first
     nonzero pairing wins), without its Gram-column shortcut; the
-    differential tests compare the two on pairs and radical.
+    differential tests compare the two on the pairs.
     """
     from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale
 

@@ -3,7 +3,9 @@ symplectic pass and the certified decomposition round trip."""
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import traceback
 from fractions import Fraction
@@ -15,6 +17,7 @@ from liecap import decompose
 from liecap.cli import EXIT_INTERNAL, main
 from liecap.decompose import (
     AbelianAlgebraError,
+    Decomposition,
     DecompositionCheckError,
     _gram,
     _symplectic_basis,
@@ -35,8 +38,8 @@ def symplectic_basis(gram):
     """``_symplectic_basis`` on a ``Fraction`` Gram matrix, brought to int
     rows over one denominator; its pairs come back as ``Fraction`` vectors."""
     dg = math.lcm(*(x.denominator for row in gram.data for x in row))
-    pairs, radical = _symplectic_basis(dg, [[int(x * dg) for x in row] for row in gram.data])
-    return [tuple(tuple(Fraction(x, d) for x in row) for row, d in pair) for pair in pairs], radical
+    pairs = _symplectic_basis(dg, [[int(x * dg) for x in row] for row in gram.data])
+    return [tuple(tuple(Fraction(x, d) for x in row) for row, d in pair) for pair in pairs]
 
 
 def test_induced_form_heisenberg():
@@ -82,16 +85,15 @@ def test_induced_form_rank_is_basis_invariant():
 
 
 def test_symplectic_basis_zero_form():
-    pairs, radical = symplectic_basis(Matrix.from_rows([[0, 0, 0]] * 3))
-    assert pairs == []
-    assert radical.dim == 3
+    gram = Matrix.from_rows([[0, 0, 0]] * 3)
+    assert symplectic_basis(gram) == [] == matrix_symplectic_basis(gram)[0]
 
 
 def test_symplectic_basis_standard_pair():
     gram = Matrix.from_rows([[0, 1], [-1, 0]])
-    pairs, radical = symplectic_basis(gram)
+    pairs = symplectic_basis(gram)
     assert len(pairs) == 1
-    assert radical.dim == 0
+    assert pairs == matrix_symplectic_basis(gram)[0]
     a, b = pairs[0]
     assert form_value(gram, a, b) == 1
 
@@ -104,8 +106,12 @@ def test_symplectic_basis_random_skew(seed):
     skew = [[raw[i][j] - raw[j][i] for j in range(6)] for i in range(6)]
     gram = Matrix.from_rows(skew)
     rank = rank_by_minors(skew)
-    pairs, radical = symplectic_basis(gram)
-    assert (pairs, radical) == matrix_symplectic_basis(gram)
+    pairs = symplectic_basis(gram)
+    # the pass keeps only the rank of what it leaves over: the radical is
+    # the oracle's, and the library's radical is the center (see
+    # test_form_radical_equals_center)
+    oracle_pairs, radical = matrix_symplectic_basis(gram)
+    assert pairs == oracle_pairs
     assert 2 * len(pairs) == rank
     assert 2 * len(pairs) + radical.dim == 6
     assert radical == kernel_basis(gram)
@@ -182,14 +188,14 @@ def test_decompose_round_trip_under_scrambles(m, k):
 
 
 def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
-    # the same pairs and radical as taking every form value from a full
-    # Gram matrix-vector product, on every member with dim [L, L] = 1
+    # the same pairs as taking every form value from a full Gram
+    # matrix-vector product, on every member with dim [L, L] = 1
     checked = 0
     for name, algebra in frozen_catalog:
         if algebra.derived_subalgebra().dim != 1:
             continue
         gram = gram_matrix(algebra)
-        assert symplectic_basis(gram) == matrix_symplectic_basis(gram), name
+        assert symplectic_basis(gram) == matrix_symplectic_basis(gram)[0], name
         checked += 1
     assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
 
@@ -225,34 +231,110 @@ def test_decompose_rejection_is_raised_afresh(algebra, error):
 
 def test_decomposition_is_certified_once(monkeypatch):
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 77)
-    calls = {"_change_basis": 0, "_gram": 0}
-    change_basis, gram = LieAlgebra._change_basis, decompose._gram
+    calls = {"_symplectic_basis": 0, "_gram": 0}
+    symplectic, gram = decompose._symplectic_basis, decompose._gram
 
-    def counted_change_basis(self, dp, pi):
-        calls["_change_basis"] += 1
-        return change_basis(self, dp, pi)
+    def counted_symplectic(dg, g):
+        calls["_symplectic_basis"] += 1
+        return symplectic(dg, g)
 
     def counted_gram(algebra):
         calls["_gram"] += 1
         return gram(algebra)
 
-    monkeypatch.setattr(LieAlgebra, "_change_basis", counted_change_basis)
+    monkeypatch.setattr(decompose, "_symplectic_basis", counted_symplectic)
     monkeypatch.setattr(decompose, "_gram", counted_gram)
     first = heisenberg_decompose(L)
     assert heisenberg_decompose(L) is first
     assert heisenberg_decompose(L) is first
-    assert calls == {"_change_basis": 1, "_gram": 1}
+    # the pass and the certificate share one read of the Gram matrix
+    assert calls == {"_symplectic_basis": 1, "_gram": 1}
+
+
+def _swap_first_pair(pairs):
+    # f(b_1, a_1) = -1 where the certificate wants f(a_1, b_1) = 1
+    (a, b), *rest = pairs
+    return [(b, a), *rest]
+
+
+def _shift_second_a(pairs):
+    # a_2 + b_1 keeps f(a_2 + b_1, b_2) = 1 but pairs with a_1 to -1
+    (a1, b1), (a2, b2), *rest = pairs
+    (x, dx), (y, dy) = a2, b1
+    return [(a1, b1), (([u * dy + v * dx for u, v in zip(x, y)], dx * dy), b2), *rest]
+
+
+def _halve_first_b(pairs):
+    # f(a_1, b_1 / 2) = 1/2, a Gram product off by one half
+    (a, (y, dy)), *rest = pairs
+    return [(a, (y, 2 * dy)), *rest]
 
 
 def test_failed_certification_is_not_memoized(monkeypatch):
+    # a pair swapped in the pass fails the certificate, every time
     L = scramble(heisenberg(2), 78)
-    monkeypatch.setattr(LieAlgebra, "_change_basis", lambda self, dp, pi: abelian(self.dim))
+    symplectic = decompose._symplectic_basis
+    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g: _swap_first_pair(symplectic(dg, g)))
     for _ in range(2):
-        with pytest.raises(DecompositionCheckError):
+        with pytest.raises(DecompositionCheckError, match="rewritten constants do not match"):
             heisenberg_decompose(L)
     monkeypatch.undo()
     dec = heisenberg_decompose(L)
     assert (dec.m, dec.k) == (2, 0)
+
+
+@pytest.mark.parametrize("edit", [_swap_first_pair, _shift_second_a, _halve_first_b])
+def test_certificate_checks_every_gram_product(monkeypatch, edit):
+    # one wrong Gram product of the pairs fails the certificate
+    L = scramble(direct_sum(heisenberg(2), abelian(1)), 78)
+    symplectic = decompose._symplectic_basis
+    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g: edit(symplectic(dg, g)))
+    for _ in range(2):
+        with pytest.raises(DecompositionCheckError, match="rewritten constants do not match"):
+            heisenberg_decompose(L)
+    monkeypatch.undo()
+    dec = heisenberg_decompose(L)
+    assert (dec.m, dec.k) == (2, 1)
+
+
+def test_certificate_checks_that_the_basis_is_invertible(monkeypatch):
+    # an abelian factor that contains z passes every Gram product (both
+    # are central) and has dimension k, but z and its rows are dependent
+    L = scramble(direct_sum(heisenberg(1), abelian(2)), 79)
+    split = L._abelian_split()
+    z = L.derived_subalgebra().basis.data[0]
+    factor = Subspace.span(L.dim, [z, split.factor.basis.data[0]])
+    assert factor.dim == split.factor.dim == 2 and factor.contains(z)
+    monkeypatch.setattr(LieAlgebra, "_abelian_split", lambda self: split._replace(factor=factor))
+    for _ in range(2):
+        with pytest.raises(DecompositionCheckError, match="the basis is singular"):
+            heisenberg_decompose(L)
+    monkeypatch.undo()
+    dec = heisenberg_decompose(L)
+    assert (dec.m, dec.k) == (1, 2)
+
+
+def test_decomposition_is_a_value_with_a_lazy_basis_change():
+    L = scramble(direct_sum(heisenberg(2), abelian(1)), 80)
+    dec = heisenberg_decompose(L)
+    assert dec._basis is None  # nothing read the Fraction basis yet
+    fresh = decompose._certified_decomposition.__wrapped__(L)
+    public = Decomposition(dec.m, dec.k, dec.basis_change)
+    assert public == dec and hash(public) == hash(dec)
+    # a comparison reads the basis of a fresh value
+    assert fresh._basis is None
+    assert fresh == public and hash(fresh) == hash(dec)
+    for again in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert type(again) is Decomposition
+        assert again == dec and hash(again) == hash(dec)
+        assert again.basis_change == dec.basis_change
+    m, k, basis_change = dec
+    assert (m, k, basis_change) == (2, 1, dec.basis_change)
+    assert Decomposition(m, k, Matrix.identity(L.dim)) != dec
+    assert Decomposition(m + 1, k, basis_change) != dec
+    assert repr(dec) == f"Decomposition(m=2, k=1, basis_change={dec.basis_change!r})"
+    with pytest.raises(AttributeError):
+        dec.basis_change = Matrix.identity(L.dim)
 
 
 def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):

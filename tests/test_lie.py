@@ -294,13 +294,13 @@ def test_center_is_eliminated_once(monkeypatch):
     # center then asks the split's factor L1 = H(2) for its own, once
     L = scramble(direct_sum(heisenberg(2), abelian(2)), 79)
     calls = []
-    kernel_from_builder = lie._kernel_from_builder
+    kernel = lie._kernel
 
-    def counted(sb):
-        calls.append(sb.ncols)
-        return kernel_from_builder(sb)
+    def counted(ncols, rows):
+        calls.append(ncols)
+        return kernel(ncols, rows)
 
-    monkeypatch.setattr(lie, "_kernel_from_builder", counted)
+    monkeypatch.setattr(lie, "_kernel", counted)
     first = L.center()
     build_report(L, "input", "both")
     assert L.center() is first

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _gauss_jordan, det_cofactor, fraction_solve, rank_by_minors
+from conftest import _gauss_jordan, det_cofactor, fraction_solve, null_space, rank_by_minors
 from liecap.lie import heisenberg
 from liecap.linalg import (
     Matrix,
@@ -159,6 +159,80 @@ def test_kernel_vectors_annihilate(m):
     zero = tuple(Fraction(0) for _ in range(m.rows))
     for v in ker.basis.data:
         assert m.mul_vec(v) == zero
+
+
+@st.composite
+def kernel_cases(draw):
+    """A rational matrix, possibly with zero rows and zero columns, whose
+    rank may fall short of both its row and its column count: some rows
+    are drawn as combinations of the others."""
+    c = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(fractions_st, min_size=c, max_size=c), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        combined = [Fraction(0)] * c
+        for a, r in zip(coeffs, rows):
+            combined = list(vec_add(combined, vec_scale(Fraction(a), r)))
+        rows.insert(draw(st.integers(0, len(rows))), combined)
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2)) if c else set()
+    rows = [[Fraction(0) if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * c)
+    return Matrix.from_rows(rows, cols=c)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(kernel_cases())
+@example(Matrix.from_rows([], cols=0))
+@example(Matrix.from_rows([[0, 0], [0, 0], [0, 0]]))
+@example(Matrix.from_rows([[1, 2, 0, 3], [0, 1, 0, 1]]))  # wide, full rank, a zero column
+@example(Matrix.from_rows([[2, 1], [4, 2], [0, 0], [-6, -3]]))  # tall, rank 1, a zero row
+@example(Matrix.from_rows([["1/2", 3, "-2/3"], [1, 0, 1], [0, 1, "1/4"]]))  # square, full rank
+def test_kernel_matches_gauss_jordan_null_space(m):
+    # the kernel read off one elimination is the Fraction Gauss-Jordan one,
+    # as a canonical subspace (null_space checks its RREF form)
+    rank = rank_by_minors([list(r) for r in m.data]) if m.rows and m.cols and m.rows <= 5 else m.rank()
+    kernel = kernel_basis(m)
+    assert kernel == null_space([list(r) for r in m.data], m.cols)
+    assert kernel.dim == m.cols - rank
+    assert Subspace(m.cols, kernel.basis) == kernel
+
+
+def _mapped(basis, coords):
+    """The Fraction rows sum_r c[r] b_r for the coordinate rows c in the
+    Fraction basis rows b_r."""
+    out = []
+    for c in coords:
+        row = zero_vector(basis.cols)
+        for x, b in zip(c, basis.data):
+            row = vec_add(row, vec_scale(x, b))
+        out.append(row)
+    return out
+
+
+@st.composite
+def image_cases(draw):
+    """(basis, coordinates): a subspace of Q^n and an RREF subspace of the
+    coordinates in its basis."""
+    n = draw(st.integers(0, 6))
+    basis = Subspace.span(n, draw(st.lists(st.lists(fractions_st, min_size=n, max_size=n), max_size=4)))
+    coords = draw(st.lists(st.lists(fractions_st, min_size=basis.dim, max_size=basis.dim), max_size=4))
+    return basis, Subspace.span(basis.dim, coords)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(image_cases())
+@example((Subspace.span(3, [["1/2", 0, 1], [0, "2/3", 3]]), Subspace.span(2, [[1, "3/4"]])))
+@example((Subspace.span(4, [[0, 2, 0, 1], [0, 0, 3, "1/5"]]), Subspace.full(2)))
+@example((Subspace.zero(3), Subspace.zero(0)))
+def test_image_read_off_matches_span(case):
+    # RREF coordinate rows mapped through an RREF basis are already the
+    # RREF rows of their span: no second elimination is needed
+    basis, coords = case
+    image = basis._image(coords._den, coords._rows)
+    assert image == Subspace.span(basis.ambient_dim, _mapped(basis.basis, coords.basis.data))
+    assert Subspace(basis.ambient_dim, image.basis) == image
+    assert image.dim == coords.dim
 
 
 # -- quotients -----------------------------------------------------------------

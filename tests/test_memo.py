@@ -29,7 +29,7 @@ MEMOIZED = [
     ("validate", LieAlgebra.validate, _not_lie, (LieAlgebra, "_derived_coordinates")),
     ("_derived_coordinates", LieAlgebra._derived_coordinates, _filiform, (LieAlgebra, "derived_subalgebra")),
     ("derived_subalgebra", LieAlgebra.derived_subalgebra, _filiform, (lie, "SpanBuilder")),
-    ("center", LieAlgebra.center, _filiform, (lie, "_kernel_from_builder")),
+    ("center", LieAlgebra.center, _filiform, (lie, "_kernel")),
     (
         "_abelian_split",
         LieAlgebra._abelian_split,

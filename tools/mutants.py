@@ -142,13 +142,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bracket_span: mapped back through the wrong derived rows",
-        "lie.py",
-        "span.add_int_row(_combine(c, derived._rows, n))",
-        "span.add_int_row(_combine(c, derived._rows[::-1], n))",
+        "image: mapped back through the wrong basis rows ([L, S], Z^)",
+        "linalg.py",
+        "[_combine(c, self._rows, n) for c in coords]",
+        "[_combine(c, self._rows[::-1], n) for c in coords]",
         (
             "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
             "tests/test_cli.py::test_deep_file_analyze_json_is_pinned[L_7 scrambled]",
+        ),
+    ),
+    Mutant(
+        "image: read off over the coordinates' denominator alone",
+        "linalg.py",
+        "Subspace._from_rref_ints(n, d * self._den, ",
+        "Subspace._from_rref_ints(n, d, ",
+        (
+            "tests/test_linalg.py::test_image_read_off_matches_span",
+            "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
         ),
     ),
     Mutant(
@@ -196,6 +206,27 @@ MUTANTS = (
         "",
         (
             "tests/test_decompose.py::test_noncentral_derived_generator_is_a_defect",
+        ),
+    ),
+    Mutant(
+        "certificate: the pair entry compared with 0",
+        "decompose.py",
+        "(dx * dy * dg if j == m + i and i < m else 0)",
+        "0",
+        (
+            "tests/test_decompose.py::test_decompose_canonical_inputs",
+            "tests/test_decompose.py::test_decompose_dimension_count",
+        ),
+    ),
+    Mutant(
+        "certificate: the check that z and the abelian rows are independent dropped",
+        "decompose.py",
+        """    if sb.rank != k + 1:
+        raise DecompositionCheckError("the basis is singular: z lies in the span of the abelian factor")
+""",
+        "",
+        (
+            "tests/test_decompose.py::test_certificate_checks_that_the_basis_is_invertible",
         ),
     ),
     Mutant(
@@ -301,10 +332,20 @@ MUTANTS = (
     Mutant(
         "kernel: the first projection row dropped",
         "linalg.py",
-        "for row in _projection_rows(sb)[2]:",
-        "for row in _projection_rows(sb)[2][1:]:",
+        "for row in reversed(kernel)]",
+        "for row in reversed(kernel[1:])]",
         (
             "tests/test_linalg.py::test_kernel_of_zero_map_is_everything",
+            "tests/test_lie.py::test_center_examples",
+        ),
+    ),
+    Mutant(
+        "kernel: the rows left in reversed column order",
+        "linalg.py",
+        "[row[::-1] for row in reversed(kernel)]",
+        "[row for row in reversed(kernel)]",
+        (
+            "tests/test_linalg.py::test_kernel_matches_gauss_jordan_null_space",
             "tests/test_lie.py::test_center_examples",
         ),
     ),
