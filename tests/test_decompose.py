@@ -258,16 +258,17 @@ def _swap_first_pair(pairs):
 
 
 def _shift_second_a(pairs):
-    # a_2 + b_1 keeps f(a_2 + b_1, b_2) = 1 but pairs with a_1 to -1
+    # a_2 + b_1 keeps f(a_2 + b_1, b_2) = 1, but f(a_1, a_2 + b_1) = 1
+    # where the certificate wants 0
     (a1, b1), (a2, b2), *rest = pairs
     (x, dx), (y, dy) = a2, b1
     return [(a1, b1), (([u * dy + v * dx for u, v in zip(x, y)], dx * dy), b2), *rest]
 
 
-def _halve_first_b(pairs):
-    # f(a_1, b_1 / 2) = 1/2, a Gram product off by one half
+def _double_first_b(pairs):
+    # f(a_1, 2 b_1) = 2, a Gram product off by one
     (a, (y, dy)), *rest = pairs
-    return [(a, (y, 2 * dy)), *rest]
+    return [(a, ([2 * v for v in y], dy)), *rest]
 
 
 def test_failed_certification_is_not_memoized(monkeypatch):
@@ -283,7 +284,7 @@ def test_failed_certification_is_not_memoized(monkeypatch):
     assert (dec.m, dec.k) == (2, 0)
 
 
-@pytest.mark.parametrize("edit", [_swap_first_pair, _shift_second_a, _halve_first_b])
+@pytest.mark.parametrize("edit", [_swap_first_pair, _shift_second_a, _double_first_b])
 def test_certificate_checks_every_gram_product(monkeypatch, edit):
     # one wrong Gram product of the pairs fails the certificate
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 78)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 # Seconds one pytest run may take: on 2 vCPU the unmutated run of every
-# named test takes about 4 s, a row's run about 1 s, and the slowest row
+# named test takes about 16 s, a row's run about 1 s, and the slowest row
 # (the d3 term, whose failing example hypothesis shrinks) about 17 s.
 TIMEOUT_S = 60
 
