@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, SpanBuilder, _combine, _projection_matrix, _Record, _set
+from .linalg import Matrix, SpanBuilder, _combine
 from .lie import LieAlgebra, _once
 
 
@@ -34,43 +34,20 @@ class DecompositionCheckError(RuntimeError):
 _Row = tuple[list[int], int]
 
 
-class Decomposition(_Record):
+class Decomposition(NamedTuple):
     """Certified isomorphism L = H(m) + A(k).
 
     ``basis_change`` rows are the new basis in original coordinates,
     ordered a_1..a_m, b_1..b_m, z, then the abelian part; rewriting the
     algebra in this basis reproduces the canonical structure constants
-    bit for bit (verified at construction time).  The certificate hands
-    over the rows as ints over one common denominator, and the
-    ``Fraction`` ``basis_change`` is made when it is first read, as
-    ``Subspace.basis`` is.  A value compares, hashes and unpacks as
-    ``(m, k, basis_change)``.
+    bit for bit (verified at construction time).  The certificate builds
+    it with ``Matrix._from_ints`` from its int rows, so its ``Fraction``
+    entries are made only when it is read.
     """
 
-    __slots__ = ("m", "k", "_den", "_rows", "_basis")
-    _fields = ("m", "k", "basis_change")
-
-    def __init__(self, m: int, k: int, basis_change: Matrix):
-        for name, value in zip(self.__slots__, (m, k, None, None, basis_change)):
-            _set(self, name, value)
-
-    @classmethod
-    def _from_ints(cls, m: int, k: int, den: int, rows: list[list[int]]) -> "Decomposition":
-        """The decomposition with basis rows rows / den, for int rows over
-        a positive common denominator."""
-        dec = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (m, k, den, rows, None)):
-            _set(dec, name, value)
-        return dec
-
-    @property
-    def basis_change(self) -> Matrix:
-        if self._basis is None:
-            _set(self, "_basis", _projection_matrix(len(self._rows), self._den, self._rows))
-        return self._basis
-
-    def __iter__(self) -> Iterator:
-        return iter((self.m, self.k, self.basis_change))
+    m: int
+    k: int
+    basis_change: Matrix
 
 
 def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
@@ -99,8 +76,8 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
     f-orthogonal to each other, each vector an int row over its own
     positive denominator.  The vectors left over span the radical of
-    the form; only their rank is checked, since the certificate takes
-    the abelian part from the center.  Pair selection is deterministic:
+    the form and are dropped: the certificate takes the abelian part
+    from the center.  Pair selection is deterministic:
     vectors are scanned in ascending index order and the first nonzero
     pairing wins.
 
@@ -153,11 +130,6 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
         # b = v da dg / (dv c), so that f(a, b) = 1
         pairs.append(((a, da), _lowest([y * da * dg for y in v], dv * c)))
         working = rest
-    sb = SpanBuilder(n)
-    for x, _, _ in working:
-        sb.add_int_row(list(x))
-    if 2 * len(pairs) + sb.rank != n:
-        raise DecompositionCheckError("symplectic reduction lost rank")
     return pairs
 
 
@@ -239,4 +211,4 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
         raise DecompositionCheckError("the basis is singular: z lies in the span of the abelian factor")
 
     dp = lcm(*(d for _, d in vectors))
-    return Decomposition._from_ints(m, k, dp, [[x * (dp // d) for x in row] for row, d in vectors])
+    return Decomposition(m, k, Matrix._from_ints(n, dp, [[x * (dp // d) for x in row] for row, d in vectors]))

@@ -22,8 +22,9 @@ deterministic.
 One cached construction, ``exterior_square``, holds L ^ L on ints:
 the section columns, the projection of ``linalg._projection_rows`` over
 its one common denominator, stored by columns, and d2 on the section.
-Its ``Fraction`` projection and commutator map are made only when they
-are read.  The relation rows are sparse, and the elimination sees only
+Its projection and commutator map are ``Matrix._from_ints`` matrices of
+those int fields, whose ``Fraction``s are made only when they are read.
+The relation rows are sparse, and the elimination sees only
 the columns some row touches, re-indexed in order; every untouched
 column is a section column.  It stops feeding rows once the rank equals
 the number of touched columns, since the span is then the whole
@@ -60,7 +61,6 @@ independent witness the formulas are checked against.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -71,7 +71,6 @@ from .linalg import (
     Vector,
     _combine,
     _kernel,
-    _projection_matrix,
     _projection_rows,
     _Record,
     _set,
@@ -99,8 +98,9 @@ class ExteriorSquare(_Record):
 
     ``projection`` maps the C(n,2) coordinates of Lambda^2 L onto the
     quotient; ``commutator_map`` maps quotient coordinates to coordinates
-    in the derived subalgebra (it is surjective by construction).  They
-    are the ``Fraction`` forms of the int fields, made on first use.
+    in the derived subalgebra (it is surjective by construction).  Both
+    are built once per square by ``Matrix._from_ints`` from the int
+    fields, so their ``Fraction`` entries are made only when read.
     """
 
     _fields = ("dim", "section", "d", "columns", "on_section", "den", "derived")
@@ -136,13 +136,11 @@ class ExteriorSquare(_Record):
         for c, column in enumerate(self.columns):
             for s, x in column:
                 rows[s][c] = x
-        return _projection_matrix(self.ambient_dim, self.d, rows)
+        return Matrix._from_ints(self.ambient_dim, self.d, rows)
 
     @cached_property
     def commutator_map(self) -> Matrix:
-        m = self.derived.dim
-        data = tuple(tuple(Fraction(a[t], self.den) for a in self.on_section) for t in range(m))
-        return Matrix(m, self.quotient_dim, data)
+        return Matrix._from_ints(self.quotient_dim, self.den, list(zip(*self.on_section)))
 
     def wedge(self, x, y) -> Vector:
         """Class of x ^ y in quotient coordinates."""
@@ -212,7 +210,7 @@ def _relation_projection(
         sb.add_int_row([row.get(c, 0) for c in touched])
         if sb.rank == len(touched):
             break
-    local, d, local_rows = _projection_rows(sb)
+    local, d, local_rows = _projection_rows(len(touched), *sb._reduced_rows())
     pivots = tuple(touched[x] for x in sb.pivot_cols())
     pivot_set = set(pivots)
     section = tuple(q for q in range(ncols) if q not in pivot_set)

@@ -40,7 +40,6 @@ from .linalg import (
     _combine,
     _kernel,
     _over_common_denominator,
-    _projection_matrix,
     _projection_rows,
     random_invertible,
     vector,
@@ -444,15 +443,12 @@ class LieAlgebra:
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         n = self.dim
-        sb = SpanBuilder(n)
-        for row in ideal._rows:
-            sb.add_int_row(list(row))
-        cols, d, rows = _projection_rows(sb)
+        cols, d, rows = _projection_rows(n, ideal._den, dict(zip(ideal.pivot_cols(), ideal._rows)))
         # the unit vectors at cols, over the denominator of N's rows
         section = [[ideal._den * (t == c) for t in range(n)] for c in cols]
         rewritten = self._change_basis(ideal._den, [*section, *ideal._rows])
         quotient = rewritten._leading_block(len(cols), [self.labels[c] for c in cols])
-        return quotient, _projection_matrix(self.dim, d, rows)
+        return quotient, Matrix._from_ints(n, d, rows)
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
         """The same algebra written in the basis f_i = sum_j p[i][j] e_j.

@@ -9,8 +9,10 @@ deterministic.
 Kernels and quotients share one canonical section.  ``_projection_rows``
 is the one maker of the projection that kills a row space: integer
 rows over one common denominator, which are also a basis of its right
-kernel.  ``_projection_matrix`` turns them into the public ``Fraction``
-projection, and ``exterior_square`` checks them as they are.
+kernel.  It reads the reduced rows of a ``SpanBuilder`` or of a
+``Subspace``, which hold them in the same form.  ``Matrix._from_ints``
+turns them into the public projection, and ``exterior_square`` checks
+them as they are.
 ``_kernel`` eliminates a kernel's equations once, with their columns
 reversed, and reads the kernel's RREF straight off the projection rows:
 ``kernel_basis``, ``LieAlgebra.center`` and the exterior center all end
@@ -30,8 +32,12 @@ subspaces and the projections read.
 ``LieAlgebra``'s one integer table of structure constants (every
 bracket over one common denominator), from a projection or from the
 integer rows of a ``Subspace``.  A ``Subspace`` holds its canonical
-basis that way, as int rows over one common denominator, and makes its
-``Fraction`` ``basis`` only when it is read.  Membership has one rule,
+basis that way, as int rows over one common denominator.  The one lazy
+boundary to ``Fraction`` is ``Matrix._from_ints``: a matrix of int rows
+over one positive denominator, which makes its ``Fraction`` ``data``
+the first time it is read.  A ``Subspace`` basis, a projection, the
+commutator map of an exterior square and the ``basis_change`` of a
+``Decomposition`` are all made that way.  Membership has one rule,
 ``Subspace._int_coordinates``: an int row lies in the subspace exactly
 when it is rebuilt from the rows at its own pivot entries.
 ``contains``, ``coordinates``, ``contains_subspace`` and the certified
@@ -76,7 +82,7 @@ def zero_vector(n: int) -> Vector:
 def unit_vector(n: int, i: int) -> Vector:
     if not 0 <= i < n:
         raise ValueError(f"unit index {i} out of range for dimension {n}")
-    v = [Fraction(0)] * n  # one shared zero: identity matrices stay small
+    v = [Fraction(0)] * n  # one shared zero
     v[i] = Fraction(1)
     return tuple(v)
 
@@ -286,10 +292,16 @@ _set = object.__setattr__
 
 
 class Matrix(_Record):
-    """Immutable dense matrix of Fractions, row major."""
+    """Immutable dense matrix of Fractions, row major.
 
-    __slots__ = ("rows", "cols", "data")
-    _fields = __slots__
+    ``Matrix(rows, cols, data)`` checks and holds its ``Fraction`` rows.
+    ``_from_ints`` holds int rows over one positive denominator instead,
+    and makes ``data`` from them the first time it is read: the one place
+    where the package turns int rows into ``Fraction`` matrices.  Either
+    way equality, the hash, ``repr``, copy and pickle read ``data``."""
+
+    __slots__ = ("rows", "cols", "_data", "_den", "_ints")
+    _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple[tuple[Fraction, ...], ...]):
         if rows < 0 or cols < 0:
@@ -301,7 +313,25 @@ class Matrix(_Record):
                 raise ValueError("ragged matrix rows")
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "data", data)
+        _set(self, "_data", data)
+
+    @classmethod
+    def _from_ints(cls, cols: int, d: int, rows: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix rows / d, for int rows of length ``cols`` over a
+        positive denominator d, from a caller that hands the rows over;
+        nothing is checked."""
+        m = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (len(rows), cols, None, d, rows)):
+            _set(m, name, value)
+        return m
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._data is None:
+            d = self._den
+            zero = Fraction(0)  # one shared zero: projections and bases are sparse
+            _set(self, "_data", tuple(tuple(Fraction(x, d) if x else zero for x in row) for row in self._ints))
+        return self._data
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -314,7 +344,7 @@ class Matrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
+        return cls._from_ints(n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
@@ -343,14 +373,14 @@ class Matrix(_Record):
         if self.rows != self.cols:
             raise ValueError("only square matrices have inverses")
         n = self.rows
-        aug = [list(self.data[i]) + list(unit_vector(n, i)) for i in range(n)]
+        d, ints = _over_common_denominator(self.data)
         sb = SpanBuilder(2 * n)
-        for r in aug:
-            sb.add(r)
+        for i, r in enumerate(ints):
+            sb.add_int_row(r + [d * (i == j) for j in range(n)])
         if sb.pivot_cols() != tuple(range(n)):
             raise ValueError("matrix is singular")
-        reduced = sb.rref_rows()
-        return Matrix.from_rows([r[n:] for r in reduced], cols=n)
+        d, reduced = sb._reduced_rows()
+        return Matrix._from_ints(n, d, [reduced[i][n:] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +393,13 @@ class Subspace(_Record):
     The basis is kept on ints: ``_rows`` holds d times the lead-1 RREF
     rows, for the lcm d (``_den``) of their denominators, which is the
     lcm of the leads of the reduced rows of ``SpanBuilder``.  That form
-    is canonical, so equality and the hash read it.  ``basis``, the
-    ``Fraction`` matrix of the rows, is made when it is first read.
+    is canonical, so equality and the hash read it.  ``basis`` is the
+    matrix of the rows, built by ``Matrix._from_ints`` from those int
+    rows, so its ``Fraction``s are made only when it is read.
     ``Subspace(n, basis)`` checks that ``basis`` is in reduced echelon
     form; ``span`` is the safe constructor."""
 
-    __slots__ = ("ambient_dim", "_den", "_rows", "_basis")
+    __slots__ = ("ambient_dim", "_den", "_rows", "basis")
     _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
@@ -389,7 +420,7 @@ class Subspace(_Record):
         _set(self, "ambient_dim", ambient_dim)
         _set(self, "_den", den)
         _set(self, "_rows", tuple(map(tuple, rows)))
-        _set(self, "_basis", basis)
+        _set(self, "basis", basis)
 
     @classmethod
     def _from_rref_ints(cls, ambient_dim: int, den: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -399,21 +430,15 @@ class Subspace(_Record):
         den as the lcm of the denominators, the canonical form."""
         rows = list(rows)
         g = math.gcd(den, *(x for r in rows for x in r))
+        den //= g
+        rows = tuple(tuple(r) if g == 1 else tuple(x // g for x in r) for r in rows)
         s = cls.__new__(cls)
-        _set(s, "ambient_dim", ambient_dim)
-        _set(s, "_den", den // g)
-        _set(s, "_rows", tuple(tuple(r) if g == 1 else tuple(x // g for x in r) for r in rows))
-        _set(s, "_basis", None)
+        for name, value in zip(cls.__slots__, (ambient_dim, den, rows, Matrix._from_ints(ambient_dim, den, rows))):
+            _set(s, name, value)
         return s
 
     def _key(self) -> tuple:
         return (self.ambient_dim, self._den, self._rows)
-
-    @property
-    def basis(self) -> Matrix:
-        if self._basis is None:
-            _set(self, "_basis", _projection_matrix(self.ambient_dim, self._den, self._rows))
-        return self._basis
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]] = ()) -> "Subspace":
@@ -491,33 +516,28 @@ def kernel_basis(m: Matrix) -> Subspace:
     return _kernel(m.cols, (_over_common_denominator([r])[1][0] for r in m.data))
 
 
-def _projection_rows(sb: SpanBuilder) -> tuple[tuple[int, ...], int, list[list[int]]]:
-    """``(section, d, rows)``: the section columns of the rows fed to
-    ``sb`` and d times the canonical projection's row at each, on ints
+def _projection_rows(
+    ncols: int, d: int, reduced: dict[int, Sequence[int]]
+) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    """``(section, d, rows)``: the section columns of a row space of
+    Q^ncols and d times the canonical projection's row at each, on ints
     over one common denominator d.  The one maker of a projection.
 
-    With r_p the lead-1 reduced row led by p, the row at section column
-    q is e_q - sum_p r_p[q] e_p, and d is the common denominator of the
-    r_p that ``SpanBuilder._reduced_rows`` gives.  These rows kill every
-    r_p, so they are also a basis of the right kernel."""
-    d, reduced = sb._reduced_rows()
-    section = tuple(j for j in range(sb.ncols) if j not in reduced)
+    ``(d, reduced)`` is the row space in the form that
+    ``SpanBuilder._reduced_rows`` gives, {p: d r_p} for the lead-1
+    reduced rows r_p led by p; a ``Subspace`` holds the same form.  The
+    row at section column q is e_q - sum_p r_p[q] e_p.  These rows kill
+    every r_p, so they are also a basis of the right kernel."""
+    section = tuple(j for j in range(ncols) if j not in reduced)
     rows = []
     for q in section:
-        row = [0] * sb.ncols
+        row = [0] * ncols
         row[q] = d
         for p, r in reduced.items():
             if r[q]:
                 row[p] = -r[q]
         rows.append(row)
     return section, d, rows
-
-
-def _projection_matrix(ncols: int, d: int, rows: Sequence[Sequence[int]]) -> Matrix:
-    """The public ``Fraction`` matrix of int rows over the denominator d:
-    a projection, or the basis of a ``Subspace``."""
-    zero = Fraction(0)  # one shared zero: the projection is sparse
-    return Matrix(len(rows), ncols, tuple(tuple(Fraction(x, d) if x else zero for x in row) for row in rows))
 
 
 def _kernel(ncols: int, rows: Iterable[Sequence[int]]) -> Subspace:
@@ -533,7 +553,7 @@ def _kernel(ncols: int, rows: Iterable[Sequence[int]]) -> Subspace:
     sb = SpanBuilder(ncols)
     for row in rows:
         sb.add_int_row(list(reversed(row)))
-    _, d, kernel = _projection_rows(sb)
+    _, d, kernel = _projection_rows(ncols, *sb._reduced_rows())
     return Subspace._from_rref_ints(ncols, d, [row[::-1] for row in reversed(kernel)])
 
 

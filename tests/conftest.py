@@ -214,7 +214,7 @@ def full_width_projection(algebra):
         for col, v in row.items():
             dense[col] = v
         sb.add_int_row(dense)
-    return _projection_rows(sb)
+    return _projection_rows(width, *sb._reduced_rows())
 
 
 def core_projection(algebra):

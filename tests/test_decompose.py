@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import form_value, matrix_symplectic_basis, rank_by_minors
-from liecap import decompose
-from liecap.cli import EXIT_INTERNAL, main
+from liecap import capability, decompose
+from liecap.cli import EXIT_INTERNAL, EXIT_OK, main
 from liecap.decompose import (
     AbelianAlgebraError,
     Decomposition,
@@ -315,27 +315,38 @@ def test_certificate_checks_that_the_basis_is_invertible(monkeypatch):
     assert (dec.m, dec.k) == (1, 2)
 
 
-def test_decomposition_is_a_value_with_a_lazy_basis_change():
+def test_decomposition_is_a_value_with_a_lazy_basis_change(monkeypatch, capsys):
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 80)
     dec = heisenberg_decompose(L)
-    assert dec._basis is None  # nothing read the Fraction basis yet
+    assert dec.basis_change._data is None  # nothing read the Fraction basis yet
     fresh = decompose._certified_decomposition.__wrapped__(L)
     public = Decomposition(dec.m, dec.k, dec.basis_change)
     assert public == dec and hash(public) == hash(dec)
     # a comparison reads the basis of a fresh value
-    assert fresh._basis is None
+    assert fresh.basis_change._data is None
     assert fresh == public and hash(fresh) == hash(dec)
     for again in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
         assert type(again) is Decomposition
         assert again == dec and hash(again) == hash(dec)
         assert again.basis_change == dec.basis_change
     m, k, basis_change = dec
-    assert (m, k, basis_change) == (2, 1, dec.basis_change)
+    assert dec == (m, k, basis_change) == (2, 1, dec.basis_change)  # a plain tuple value
     assert Decomposition(m, k, Matrix.identity(L.dim)) != dec
     assert Decomposition(m + 1, k, basis_change) != dec
     assert repr(dec) == f"Decomposition(m=2, k=1, basis_change={dec.basis_change!r})"
     with pytest.raises(AttributeError):
         dec.basis_change = Matrix.identity(L.dim)
+    # a --method formula request decomposes but never reads the basis
+    made = []
+
+    def recorded(algebra):
+        made.append(heisenberg_decompose(algebra))
+        return made[-1]
+
+    monkeypatch.setattr(capability, "heisenberg_decompose", recorded)
+    assert main(["analyze", "H(2)+A(1)", "--method", "formula"]) == EXIT_OK
+    assert "decomposition: m=2 k=1" in capsys.readouterr().out
+    assert made and all(d.m == 2 and d.basis_change._data is None for d in made)
 
 
 def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
@@ -352,17 +363,6 @@ def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
         heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
     assert main(["analyze", "H(1)+A(1)", "--method", "formula"]) == EXIT_INTERNAL
     assert "derived generator is not central" in capsys.readouterr().err
-
-
-def test_symplectic_reduction_checks_the_rank(monkeypatch):
-    # a radical that loses its rows no longer completes the pairs to a basis
-    class Lossy(decompose.SpanBuilder):
-        def add_int_row(self, row):
-            return False
-
-    monkeypatch.setattr(decompose, "SpanBuilder", Lossy)
-    with pytest.raises(DecompositionCheckError, match="symplectic reduction lost rank"):
-        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
 
 
 def test_abelian_factor_must_complete_the_pairs(monkeypatch):

@@ -18,7 +18,6 @@ from liecap.linalg import (
     SpanBuilder,
     Subspace,
     _combine,
-    _projection_matrix,
     _projection_rows,
     kernel_basis,
     random_invertible,
@@ -240,14 +239,14 @@ def test_image_read_off_matches_span(case):
 
 def projection_of(ncols, relations):
     """The section columns and the public projection that kill the span
-    of ``relations``, from ``_projection_rows`` and ``_projection_matrix``."""
+    of ``relations``, from ``_projection_rows`` and ``Matrix._from_ints``."""
     sb = SpanBuilder(ncols)
     for r in relations:
         sb.add(r)
-    section, d, rows = _projection_rows(sb)
+    section, d, rows = _projection_rows(ncols, *sb._reduced_rows())
     # one common denominator: every row is d times e_q plus pivot entries
     assert [row[q] for row, q in zip(rows, section)] == [d] * len(section)
-    return section, _projection_matrix(ncols, d, rows)
+    return section, Matrix._from_ints(ncols, d, rows)
 
 
 def test_quotient_by_nothing_is_identity():
@@ -289,7 +288,10 @@ def test_projection_rows_share_one_denominator():
     sb = SpanBuilder(4)
     for r in [(2, 1, 0, 0), (0, 0, 3, 1)]:
         sb.add(r)
-    assert _projection_rows(sb) == ((1, 3), 6, [[-3, 6, 0, 0], [0, 0, -2, 6]])
+    assert _projection_rows(4, *sb._reduced_rows()) == ((1, 3), 6, [[-3, 6, 0, 0], [0, 0, -2, 6]])
+    # a Subspace holds its rows in the same form
+    s = sb.subspace()
+    assert _projection_rows(4, s._den, dict(zip(s.pivot_cols(), s._rows)))[2] == [[-3, 6, 0, 0], [0, 0, -2, 6]]
 
 
 def test_quotient_section_round_trip():
@@ -333,12 +335,18 @@ def test_values_are_immutable_and_hashable():
     m = Matrix.from_rows([[1, 2], [0, 1]])
     s = Subspace.span(2, [(2, 4)])
     h = heisenberg(1)
+    lazy = Matrix._from_ints(3, 2, [[1, 0, 3], [0, 2, -4]])  # int rows over 2
     fields = ((m, "rows"), (m, "data"), (s, "ambient_dim"), (s, "basis"), (h, "labels"), (h, "dim"), (h, "_memo"))
-    for value, field in fields:
+    for value, field in (*fields, (lazy, "data"), (lazy, "rows")):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
+    assert lazy._data is None  # its Fraction rows are made when data is first read
+    halves = Matrix.from_rows([["1/2", 0, "3/2"], [0, 1, -2]])
+    assert (lazy.rows, lazy.cols) == (2, 3) and lazy == halves and hash(lazy) == hash(halves)
+    assert lazy.data == halves.data and repr(lazy) == repr(halves)
+    assert copy.copy(lazy) == copy.deepcopy(lazy) == pickle.loads(pickle.dumps(lazy)) == halves
     assert (m.rows, m.cols, s.ambient_dim, s.basis) == (2, 2, 2, Matrix.from_rows([[1, 2]]))
     assert (h.labels, h.dim, h._memo) == (("a1", "b1", "z"), 3, {})
     assert h == heisenberg(1) and hash(h) == hash(heisenberg(1))

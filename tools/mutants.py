@@ -388,13 +388,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "projection matrix: denominator off by one",
+        "Matrix.data: denominator off by one",
         "linalg.py",
         "Fraction(x, d) if x else zero",
         "Fraction(x, d + 1) if x else zero",
         (
-            "tests/test_lie.py::test_quotient_by_zero_ideal_is_same_algebra",
+            "tests/test_linalg.py::test_values_are_immutable_and_hashable",
             "tests/test_lie.py::test_integer_commutator_code_matches_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "Matrix._from_ints: cols reported as the row count",
+        "linalg.py",
+        "(len(rows), cols, None, d, rows)",
+        "(cols, cols, None, d, rows)",
+        (
+            "tests/test_exterior.py::test_field_sanity",
+            "tests/test_linalg.py::test_values_are_immutable_and_hashable",
         ),
     ),
     Mutant(
