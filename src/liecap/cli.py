@@ -51,8 +51,10 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")  # whole string, by ful
 _EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")
 _TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
 # Inputs are read up to this size, so a huge file or an endless device
-# exits 1 with a message instead of exhausting memory.
+# exits 1 with a message instead of exhausting memory.  They are read in
+# chunks, so that a small file does not reserve the whole limit up front.
 _MAX_INPUT_BYTES = 64 * 1024 * 1024
+_READ_CHUNK = 1024 * 1024
 # Larger algebras are refused before they are built: the Jacobi pass
 # walks C(n, 3) triples and L ^ L has C(n, 2) columns, so without a bound
 # an input like A(100000) never finishes.
@@ -122,7 +124,11 @@ def _rational(text: str, k: int, where: str) -> tuple[int, int]:
 def load_algebra_file(path: str) -> LieAlgebra:
     try:
         with open(path, "rb") as f:
-            data = f.read(_MAX_INPUT_BYTES + 1)
+            data = bytearray()
+            for chunk in iter(functools.partial(f.read, _READ_CHUNK), b""):
+                data += chunk
+                if len(data) > _MAX_INPUT_BYTES:
+                    break
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot read {path}: {e}") from None
     if len(data) > _MAX_INPUT_BYTES:

@@ -14,11 +14,10 @@ between equal algebras as the exterior squares are (``lie`` says why).
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import mul
+from math import lcm
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, SpanBuilder, _combine
+from .linalg import Matrix, SpanBuilder, _combine, _dot, _lowest
 from .lie import LieAlgebra, _once
 
 
@@ -31,7 +30,7 @@ class DecompositionCheckError(RuntimeError):
 
 
 # an int row and its positive denominator: the vector row / den
-_Row = tuple[list[int], int]
+_Row = tuple[Sequence[int], int]
 
 
 class Decomposition(NamedTuple):
@@ -126,23 +125,14 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
             if s:
                 x = [y * c - s * w for y, w in zip(x, a)]
                 dx *= c
-            rest.append(item if x is item[0] else (*_lowest(x, dx), gx))
+            if x is not item[0]:
+                dx, (x,) = _lowest(dx, [x])
+            rest.append((x, dx, gx))
         # b = v da dg / (dv c), so that f(a, b) = 1
-        pairs.append(((a, da), _lowest([y * da * dg for y in v], dv * c)))
+        db, (b,) = _lowest(dv * c, [[y * da * dg for y in v]])
+        pairs.append(((a, da), (b, db)))
         working = rest
     return pairs
-
-
-def _lowest(x: list[int], dx: int) -> _Row:
-    """The vector x / dx as ``(row, den)`` in lowest terms, den > 0."""
-    k = gcd(dx, *x)
-    if dx < 0:
-        k = -k
-    return [y // k for y in x], dx // k
-
-
-def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(map(mul, x, y))
 
 
 def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:

@@ -6,7 +6,9 @@ denominator; the bracket of arbitrary vectors is the bilinear,
 antisymmetric extension.  ``validate`` checks the Jacobi identity, in the
 coordinates of the derived subalgebra, and reports the first offending
 basis triple, so a structurally well-formed but non-Lie table can be
-constructed and then rejected with a witness.
+constructed and then rejected with a witness.  The derived subalgebra
+is built by the walk that certifies those coordinates: one pass over
+the bracket rows with the membership rule of ``Subspace``.
 
 A ``LieAlgebra`` is immutable, so every invariant of it is computed at
 most once per instance: a function under ``_once`` keeps its value in
@@ -24,9 +26,8 @@ from __future__ import annotations
 
 import random
 from functools import update_wrapper
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -38,9 +39,13 @@ from .linalg import (
     Subspace,
     Vector,
     _combine,
+    _dot,
     _kernel,
+    _lowest,
     _over_common_denominator,
     _projection_rows,
+    _Record,
+    _set,
     random_invertible,
     vector,
     zero_vector,
@@ -60,8 +65,10 @@ class _DerivedCoordinates(NamedTuple):
     """The bracket in the coordinates of [L, L] = span(z_1..z_m), where
     z_r is the RREF basis of the derived subalgebra with pivot column p_r.
 
-    ``forms`` holds m dense alternating n x n int matrices,
-    ``forms[r][a][b] = d [e_a, e_b]_r``: the coordinates of [e_a, e_b]
+    ``derived`` is [L, L] itself, the ``Subspace`` that
+    ``LieAlgebra.derived_subalgebra`` returns, built by the walk that
+    certifies the forms.  ``forms`` holds m dense alternating n x n int
+    matrices, ``forms[r][a][b] = d [e_a, e_b]_r``: the coordinates of [e_a, e_b]
     times the common denominator d of the integer table, which the
     algebra holds as ``_den``.  It is the one stored form of the bracket,
     which ``validate``, ``center``, ``bracket_span``, ``_change_basis``,
@@ -75,6 +82,7 @@ class _DerivedCoordinates(NamedTuple):
     [z_r, e_b] = 0.
     """
 
+    derived: Subspace
     forms: list[list[list[int]]]
     beta: list[dict[int, list[int]]]
 
@@ -132,16 +140,17 @@ def _once(compute: Callable[["LieAlgebra"], T]) -> Callable[["LieAlgebra"], T]:
     return update_wrapper(once, compute)
 
 
-class LieAlgebra:
+class LieAlgebra(_Record):
     """A Lie algebra over Q given by structure constants.
 
-    Instances are immutable and hashable; equality compares dimensions
-    and bracket tables (labels are presentation only).  The table is
-    stored once, as ints: the lcm d of the reduced denominators and the
-    int tuple d [e_i, e_j] of every nonzero bracket with i < j.  That is
-    canonical, so it serves as the key.  All derived computations are
-    exact and deterministic.  The Jacobi verdict, the derived subalgebra
-    and the brackets in its certified coordinates, the center, the lower
+    Instances are immutable, comparable and hashable through
+    ``linalg._Record``; equality compares dimensions and bracket tables
+    (labels are presentation only).  The table is stored once, as ints:
+    the lcm d of the reduced denominators and the int tuple d [e_i, e_j]
+    of every nonzero bracket with i < j.  That is canonical, so it serves
+    as the key, whose hash is kept.  All derived computations are exact
+    and deterministic.  The Jacobi verdict, the derived subalgebra with
+    the brackets in its certified coordinates, the center, the lower
     central series and the split L = L1 + A off an abelian direct factor
     are computed at most once per instance, each kept by ``_once`` in the
     one dict ``_memo``.
@@ -152,7 +161,6 @@ class LieAlgebra:
         "labels",
         "_den",
         "_rows",
-        "_key",
         "_hash",
         "_memo",
     )
@@ -198,8 +206,8 @@ class LieAlgebra:
         rows: Mapping[tuple[int, int], Sequence[int]],
         labels: Sequence[str] | None,
     ) -> None:
-        """Store the integer table in its canonical form: dividing den and
-        every entry by their gcd leaves den as the lcm of the reduced
+        """Store the integer table in its canonical form, in lowest terms
+        by ``linalg._lowest``, which leaves den as the lcm of the reduced
         denominators of the brackets.  Zero brackets are dropped."""
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(dim))
@@ -207,26 +215,15 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("label count does not match dimension")
-        g = gcd(den, *(x for c in rows.values() for x in c))
-        stored = {key: tuple(c) if g == 1 else tuple(x // g for x in c) for key, c in rows.items() if any(c)}
-        den //= g
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", MappingProxyType(stored))
-        key = (dim, den, tuple(sorted(stored.items())))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_memo", {})
+        den, reduced = _lowest(den, rows.values())
+        stored = {key: c for key, c in zip(rows, reduced) if any(c)}
+        key_hash = hash((dim, den, tuple(sorted(stored.items()))))
+        for name, value in zip(self.__slots__, (dim, labels, den, MappingProxyType(stored), key_hash, {})):
+            _set(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LieAlgebra) and self._key == other._key
+    def _key(self) -> tuple:
+        # the tables compare as dicts, in any order; the kept hash reads them sorted
+        return (self.dim, self._den, self._rows)
 
     def __hash__(self) -> int:
         return self._hash
@@ -304,20 +301,34 @@ class LieAlgebra:
 
     @_once
     def _derived_coordinates(self) -> _DerivedCoordinates:
-        """The bracket in the coordinates of [L, L]; see
-        ``_DerivedCoordinates``.  An RREF vector's coordinates are its
-        entries at the pivot columns, so the forms are read off the stored
-        table and certified by the derived ``Subspace``'s membership rule,
-        in ints, and beta expands each D z_r through them, since
+        """[L, L] and the bracket in its coordinates; see
+        ``_DerivedCoordinates``.  One walk over the stored bracket rows
+        builds [L, L] with the one membership rule,
+        ``Subspace._int_coordinates``, the pivots read once per basis: a
+        row that the current RREF basis rebuilds yields its coordinates,
+        its entries at the pivot columns, and a row that it does not
+        rebuild goes to one ``SpanBuilder``, whose basis is read again and
+        certifies the rows read before it again.  So every bracket is
+        certified in the final basis, in ints, as its form entries are
+        read off.  beta expands each D z_r through the forms, since
         D d [z_r, e_b] = sum_t (D z_r)_t d [e_t, e_b].  Computed once per
-        instance.  Raises DerivedBasisError if a bracket is not
-        recomposed."""
+        instance.  Raises DerivedBasisError if a bracket is not recomposed
+        from the basis it enlarged, a defect."""
         n = self.dim
-        derived = self.derived_subalgebra()
+        keys, brackets = list(self._rows), list(self._rows.values())
+        sb = SpanBuilder(n)
+        coords: list[list[int]] = []
+        # every stored row is nonzero, so the first one enlarges the zero basis
+        derived = None if brackets else sb.subspace()
+        while len(coords) < len(brackets):
+            # the first row the basis does not rebuild enlarges it
+            if not sb.add_int_row(list(brackets[len(coords)])):
+                raise DerivedBasisError(f"bracket {keys[len(coords)]} is not recomposed from the basis of [L, L]")
+            derived = sb.subspace()
+            # the coordinates of the longest run of rows the basis rebuilds
+            coords = list(takewhile(lambda a: a is not None, derived._int_coordinates(brackets)))
         forms = [[[0] * n for _ in range(n)] for _ in range(derived.dim)]
-        for (i, j), a in zip(self._rows, derived._int_coordinates(self._rows.values())):
-            if a is None:
-                raise DerivedBasisError(f"bracket {(i, j)} is not recomposed from the basis of [L, L]")
+        for (i, j), a in zip(keys, coords):
             for g, x in zip(forms, a):
                 if x:
                     g[i][j] = x
@@ -326,7 +337,7 @@ class LieAlgebra:
         for z in derived._rows:
             rows = [_combine(z, g, n) for g in forms]  # rows[s][b] = d D [z_r, e_b]_s
             beta.append({b: list(c) for b, c in enumerate(zip(*rows)) if any(c)} if any(map(any, rows)) else {})
-        return _DerivedCoordinates(forms, beta)
+        return _DerivedCoordinates(derived, forms, beta)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -335,14 +346,10 @@ class LieAlgebra:
 
     # -- subobjects ----------------------------------------------------------
 
-    @_once
     def derived_subalgebra(self) -> Subspace:
-        """[L, L]: the span of all basis brackets, eliminated once per
-        instance from the stored int rows."""
-        sb = SpanBuilder(self.dim)
-        for c in self._rows.values():
-            sb.add_int_row(list(c))
-        return sb.subspace()
+        """[L, L]: the span of all basis brackets, as
+        ``_derived_coordinates`` builds and certifies it."""
+        return self._derived_coordinates().derived
 
     @_once
     def center(self) -> Subspace:
@@ -390,8 +397,7 @@ class LieAlgebra:
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         n = self.dim
-        forms = self._derived_coordinates().forms
-        derived = self.derived_subalgebra()
+        derived, forms, _ = self._derived_coordinates()
         sb = SpanBuilder(derived.dim)
         for w in s._rows:
             for col in zip(*[_combine(w, g, n) for g in forms]):
@@ -473,8 +479,7 @@ class LieAlgebra:
         """``change_basis`` on ints, for p = pi / dp with n int rows pi of
         length n over a positive common denominator dp."""
         n = self.dim
-        forms = self._derived_coordinates().forms
-        derived = self.derived_subalgebra()
+        derived, forms, _ = self._derived_coordinates()
         # row k of [dp p^T | D Z^T]; forward elimination leaves row k led by column k
         sb = SpanBuilder(n + derived.dim)
         for k in range(n):
@@ -490,7 +495,7 @@ class LieAlgebra:
             if not any(u[k + 1 :]):
                 continue  # u[k] y[k] = 0 for every r
             # y[k] is still 0, so u . y runs over the solved y[t], t > k
-            num = [b * dy - sum(map(mul, u[:n], y)) for b, y in zip(u[n:], ys)]
+            num = [b * dy - _dot(u[:n], y) for b, y in zip(u[n:], ys)]
             g = gcd(u[k], *num)
             f = u[k] // g
             if f != 1:
@@ -504,7 +509,7 @@ class LieAlgebra:
         consts: dict[tuple[int, int], list[int]] = {}
         for k, i in enumerate(live):
             for j in live[k + 1 :]:
-                w = [sum(map(mul, tr, pi[j])) for tr in ts[i]]  # dp^2 d [f_i, f_j]_r
+                w = [_dot(tr, pi[j]) for tr in ts[i]]  # dp^2 d [f_i, f_j]_r
                 if any(w):
                     consts[(i, j)] = _combine(w, ys, n)
         # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)

@@ -41,12 +41,17 @@ commutator map of an exterior square and the ``basis_change`` of a
 ``Subspace._int_coordinates``: an int row lies in the subspace exactly
 when it is rebuilt from the rows at its own pivot entries.
 ``contains``, ``coordinates``, ``contains_subspace`` and the certified
-``[L, L]`` coordinates of ``lie`` all go through it.  ``add``,
-``coordinates`` and ``lie`` bring rational rows to ints with
-``_over_common_denominator``, the one helper for that.
+``[L, L]`` coordinates of ``lie``, which build ``[L, L]`` by it, all go
+through it.  ``Subspace(n, basis)`` accepts a basis exactly when it is
+the canonical basis of its own span, as ``SpanBuilder`` eliminates it.
+``add``, ``coordinates`` and ``lie`` bring rational rows to ints with
+``_over_common_denominator``, the one helper for that, and ``_lowest``
+is the one rule that brings int rows over a denominator to lowest terms:
+``Subspace``, ``LieAlgebra``'s table and ``decompose`` call it.
 
-``Matrix`` and ``Subspace`` are plain classes on ``_Record``, which
-makes them immutable, comparable and hashable without ``dataclasses``:
+``Matrix``, ``Subspace`` and, in the other modules, ``LieAlgebra`` and
+``ExteriorSquare`` are plain classes on ``_Record``, which makes them
+immutable, comparable and hashable without ``dataclasses``:
 that module imports ``inspect``, ``ast`` and ``dis``, which a fresh
 interpreter would load for every ``liecap`` command.
 """
@@ -56,6 +61,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction | int | str
@@ -122,6 +128,21 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -
         if c and any(row):
             out = [c * x for x in row] if out is None else [y + c * x for y, x in zip(out, row)]
     return [0] * width if out is None else out
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _lowest(d: int, rows: Iterable[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(d', rows')``: the int rows rows / d, over a nonzero d, in lowest
+    terms, rows' / d' with d' > 0 the lcm of their reduced denominators.
+    The one lowest-terms rule of the package."""
+    rows = tuple(map(tuple, rows))
+    g = math.gcd(d, *(math.gcd(*r) for r in rows))
+    if d < 0:
+        g = -g
+    return d // g, rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
 
 
 def _normalize_int(row: list[int]) -> list[int] | None:
@@ -396,8 +417,9 @@ class Subspace(_Record):
     is canonical, so equality and the hash read it.  ``basis`` is the
     matrix of the rows, built by ``Matrix._from_ints`` from those int
     rows, so its ``Fraction``s are made only when it is read.
-    ``Subspace(n, basis)`` checks that ``basis`` is in reduced echelon
-    form; ``span`` is the safe constructor."""
+    ``Subspace(n, basis)`` accepts ``basis`` exactly when it is the
+    canonical basis of its own span, which ``span`` eliminates; ``span``
+    is the safe constructor."""
 
     __slots__ = ("ambient_dim", "_den", "_rows", "basis")
     _fields = ("ambient_dim", "basis")
@@ -405,33 +427,20 @@ class Subspace(_Record):
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        pivots: list[int] = []
-        for r in basis.data:
-            piv = next((j for j, x in enumerate(r) if x), None)
-            if piv is None:
-                raise ValueError("zero row in subspace basis")
-            if (pivots and piv <= pivots[-1]) or r[piv] != 1:
-                raise ValueError("subspace basis is not in reduced echelon form")
-            pivots.append(piv)
-        # reduced: each pivot column is zero outside its own row
-        if any(sum(1 for p in pivots if r[p]) != 1 for r in basis.data):
+        # accepted exactly when it is the canonical basis of its own span
+        canonical = Subspace.span(ambient_dim, basis.data)
+        if canonical.basis != basis:
             raise ValueError("subspace basis is not in reduced echelon form")
-        den, rows = _over_common_denominator(basis.data)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "_den", den)
-        _set(self, "_rows", tuple(map(tuple, rows)))
-        _set(self, "basis", basis)
+        for name, value in zip(self.__slots__, (ambient_dim, canonical._den, canonical._rows, basis)):
+            _set(self, name, value)
 
     @classmethod
     def _from_rref_ints(cls, ambient_dim: int, den: int, rows: Iterable[Sequence[int]]) -> "Subspace":
         """The subspace with the RREF rows rows / den, from a caller that
         holds them on ints over a positive common denominator; the form
-        is not checked.  Dividing den and every entry by their gcd leaves
-        den as the lcm of the denominators, the canonical form."""
-        rows = list(rows)
-        g = math.gcd(den, *(x for r in rows for x in r))
-        den //= g
-        rows = tuple(tuple(r) if g == 1 else tuple(x // g for x in r) for r in rows)
+        is not checked.  In lowest terms, den is the lcm of the
+        denominators, the canonical form."""
+        den, rows = _lowest(den, rows)
         s = cls.__new__(cls)
         for name, value in zip(cls.__slots__, (ambient_dim, den, rows, Matrix._from_ints(ambient_dim, den, rows))):
             _set(s, name, value)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_jacobi_residual
-from liecap import cli, exterior
+from liecap import cli, exterior, lie
 from liecap.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -127,18 +128,18 @@ def test_capability_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_derived_basis_defect_exits_3(tmp_path, capsys, monkeypatch):
-    # a derived subalgebra with a basis row dropped leaves brackets outside
-    # it: a defect, never a verdict
+    # a derived basis that loses its last row each time the derived pass
+    # reads it leaves brackets outside it: a defect, never a verdict
     algebra = scramble(direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(2)), 9)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(algebra_to_doc(algebra)))
-    derived_subalgebra = LieAlgebra.derived_subalgebra
 
-    def truncated(self):
-        basis = derived_subalgebra(self).basis
-        return Subspace(self.dim, Matrix(basis.rows - 1, basis.cols, basis.data[:-1]))
+    class Truncating(lie.SpanBuilder):
+        def subspace(self):
+            basis = super().subspace().basis
+            return Subspace(self.ncols, Matrix.from_rows(basis.data[:-1], cols=basis.cols))
 
-    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", truncated)
+    monkeypatch.setattr(lie, "SpanBuilder", Truncating)
     with pytest.raises(DerivedBasisError):
         algebra.validate()
     for argv in (["validate", str(path)], ["analyze", str(path), "--method", "formula"]):
@@ -342,7 +343,7 @@ def test_coefficient_spellings_load_to_one_algebra(tmp_path):
     plain = LieAlgebra(4, {(0, 1): (0, 0, 0, Fraction(1, 2)), (0, 2): (0, 0, 0, 3)})
     for algebra in loaded:
         assert algebra == plain and hash(algebra) == hash(plain)
-        assert algebra._key == plain._key
+        assert algebra._key() == plain._key()
 
 
 def _spelled(value: Fraction, data) -> object:
@@ -390,7 +391,7 @@ def test_loader_matches_fraction_reading(spelled_file, data):
         brackets.append({"i": i, "j": j, "coeffs": coeffs})
     brackets = data.draw(st.permutations(brackets))
     spelled_file.write_text(json.dumps({"dim": dim, "brackets": brackets}))
-    assert cli.load_algebra_file(str(spelled_file))._key == LieAlgebra(dim, table)._key
+    assert cli.load_algebra_file(str(spelled_file))._key() == LieAlgebra(dim, table)._key()
 
 
 def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):
@@ -412,6 +413,49 @@ def test_endless_device_is_bounded(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "/dev/zero")
     assert code == EXIT_INVALID
     assert err.startswith("error: /dev/zero: larger than 1024 bytes")
+
+
+def test_small_file_does_not_reserve_the_input_limit(tmp_path, monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(algebra_to_doc(heisenberg(1))))
+    cli.load_algebra_file(str(path))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        algebra = cli.load_algebra_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert algebra == heisenberg(1)
+    assert peak < cli._MAX_INPUT_BYTES // 16
+    # the chunks add up to the whole file, and the bound holds across them
+    monkeypatch.setattr(cli, "_READ_CHUNK", 5)
+    assert cli.load_algebra_file(str(path)) == algebra
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", path.stat().st_size - 1)
+    with pytest.raises(cli.InputError, match=f"larger than {path.stat().st_size - 1} bytes"):
+        cli.load_algebra_file(str(path))
+
+
+# validate under an address-space limit of the interpreter's own size plus
+# 16 MiB: enough for a small file, far less than the 64 MiB input limit
+_UNDER_LIMIT = """
+import resource, sys
+from liecap import cli
+size = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
+limit = (size + 16 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_validate_runs_under_a_small_address_space_limit(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(algebra_to_doc(heisenberg(1))))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", _UNDER_LIMIT, "validate", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "ok: dim=3 brackets=1\n", "")
 
 
 def test_not_json_file(tmp_path, capsys):

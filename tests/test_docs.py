@@ -1,14 +1,18 @@
 """The README's Python API example runs and gives the values its
-comments state, and the README's count of source mutants is the
-length of the table in ``tools/mutants.py``."""
+comments state, the README's count of source mutants is the length of
+the table in ``tools/mutants.py``, and the package version is the one
+pyproject.toml declares."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -59,3 +63,13 @@ def test_readme_counts_the_mutants():
     spec.loader.exec_module(mutants)
     stated = re.findall(r"table\s+of\s+(\d+)\s+source\s+mutants", README.read_text(encoding="utf-8"))
     assert stated == [str(len(mutants.MUTANTS))]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    import liecap
+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert liecap.__version__ == tomllib.load(f)["project"]["version"]

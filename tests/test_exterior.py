@@ -434,7 +434,13 @@ def test_self_check_catches_a_map_that_misses_the_derived_subalgebra(monkeypatch
     # with [L, L] taken as all of H(1), the bracket still factors through
     # the quotient, but its image is a line, not the whole of [L, L]
     algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})  # a fresh H(1): its memo is empty
-    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", lambda self: Subspace.full(self.dim))
+
+    class Everything(lie.SpanBuilder):
+        def subspace(self):
+            return Subspace.full(self.ncols)
+
+    monkeypatch.setattr(lie, "SpanBuilder", Everything)
+    assert algebra.derived_subalgebra() == Subspace.full(3)
     with pytest.raises(ConstructionError, match="commutator map is not surjective"):
         exterior_square.__wrapped__(algebra)
 

@@ -280,6 +280,53 @@ def test_derived_subalgebra_examples():
     assert s.derived_subalgebra().dim == 1
 
 
+def _count_derived_pass(monkeypatch, algebra):
+    """``(fed, certified)``: the rows fed to a ``SpanBuilder`` of ``lie``
+    and the rows certified while a fresh algebra is asked for [L, L],
+    in order."""
+    fed, certified = [], []
+
+    class Counting(lie.SpanBuilder):
+        def add_int_row(self, row):
+            fed.append(tuple(row))
+            return super().add_int_row(row)
+
+    int_coordinates = Subspace._int_coordinates
+
+    def counting(self, rows):
+        for w, a in zip(rows, int_coordinates(self, rows)):
+            if a is not None:
+                certified.append(tuple(w))
+            yield a
+
+    monkeypatch.setattr(lie, "SpanBuilder", Counting)
+    monkeypatch.setattr(Subspace, "_int_coordinates", counting)
+    algebra.derived_subalgebra()
+    monkeypatch.undo()
+    return fed, certified
+
+
+def test_derived_pass_reads_each_bracket_row_once(monkeypatch):
+    # m = 1: one row enlarges the zero basis, and every bracket row is
+    # certified once, in the one basis of [L, L]; derived_subalgebra
+    # eliminates nothing of its own
+    L = scramble(direct_sum(heisenberg(8), abelian(1)), 5)
+    rows = list(L._rows.values())
+    assert (L.dim, len(rows)) == (18, 153)
+    fed, certified = _count_derived_pass(monkeypatch, L)
+    assert fed == [rows[0]]
+    assert certified == rows
+    # m = 2: the rows read before the second enlargement are certified
+    # again in the enlarged basis, and only those
+    L = scramble(direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(2)), 5)
+    rows = list(L._rows.values())
+    fed, certified = _count_derived_pass(monkeypatch, L)
+    k = rows.index(fed[1])
+    assert fed == [rows[0], rows[k]] and k >= 1, k
+    assert certified == rows[:k] + rows
+    assert L.derived_subalgebra().dim == 2
+
+
 def test_center_examples():
     assert abelian(3).center() == Subspace.full(3)
     h = heisenberg(2)

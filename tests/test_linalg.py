@@ -331,6 +331,59 @@ def test_subspace_rejects_unreduced_basis():
     assert Subspace(3, Matrix.from_rows([[1, 2, 0], [0, 0, 1]])).contains((1, 2, 1))
 
 
+@st.composite
+def basis_candidates(draw):
+    """``(cols, rows)``: the Gauss-Jordan RREF of a drawn matrix, as it is
+    or spoiled by a zero row, a repeated row, a pivot column left
+    unreduced, a lead other than 1 or rows out of order, or the drawn
+    rows themselves."""
+    c = draw(st.integers(0, 5))
+    drawn = draw(st.lists(st.lists(fractions_st, min_size=c, max_size=c), max_size=4))
+    rows = _gauss_jordan(drawn, c)
+    kind = draw(st.sampled_from(["rref", "zero row", "repeated", "unreduced", "lead", "order", "drawn"]))
+    if kind == "zero row":
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * c)
+    elif kind == "repeated" and rows:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    elif kind == "unreduced" and len(rows) >= 2:
+        # row i picks up a multiple of row j: the pivot column of the later
+        # row is left nonzero, or the later row leads at an earlier pivot
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        a = draw(fractions_st.filter(bool))
+        rows[i] = [x + a * y for x, y in zip(rows[i], rows[j])]
+    elif kind == "lead" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        a = draw(fractions_st.filter(lambda x: x not in (0, 1)))
+        rows[i] = [a * x for x in rows[i]]
+    elif kind == "order" and len(rows) >= 2:
+        rows = rows[::-1]
+    elif kind == "drawn":
+        rows = [list(r) for r in drawn]
+    return c, rows
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(basis_candidates())
+@example((0, []))
+@example((2, [[Fraction(0), Fraction(0)]]))  # a zero row alone
+@example((2, [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]))  # a repeated row
+@example((2, [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]))  # echelon, not reduced
+@example((2, [[Fraction(2), Fraction(0)]]))  # lead 2
+@example((2, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]))  # pivots out of order
+@example((3, [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]))  # RREF
+def test_subspace_accepts_exactly_the_canonical_basis(case):
+    # the Fraction Gauss-Jordan oracle decides: a matrix is a subspace basis
+    # exactly when it equals the RREF of its own rows
+    c, rows = case
+    basis = Matrix.from_rows(rows, cols=c)
+    if _gauss_jordan(rows, c) == [list(r) for r in basis.data]:
+        s = Subspace(c, basis)
+        assert s == Subspace.span(c, rows) and s.basis == basis
+    else:
+        with pytest.raises(ValueError, match="^subspace basis is not in reduced echelon form$"):
+            Subspace(c, basis)
+
+
 def test_values_are_immutable_and_hashable():
     m = Matrix.from_rows([[1, 2], [0, 1]])
     s = Subspace.span(2, [(2, 4)])

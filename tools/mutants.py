@@ -91,8 +91,8 @@ MUTANTS = (
     Mutant(
         "equality key without the denominator",
         "lie.py",
-        "key = (dim, den, tuple(sorted(stored.items())))",
-        "key = (dim, tuple(sorted(stored.items())))",
+        "return (self.dim, self._den, self._rows)",
+        "return (self.dim, self._rows)",
         (
             "tests/test_lie.py::test_key_keeps_the_common_denominator",
         ),
@@ -118,6 +118,16 @@ MUTANTS = (
         (
             "tests/test_lie.py::test_change_basis_preserves_invariants",
             "tests/test_decompose.py::test_form_radical_equals_center",
+        ),
+    ),
+    Mutant(
+        "derived pass: rows read before an enlargement not certified again",
+        "lie.py",
+        "coords = list(takewhile(lambda a: a is not None, derived._int_coordinates(brackets)))",
+        "coords += takewhile(lambda a: a is not None, derived._int_coordinates(brackets[len(coords) :]))",
+        (
+            "tests/test_lie.py::test_derived_pass_reads_each_bracket_row_once",
+            "tests/test_lie.py::test_derived_coordinate_paths_match_fraction_oracle",
         ),
     ),
     Mutant(
@@ -232,8 +242,8 @@ MUTANTS = (
     Mutant(
         "symplectic pass: b scaled without dg",
         "decompose.py",
-        "_lowest([y * da * dg for y in v], dv * c)",
-        "_lowest([y * da for y in v], dv * c)",
+        "_lowest(dv * c, [[y * da * dg for y in v]])",
+        "_lowest(dv * c, [[y * da for y in v]])",
         (
             "tests/test_decompose.py::test_gram_column_pass_matches_matrix_oracle",
             "tests/test_decompose.py::test_decompose_dimension_count",
@@ -350,12 +360,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "subspace: int rows kept over a denominator that is not the lcm",
+        "lowest terms: int rows kept over a denominator that is not the lcm (subspaces, tables, symplectic rows)",
         "linalg.py",
-        "g = math.gcd(den, *(x for r in rows for x in r))",
+        "g = math.gcd(d, *(math.gcd(*r) for r in rows))",
         "g = 1",
         (
             "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
+        "Subspace constructor: canonical comparison dropped",
+        "linalg.py",
+        """        if canonical.basis != basis:
+            raise ValueError("subspace basis is not in reduced echelon form")
+""",
+        "",
+        (
+            "tests/test_linalg.py::test_subspace_accepts_exactly_the_canonical_basis",
+            "tests/test_linalg.py::test_subspace_rejects_unreduced_basis",
         ),
     ),
     Mutant(
