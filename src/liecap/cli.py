@@ -388,56 +388,57 @@ def _verify_checks() -> list[dict[str, Any]]:
             }
         )
 
+    # each algebra is built once, keyed by the expression the checks print
+    build = functools.cache(parse_expression)
     for n in range(1, 8):
-        add(f"dim M(A({n}))", abelian_multiplier_dim(n), exterior.multiplier_dim(abelian(n)))
+        add(f"dim M(A({n}))", abelian_multiplier_dim(n), exterior.multiplier_dim(build(f"A({n})")))
         add(
             f"commutator map of A({n}) is zero",
             True,
-            exterior.exterior_square(abelian(n)).commutator_map.rank() == 0,
+            exterior.exterior_square(build(f"A({n})")).commutator_map.rank() == 0,
         )
     for m in (1, 2, 3):
-        add(f"dim M(H({m}))", heisenberg_multiplier_dim(m), exterior.multiplier_dim(heisenberg(m)))
+        add(f"dim M(H({m}))", heisenberg_multiplier_dim(m), exterior.multiplier_dim(build(f"H({m})")))
         add(
             f"dim(H({m}) ^ H({m}))",
             heisenberg_exterior_square_dim(m),
-            exterior.exterior_square_dim(heisenberg(m)),
+            exterior.exterior_square_dim(build(f"H({m})")),
         )
 
-    parts = [(f"A({n})", abelian(n)) for n in (1, 2, 3)]
-    parts += [(f"H({m})", heisenberg(m)) for m in (1, 2)]
-    for (name1, l1), (name2, l2) in itertools.combinations_with_replacement(parts, 2):
+    parts = [f"A({n})" for n in (1, 2, 3)] + [f"H({m})" for m in (1, 2)]
+    for name1, name2 in itertools.combinations_with_replacement(parts, 2):
+        l1, l2 = build(name1), build(name2)
         expected = direct_sum_multiplier_dim(
             exterior.multiplier_dim(l1),
             exterior.multiplier_dim(l2),
             l1.dim - l1.derived_subalgebra().dim,
             l2.dim - l2.derived_subalgebra().dim,
         )
-        add(f"dim M({name1}+{name2}) from summands", expected, exterior.multiplier_dim(direct_sum(l1, l2)))
+        computed = exterior.multiplier_dim(build(f"{name1}+{name2}"))
+        add(f"dim M({name1}+{name2}) from summands", expected, computed)
 
-    add("dim M(H(1)+A(1))", 4, exterior.multiplier_dim(direct_sum(heisenberg(1), abelian(1))))
+    add("dim M(H(1)+A(1))", 4, exterior.multiplier_dim(build("H(1)+A(1)")))
 
-    expected_capability = [(f"A({n})", abelian(n), n >= 2) for n in range(1, 7)]
-    expected_capability += [(f"H({m})", heisenberg(m), m == 1) for m in (1, 2, 3)]
-    expected_capability += [
-        (f"H({m})+A({k})", direct_sum(heisenberg(m), abelian(k)), m == 1)
-        for m in (1, 2, 3)
-        for k in (1, 2, 3)
-    ]
-    for name, algebra, expected in expected_capability:
-        verdict = decide_capability(algebra, "both")  # raises on disagreement
+    expected_capability = [(f"A({n})", n >= 2) for n in range(1, 7)]
+    expected_capability += [(f"H({m})", m == 1) for m in (1, 2, 3)]
+    expected_capability += [(f"H({m})+A({k})", m == 1) for m in (1, 2, 3) for k in (1, 2, 3)]
+    for name, expected in expected_capability:
+        verdict = decide_capability(build(name), "both")  # raises on disagreement
         add(f"{name} capable", expected, verdict.capable)
 
     for n in range(2, 7):
-        add(f"dim Z^(A({n}))", 0, exterior.exterior_center(abelian(n)).dim)
-    add("dim Z^(H(1))", 0, exterior.exterior_center(heisenberg(1)).dim)
+        add(f"dim Z^(A({n}))", 0, exterior.exterior_center(build(f"A({n})")).dim)
+    add("dim Z^(H(1))", 0, exterior.exterior_center(build("H(1)")).dim)
     for m in (2, 3):
+        hm = build(f"H({m})")
         add(
             f"Z^(H({m})) equals the derived subalgebra",
             True,
-            exterior.exterior_center(heisenberg(m)) == heisenberg(m).derived_subalgebra(),
+            exterior.exterior_center(hm) == hm.derived_subalgebra(),
         )
 
-    for name, algebra in named_members():
+    for name, _ in named_members():
+        algebra = build(name)
         zc = exterior.exterior_center(algebra)
         quotient, _ = algebra.quotient(zc)
         add(
@@ -446,16 +447,16 @@ def _verify_checks() -> list[dict[str, Any]]:
             exterior.exterior_square_dim(quotient),
         )
 
-    h1 = heisenberg(1)
+    h1 = build("H(1)")
     add("dim((H(1)/Z) ^ (H(1)/Z))", 1, exterior.quotient_exterior_dim(h1, h1.derived_subalgebra()))
     for m in (2, 3):
-        hm = heisenberg(m)
+        hm = build(f"H({m})")
         add(
             f"derived subalgebra of H({m}) inside Z^",
             True,
             exterior.ideal_in_exterior_center(hm, hm.derived_subalgebra()),
         )
-    h1a1 = direct_sum(heisenberg(1), abelian(1))
+    h1a1 = build("H(1)+A(1)")
     apart = Subspace.span(4, [(0, 0, 0, 1)])
     add("abelian summand of H(1)+A(1) inside Z^", False, exterior.ideal_in_exterior_center(h1a1, apart))
     return checks

@@ -278,11 +278,13 @@ def _wedge_class(square: ExteriorSquare, u: Iterable[tuple[int, int]], j: int) -
 
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
-def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
-    """``(L1, m, k)`` for the canonical split L = L1 + A(k) of a valid
-    algebra, with m = dim [L, L] = dim [L1, L1].  L1 is written in the
-    first dim - k vectors of the split basis, from one change of basis.
-    Cached per algebra, like ``exterior_square``.
+def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
+    """``(L1, [L, L], A)`` for the canonical split L = L1 + A of a valid
+    algebra, with m = dim [L, L] = dim [L1, L1] and k = dim A.  L1 is
+    written in the first dim - k vectors of the split basis, from one
+    change of basis.  Cached per algebra, like ``exterior_square``, so
+    the entry points read [L, L] and A from here, not from the instance
+    they were given.
 
     The rewritten table must be block diagonal, with every bracket in the
     first m coordinates: then L1 is closed under the bracket and A is
@@ -291,25 +293,26 @@ def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, int, int]:
     otherwise."""
     algebra.require_valid()
     split = algebra._abelian_split()
-    m, k = algebra.derived_subalgebra().dim, split.factor.dim
-    n1 = algebra.dim - k
+    derived = algebra.derived_subalgebra()
+    m, n1 = derived.dim, algebra.dim - split.factor.dim
     rewritten = algebra._change_basis(split.den, split.basis)
     for (_, j), c in rewritten._rows.items():
         if j >= n1 or any(c[m:]):
             raise ConstructionError("the split basis does not split off a central direct factor")
-    return rewritten._leading_block(n1), m, k
+    return rewritten._leading_block(n1), derived, split.factor
 
 
 def exterior_square_dim(algebra: LieAlgebra) -> int:
     """dim(L ^ L) = dim(L1 ^ L1) + k dim(L1/[L1, L1]) + k(k - 1)/2, from
     the Kunneth terms of the split L = L1 + A(k)."""
-    factor, m, k = _split_factor(algebra)
-    return exterior_square(factor).quotient_dim + k * (factor.dim - m) + k * (k - 1) // 2
+    factor, derived, a = _split_factor(algebra)
+    k = a.dim
+    return exterior_square(factor).quotient_dim + k * (factor.dim - derived.dim) + k * (k - 1) // 2
 
 
 def multiplier_dim(algebra: LieAlgebra) -> int:
     """dim M(L) = dim(L ^ L) - dim [L, L]."""
-    return exterior_square_dim(algebra) - algebra.derived_subalgebra().dim
+    return exterior_square_dim(algebra) - _split_factor(algebra)[1].dim
 
 
 @lru_cache(maxsize=_SQUARE_CACHE_SIZE)
@@ -351,17 +354,16 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     [L, L] because A takes in every central direction outside [L, L]: so
     the second condition always holds, and Z^(L1) vanishes past the
     first m coordinates, which is checked instead of intersecting."""
-    factor, m, k = _split_factor(algebra)
+    factor, derived, a = _split_factor(algebra)
     # the first m split basis vectors are the RREF basis of [L, L]
-    derived = algebra.derived_subalgebra()._rows
+    m = derived.dim
     sb = SpanBuilder(algebra.dim)
     for x in _square_center(factor)._rows:
         if any(x[m:]):
             raise ConstructionError("the exterior center of L1 leaves [L, L]")
-        sb.add_int_row(_combine(x, derived, algebra.dim))
-    if k == 1 and m == factor.dim:
-        for a in algebra._abelian_split().factor._rows:
-            sb.add_int_row(list(a))
+        sb.add_int_row(_combine(x, derived._rows, algebra.dim))
+    if a.dim == 1 and m == factor.dim:
+        sb.add_int_row(list(a._rows[0]))
     return sb.subspace()
 
 

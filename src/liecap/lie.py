@@ -18,8 +18,10 @@ with the instance and is not shared between equal algebras.  A shared cache
 (``functools.lru_cache`` on these methods) keeps algebras and their
 invariants alive after their last use, and it raised the peak memory
 of ``analyze --method formula`` on scrambled H(m) + A(k) by about 6%.
-The ``exterior`` caches are shared instead, since ``verify-paper``
-builds equal algebras again and again.
+The ``exterior`` caches are shared instead, since different algebras
+share equal factors L1 and equal quotients: with per-instance memos,
+``verify-paper``, which builds each of its own algebras once, builds
+64 exterior squares instead of 14.
 """
 
 from __future__ import annotations

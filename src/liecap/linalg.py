@@ -26,7 +26,10 @@ The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 elimination core, ``SpanBuilder``, stores integer rows, each divided by
 its gcd, and ``SpanBuilder._reduced_rows`` hands out its reduced rows
 over the lcm of their leads, the one common denominator that the
-subspaces and the projections read.
+subspaces and the projections read.  The core has one elimination
+step, ``_cross``: a x - b y clears the entry of x at the positive lead
+of y by the least cross-multiplication.  The forward reduction of
+``add_int_row`` and the Jordan step of ``_reduced_rows`` both take it.
 ``add_int_row`` takes rows that are already integers: the callers in
 ``lie``, ``decompose`` and ``exterior`` feed it rows computed from
 ``LieAlgebra``'s one integer table of structure constants (every
@@ -145,22 +148,28 @@ def _lowest(d: int, rows: Iterable[Sequence[int]]) -> tuple[int, tuple[tuple[int
     return d // g, rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
 
 
-def _normalize_int(row: list[int]) -> list[int] | None:
-    """Divide by the gcd and make the leading entry positive.  None if zero."""
-    g = 0
-    lead = 0
-    for v in row:
-        if v:
-            if lead == 0:
-                lead = v
-            g = math.gcd(g, v)
-    if g == 0:
-        return None
-    if lead < 0:
+def _normalize_int(row: list[int]) -> list[int]:
+    """A nonzero int row divided by its gcd, signed so that its lead is
+    positive.  The sign rule keeps every pivot lead positive, so the
+    ``a == 1`` shortcut of ``_cross`` applies whenever the lead divides
+    the entry it clears, and the back substitution of
+    ``lie._change_basis`` reads each lead u[k] > 0."""
+    g = math.gcd(*row)
+    if next(filter(None, row)) < 0:
         g = -g
-    if g == 1:
-        return row
-    return [v // g for v in row]
+    return row if g == 1 else [v // g for v in row]
+
+
+def _cross(v: int, pv: int, x: Iterable[int], y: Iterable[int]) -> list[int]:
+    """a x - b y for the least a > 0 and b with a v = b pv, the entry v
+    of x and the positive lead pv of y: the one elimination step, which
+    clears the entry of x at the lead's column."""
+    g = math.gcd(v, pv)
+    a = pv // g
+    b = v // g
+    if a == 1:
+        return [s - b * t for s, t in zip(x, y)]
+    return [a * s - b * t for s, t in zip(x, y)]
 
 
 class SpanBuilder:
@@ -194,7 +203,7 @@ class SpanBuilder:
         if reduced is None:
             return False
         col, rest = reduced
-        self._pivots[col] = _normalize_int(rest)  # type: ignore[assignment]
+        self._pivots[col] = _normalize_int(rest)
         return True
 
     def _reduce(self, row: list[int]) -> tuple[int, list[int]] | None:
@@ -208,24 +217,14 @@ class SpanBuilder:
                 p = pivots.get(c)
                 if p is None:
                     return c, row
-                pv = p[c]
-                g = math.gcd(v, pv)
-                a = pv // g
-                b = v // g
-                if a == 1:
-                    rest = [x - b * y for x, y in zip(row[c:], p[c:])]
-                else:
-                    rest = [a * x - b * y for x, y in zip(row[c:], p[c:])]
+                rest = _cross(v, p[c], row[c:], p[c:])
                 if not any(rest):
                     return None
                 row[c:] = rest
                 # keep entries small: cross-multiplication compounds quickly
                 steps += 1
                 if steps % 8 == 0:
-                    nr = _normalize_int(row)
-                    if nr is None:
-                        return None
-                    row = nr
+                    row = _normalize_int(row)
             c += 1
         return None
 
@@ -243,26 +242,12 @@ class SpanBuilder:
         rows = {c: list(r) for c, r in self._pivots.items()}
         for c in sorted(rows, reverse=True):
             prow = rows[c]
-            pv = prow[c]
             for d in rows:
                 drow = rows[d]
                 if d < c and drow[c]:
-                    v = drow[c]
-                    g = math.gcd(v, pv)
-                    a = pv // g
-                    b = v // g
-                    if a == 1:
-                        merged = [x - b * y for x, y in zip(drow, prow)]
-                    else:
-                        merged = [a * x - b * y for x, y in zip(drow, prow)]
-                    rows[d] = _normalize_int(merged)  # type: ignore[assignment]
+                    rows[d] = _normalize_int(_cross(drow[c], prow[c], drow, prow))
         d = math.lcm(*(r[c] for c, r in rows.items()))
         return d, {c: r if r[c] == d else [x * (d // r[c]) for x in r] for c, r in rows.items()}
-
-    def rref_rows(self) -> list[Vector]:
-        """Canonical lead-1 reduced rows, sorted by pivot column."""
-        d, rows = self._reduced_rows()
-        return [tuple(Fraction(x, d) for x in rows[c]) for c in sorted(rows)]
 
     def subspace(self) -> "Subspace":
         d, rows = self._reduced_rows()

@@ -183,7 +183,7 @@ def symbol_exterior_square(algebra):
 
     quotient_dim = n * n - sb.rank
     pivots = sb.pivot_cols()
-    reduced = dict(zip(pivots, sb.rref_rows()))
+    reduced = dict(zip(pivots, sb.subspace().basis.data))
     free = [f for f in range(n * n) if f not in reduced]
     # coordinate f of the class of a symbol vector v: v[f] - sum_p r_p[f] v[p]
     rows = []

@@ -309,6 +309,41 @@ def test_span_basis_is_canonical():
     assert a == b
 
 
+@st.composite
+def wide_entry_matrices(draw):
+    """``(cols, rows)``: up to 12 int rows of up to 12 columns, mostly
+    zeros, the other entries small or up to 2^70 in absolute value, and
+    some rows drawn as combinations of others, so that the rank falls
+    short."""
+    c = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=12))
+    for _ in range(draw(st.integers(0, 2)) if 0 < len(rows) < 12 else 0):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), _combine(coeffs, rows, c))
+    return c, rows
+
+
+def _dense(n, seed):
+    """A dense n x n int matrix with entries up to 2^70 in absolute value;
+    full rank for the seeds used below."""
+    rng = random.Random(seed)
+    return n, [[rng.randint(-(2**70), 2**70) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(wide_entry_matrices())
+@example(_dense(10, 1))
+@example(_dense(12, 2))
+def test_span_matches_gauss_jordan_on_wide_entries(case):
+    # a row reduced through more than 8 pivots is divided by its gcd on
+    # the way (SpanBuilder._reduce), and the Jordan step clears up to 11
+    # entries above each pivot: the canonical basis is still the Fraction
+    # Gauss-Jordan one
+    c, rows = case
+    assert [list(r) for r in Subspace.span(c, rows).basis.data] == _gauss_jordan(rows, c)
+
+
 def test_subspace_contains_and_coordinates():
     s = Subspace.span(3, [(1, 0, 2), (0, 1, 1)])
     v = (Fraction(2), Fraction(-1), Fraction(3))

@@ -340,6 +340,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "elimination step: x + b y in the a == 1 shortcut",
+        "linalg.py",
+        "return [s - b * t for s, t in zip(x, y)]",
+        "return [s + b * t for s, t in zip(x, y)]",
+        (
+            "tests/test_linalg.py::test_kernel_matches_gauss_jordan_null_space",
+            "tests/test_linalg.py::test_subspace_accepts_exactly_the_canonical_basis",
+        ),
+    ),
+    Mutant(
+        "elimination step: a and b swapped",
+        "linalg.py",
+        """    a = pv // g
+    b = v // g
+""",
+        """    a = v // g
+    b = pv // g
+""",
+        (
+            "tests/test_linalg.py::test_kernel_matches_gauss_jordan_null_space",
+            "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
+        "elimination step: the a == 1 shortcut taken for every a",
+        "linalg.py",
+        "if a == 1:",
+        "if True:",
+        (
+            "tests/test_linalg.py::test_kernel_matches_gauss_jordan_null_space",
+            "tests/test_linalg.py::test_int_subspace_matches_fraction_gauss_jordan",
+        ),
+    ),
+    Mutant(
         "kernel: the first projection row dropped",
         "linalg.py",
         "for row in reversed(kernel)]",
