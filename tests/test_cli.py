@@ -708,18 +708,38 @@ DEEP_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED["file"]))
-def test_deep_file_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
+def write_deep(name):
+    """Write the DEEP_TABLES entry ``name`` to deep.json in the current
+    directory and return that path."""
     dim, den, table = DEEP_TABLES[name]
     brackets = [
         {"i": i, "j": j, "coeffs": {str(k): str(Fraction(x, den)) for k, x in enumerate(c) if x}}
         for (i, j), c in table.items()
     ]
-    monkeypatch.chdir(tmp_path)  # the report echoes the path it was given
     Path("deep.json").write_text(json.dumps({"dim": dim, "brackets": brackets}))
-    code, out, _ = run(capsys, "analyze", "deep.json", "--json")
+    return "deep.json"
+
+
+@pytest.mark.parametrize("name", list(PINNED["file"]))
+def test_deep_file_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)  # the report echoes the path it was given
+    code, out, _ = run(capsys, "analyze", write_deep(name), "--json")
     assert code == EXIT_OK
     assert out == PINNED["file"][name]
+
+
+# the formula-only and oracle-only reports, whose reasons, verdicts and
+# null fields differ from the default "both": a builtin expression, or
+# a DEEP_TABLES name written to a file
+@pytest.mark.parametrize("method_args", list(PINNED["method"]))
+def test_analyze_method_json_is_pinned(tmp_path, monkeypatch, capsys, method_args):
+    source, method = method_args.split(" --method ")
+    monkeypatch.chdir(tmp_path)  # the report echoes the path it was given
+    if source in DEEP_TABLES:
+        source = write_deep(source)
+    code, out, _ = run(capsys, "analyze", source, "--json", "--method", method)
+    assert code == EXIT_OK
+    assert out == PINNED["method"][method_args]
 
 
 def test_verify_paper_json_is_pinned(capsys):
