@@ -1,7 +1,7 @@
 """liecap: exact exterior squares, Schur multipliers and capability of
 finite-dimensional Lie algebras over the rationals."""
 
-from .capability import ClassVerdict, catalog, classify, decide_capability
+from .capability import ClassVerdict, MultiplierReport, catalog, classified_multiplier, classify, decide_capability
 from .decompose import AbelianAlgebraError, Decomposition, heisenberg_decompose
 from .exterior import (
     ConstructionError,
@@ -31,9 +31,7 @@ from .linalg import (
     kernel_basis,
 )
 from .multiplier import (
-    MultiplierReport,
     abelian_multiplier_dim,
-    classified_multiplier,
     direct_sum_multiplier_dim,
     heisenberg_exterior_square_dim,
     heisenberg_multiplier_dim,

@@ -9,21 +9,27 @@ For the classified families the verdict has a closed form:
   * H(m) + A(k) is capable exactly when m = 1 (any k), so in particular
     H(1) is capable and H(m) is not for m >= 2.
 
-``classify`` is the one place the family is decided, by value: dim
-[L, L] = 0 is abelian, and only a nilpotent algebra with dim [L, L] = 1
-reaches the certified decomposition, which places it in the second
-family.  Outside these families (dim [L, L] >= 2, or not nilpotent) it
-returns "unclassified" and only the constructive verdict is available.
-The closed-form multipliers and the ``analyze`` report read its verdict.
+``_FAMILIES`` is the one table of the classified families: each record
+holds the family's name, its dim [L, L], a certified recognizer that
+returns its parameters or None, the closed forms for the verdict and
+dim M, and its description and reason.  ``classify`` keeps the
+nilpotency guard and takes the first record with the algebra's dim
+[L, L] whose recognizer accepts it, so the family is decided by value:
+dim [L, L] = 0 is abelian, and only dim [L, L] = 1 reaches the
+certified decomposition.  Outside the table (dim [L, L] >= 2, or not
+nilpotent) it returns "unclassified" and only the constructive verdict
+is available.  ``classified_multiplier`` and the ``analyze`` report
+read the record of the verdict's family and name none.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import exterior
 from .decompose import heisenberg_decompose
 from .lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
+from .multiplier import abelian_multiplier_dim, direct_sum_multiplier_dim, heisenberg_multiplier_dim
 
 
 class CapabilityDisagreement(RuntimeError):
@@ -33,9 +39,10 @@ class CapabilityDisagreement(RuntimeError):
 class ClassVerdict(NamedTuple):
     """Outcome of classification, optionally checked against the oracle.
 
-    ``family`` is "abelian", "heisenberg-sum" or "unclassified"; the
-    relevant parameters (n, or m and k) are filled in when known.
-    ``capable`` is None when no method was able to decide.
+    ``family`` is the name of a record of ``_FAMILIES`` ("abelian",
+    "heisenberg-sum") or "unclassified"; the parameters its recognizer
+    returns (n, or m and k) are filled in when known.  ``capable`` is
+    None when no method was able to decide.
     """
 
     family: str
@@ -46,37 +53,104 @@ class ClassVerdict(NamedTuple):
     reasons: tuple[str, ...] = ()
     oracle_agreement: bool | None = None
 
+    @property
+    def parameters(self) -> dict[str, int]:
+        """The parameters that are filled in, in the order n, m, k."""
+        return {key: value for key, value in (("n", self.n), ("m", self.m), ("k", self.k)) if value is not None}
+
+
+class MultiplierReport(NamedTuple):
+    description: str
+    dim_multiplier: int
+    dim_exterior_square: int
+    method: str
+
+
+class _Family(NamedTuple):
+    """One classified family of nilpotent algebras with dim [L, L] =
+    ``derived``.  ``recognize`` returns the ClassVerdict parameters of
+    such an algebra in the family, certified, or None; the closed forms
+    and texts take those parameters as keywords."""
+
+    name: str
+    derived: int
+    recognize: Callable[[LieAlgebra], dict[str, int] | None]
+    capable: Callable[..., bool]
+    dim_multiplier: Callable[..., int]
+    description: Callable[..., str]
+    reason: Callable[..., str]
+
+
+_ZERO_ALGEBRA = "the zero algebra is the central quotient of any abelian algebra"
+
+# in order: classify takes the first record with the algebra's dim [L, L] that accepts it
+_FAMILIES = (
+    _Family(
+        "abelian",
+        0,
+        lambda algebra: {"n": algebra.dim},
+        lambda n: n != 1,
+        abelian_multiplier_dim,
+        lambda n: f"A({n})",
+        lambda n: f"A({n}): abelian algebras are capable exactly when dim >= 2" if n else _ZERO_ALGEBRA,
+    ),
+    _Family(
+        "heisenberg-sum",
+        1,
+        # m and k of the certified decomposition (m, k, basis_change): every
+        # nilpotent algebra with dim [L, L] = 1 is H(m)+A(k), so an error is a defect
+        lambda algebra: dict(zip(("m", "k"), heisenberg_decompose(algebra))),
+        lambda m, k: m == 1,
+        # H(m) / [H(m), H(m)] has dim 2m
+        lambda m, k: direct_sum_multiplier_dim(heisenberg_multiplier_dim(m), abelian_multiplier_dim(k), 2 * m, k),
+        lambda m, k: f"H({m})+A({k})",
+        lambda m, k: f"H({m})+A({k}): Heisenberg sums are capable exactly when m = 1",
+    ),
+)
+
 
 def classify(algebra: LieAlgebra) -> ClassVerdict:
     """Closed-form classification; never constructs an exterior square.
-    An error raised by the decomposition is a defect and propagates."""
+    A nilpotent algebra gets the verdict of the first record of
+    ``_FAMILIES`` with its dim [L, L] whose recognizer accepts it.  An
+    error raised by a recognizer is a defect and propagates."""
     algebra.require_valid()
-    if not algebra.is_nilpotent():
-        return ClassVerdict(
-            family="unclassified",
-            reasons=("not nilpotent: no closed-form capability criterion applies",),
-        )
-    n = algebra.dim
-    derived_dim = algebra.derived_subalgebra().dim
-    if derived_dim >= 2:
-        return ClassVerdict(
-            family="unclassified",
-            reasons=("dim [L, L] >= 2: outside the classified families",),
-        )
-    if derived_dim == 0:
-        if n == 0:
-            reason = "the zero algebra is the central quotient of any abelian algebra"
-        else:
-            reason = f"A({n}): abelian algebras are capable exactly when dim >= 2"
-        return ClassVerdict(family="abelian", n=n, capable=n != 1, reasons=(reason,))
-    dec = heisenberg_decompose(algebra)
-    return ClassVerdict(
-        family="heisenberg-sum",
-        m=dec.m,
-        k=dec.k,
-        capable=dec.m == 1,
-        reasons=(f"H({dec.m})+A({dec.k}): Heisenberg sums are capable exactly when m = 1",),
-    )
+    reason = "not nilpotent: no closed-form capability criterion applies"
+    if algebra.is_nilpotent():
+        derived = algebra.derived_subalgebra().dim
+        for family in _FAMILIES:
+            if family.derived == derived and (params := family.recognize(algebra)) is not None:
+                reasons = (family.reason(**params),)
+                return ClassVerdict(family.name, capable=family.capable(**params), reasons=reasons, **params)
+        # the records take every nilpotent algebra with dim [L, L] <= 1
+        reason = "dim [L, L] >= 2: outside the classified families"
+    return ClassVerdict(family="unclassified", reasons=(reason,))
+
+
+def classified_multiplier(algebra: LieAlgebra) -> MultiplierReport:
+    """Closed-form multiplier dimension for the family ``classify`` finds.
+
+    An unclassified algebra (dim [L, L] >= 2, or not nilpotent) has no
+    closed form here and raises ValueError; use the constructive path
+    instead.
+    """
+    verdict = classify(algebra)
+    report = _closed_forms(verdict)
+    if report is None:
+        raise ValueError(f"no closed form: {verdict.reasons[0]}")
+    return report
+
+
+def _closed_forms(verdict: ClassVerdict) -> MultiplierReport | None:
+    """The closed forms of the record named ``verdict.family``, or None
+    when no record has that name.  dim(L ^ L) = dim M(L) + dim [L, L]
+    for any finite-dimensional L, so no record needs a form for it."""
+    for family in _FAMILIES:
+        if family.name == verdict.family:
+            params = verdict.parameters
+            dim_m = family.dim_multiplier(**params)
+            return MultiplierReport(family.description(**params), dim_m, dim_m + family.derived, "closed-form")
+    return None
 
 
 def decide_capability(algebra: LieAlgebra, mode: str = "both") -> ClassVerdict:

@@ -19,8 +19,8 @@ from math import lcm
 from pathlib import Path
 from typing import Any
 
-from . import exterior
-from .capability import CapabilityDisagreement, _with_construction, classify, decide_capability, named_members
+from . import capability, exterior
+from .capability import CapabilityDisagreement, classify, decide_capability, named_members
 from .decompose import DecompositionCheckError
 from .exterior import ConstructionError
 from .linalg import Subspace
@@ -35,7 +35,6 @@ from .lie import (
 )
 from .multiplier import (
     abelian_multiplier_dim,
-    classified_multiplier,
     direct_sum_multiplier_dim,
     heisenberg_exterior_square_dim,
     heisenberg_multiplier_dim,
@@ -268,33 +267,23 @@ def build_report(algebra: LieAlgebra, source: str, method: str) -> dict[str, Any
     }
 
     verdict = classify(algebra)
-    decomposition = None
-    if verdict.family == "heisenberg-sum":
-        decomposition = {"m": verdict.m, "k": verdict.k}
-    report["decomposition"] = decomposition
+    report["decomposition"] = None if verdict.m is None else {"m": verdict.m, "k": verdict.k}
 
-    formula_m = formula_ext = None
-    if method in ("formula", "both") and verdict.family != "unclassified":
-        rep = classified_multiplier(algebra)
-        formula_m, formula_ext = rep.dim_multiplier, rep.dim_exterior_square
+    closed = capability._closed_forms(verdict) if method in ("formula", "both") else None
     oracle_m = oracle_ext = center_dim = None
     if method in ("oracle", "both"):
         oracle_m, oracle_ext = exterior.multiplier_dim(algebra), exterior.exterior_square_dim(algebra)
         center_dim = exterior.exterior_center(algebra).dim
-        verdict = _with_construction(verdict, center_dim == 0, method)
+        verdict = capability._with_construction(verdict, center_dim == 0, method)
 
-    report["multiplier_dim"] = {"formula": formula_m, "oracle": oracle_m}
-    report["exterior_square_dim"] = {"formula": formula_ext, "oracle": oracle_ext}
+    report["multiplier_dim"] = {"formula": closed and closed.dim_multiplier, "oracle": oracle_m}
+    report["exterior_square_dim"] = {"formula": closed and closed.dim_exterior_square, "oracle": oracle_ext}
     report["exterior_center_dim"] = center_dim
 
     report["capability"] = {
         "capable": verdict.capable,
         "family": verdict.family,
-        "parameters": {
-            key: value
-            for key, value in (("n", verdict.n), ("m", verdict.m), ("k", verdict.k))
-            if value is not None
-        },
+        "parameters": verdict.parameters,
         "method": method,
         "reasons": list(verdict.reasons),
         "oracle_agreement": verdict.oracle_agreement,

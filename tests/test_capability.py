@@ -7,13 +7,16 @@ import pytest
 
 from liecap import capability
 from liecap.capability import (
+    ClassVerdict,
+    MultiplierReport,
     catalog,
+    classified_multiplier,
     classify,
     decide_capability,
 )
+from liecap.cli import build_report
 from liecap.decompose import heisenberg_decompose
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.multiplier import classified_multiplier
 
 
 def test_classify_abelian():
@@ -54,6 +57,41 @@ def test_classify_unclassified():
     v = classify(direct_sum(heisenberg(1), heisenberg(1)))
     assert v.family == "unclassified"
     assert v.capable is None
+
+
+def test_family_record_is_read_back_by_every_reader(monkeypatch):
+    # a toy family put first in the table takes the dim 4 algebras with
+    # dim [L, L] = 1; classify, classified_multiplier and the formula
+    # report read its verdict and closed forms from the record alone
+    toy = capability._Family(
+        "toy",
+        1,
+        lambda algebra: {"n": algebra.dim} if algebra.dim == 4 else None,
+        lambda n: False,
+        lambda n: 10 * n,
+        lambda n: f"T({n})",
+        lambda n: f"T({n}): a toy family",
+    )
+    monkeypatch.setattr(capability, "_FAMILIES", (toy, *capability._FAMILIES))
+    L = scramble(direct_sum(heisenberg(1), abelian(1)), 8)
+    assert classify(L) == ClassVerdict("toy", n=4, capable=False, reasons=("T(4): a toy family",))
+    # dim(L ^ L) = dim M + dim [L, L]
+    assert classified_multiplier(L) == MultiplierReport("T(4)", 40, 41, "closed-form")
+    report = build_report(L, "toy", "formula")
+    assert report["decomposition"] is None
+    assert report["multiplier_dim"] == {"formula": 40, "oracle": None}
+    assert report["exterior_square_dim"] == {"formula": 41, "oracle": None}
+    assert report["capability"] == {
+        "capable": False,
+        "family": "toy",
+        "parameters": {"n": 4},
+        "method": "formula",
+        "reasons": ["T(4): a toy family"],
+        "oracle_agreement": None,
+    }
+    # an algebra the toy record does not take falls through to the next
+    assert classify(heisenberg(2)).family == "heisenberg-sum"
+    assert classify(abelian(4)).family == "abelian"
 
 
 def test_decide_rejects_unknown_mode():

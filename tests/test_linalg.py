@@ -501,6 +501,16 @@ def test_span_builder_tracks_rank_growth():
     assert not sb.subspace().contains((1, 0, 0))
 
 
+def test_span_builder_pivot_leads_are_positive():
+    # a row fed with a negative lead is stored divided by minus its gcd:
+    # the a == 1 shortcut of _cross and the back substitution of
+    # lie._change_basis read each pivot lead as positive
+    sb = SpanBuilder(3)
+    assert sb.add_int_row([0, -2, 4])
+    assert sb.add_int_row([-3, 6, 9])
+    assert sb._pivots == {1: [0, 1, -2], 0: [1, -2, -3]}
+
+
 @pytest.mark.parametrize("ncols, row", [(3, [1]), (2, [0, 0, 5])], ids=["short", "long"])
 def test_span_builder_checks_row_length(ncols, row):
     sb = SpanBuilder(ncols)

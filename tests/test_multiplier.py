@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from liecap.capability import classified_multiplier
 from liecap.exterior import multiplier_dim
 from liecap.lie import LieAlgebra, abelian, direct_sum, heisenberg, scramble
 from liecap.multiplier import (
     abelian_multiplier_dim,
-    classified_multiplier,
     direct_sum_multiplier_dim,
     heisenberg_exterior_square_dim,
     heisenberg_multiplier_dim,

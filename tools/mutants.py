@@ -374,6 +374,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "normalized rows: the positive-lead rule dropped",
+        "linalg.py",
+        """    if next(filter(None, row)) < 0:
+        g = -g
+""",
+        "",
+        (
+            "tests/test_linalg.py::test_span_builder_pivot_leads_are_positive",
+        ),
+    ),
+    Mutant(
         "kernel: the first projection row dropped",
         "linalg.py",
         "for row in reversed(kernel)]",
@@ -483,6 +494,25 @@ MUTANTS = (
         "",
         (
             "tests/test_cli.py::test_capability_disagreement_exits_3",
+        ),
+    ),
+    Mutant(
+        "classify: the nilpotency guard dropped",
+        "capability.py",
+        "    if algebra.is_nilpotent():\n",
+        "    if True:\n",
+        (
+            "tests/test_capability.py::test_classify_unclassified",
+            "tests/test_cli.py::test_deep_file_analyze_json_is_pinned[r2+A(2) scrambled]",
+        ),
+    ),
+    Mutant(
+        "family table: the Heisenberg record's cross term 2m read as m",
+        "capability.py",
+        "abelian_multiplier_dim(k), 2 * m, k)",
+        "abelian_multiplier_dim(k), m, k)",
+        (
+            "tests/test_multiplier.py::test_classified_is_basis_invariant",
         ),
     ),
     Mutant(
