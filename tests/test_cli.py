@@ -312,17 +312,44 @@ def test_verify_paper_json(capsys):
             "not an exact rational string",
             id="float-one",
         ),
+        # strings that int() accepts, or nearly does, and the format rejects
+        *(
+            pytest.param(
+                {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": value}}]},
+                "not an exact rational string",
+                id=name,
+            )
+            for name, value in [
+                ("leading-space", " 1"),
+                ("underscore", "1_0"),
+                ("two-signs", "+-1"),
+                ("empty", ""),
+                ("empty-denominator", "1/"),
+                ("zero-denominator", "1/0"),
+                ("zero-led-denominator", "1/02"),
+                ("signed-denominator", "1/+2"),
+                ("two-slashes", "1/2/3"),
+            ]
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1/" + "1" * 5000}}]},
+            "too many digits",
+            id="long-denominator",
+        ),
     ],
 )
-def test_file_diagnostics(tmp_path, capsys, doc, message):
-    path = tmp_path / "in.json"
+def test_file_diagnostics(tmp_path, monkeypatch, capsys, request, doc, message):
+    monkeypatch.chdir(tmp_path)  # the message quotes the path it was given
+    path = Path("in.json")
     if isinstance(doc, bytes):
         path.write_bytes(doc)
     else:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    code, _, err = run(capsys, "analyze", str(path))
+    code, out, err = run(capsys, "analyze", str(path))
     assert code == EXIT_INVALID
     assert message in err
+    # the whole line, pinned byte for byte
+    assert (out, err) == ("", PINNED["diagnostics"][request.node.callspec.id])
 
 
 def test_coefficient_spellings_load_to_one_algebra(tmp_path):
