@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from math import lcm
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Any
 
@@ -46,7 +47,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # ASCII digits only: \d would also match digits such as "٣"
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")  # whole string, by fullmatch
+_DENOMINATOR = r"(/[1-9][0-9]*)?"
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+" + _DENOMINATOR)  # whole string, by fullmatch
+_DENOMINATOR_RE = re.compile(_DENOMINATOR)
 _EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")
 _TERM_RE = re.compile(r"([AH])\(([0-9]+)\)")
 # Inputs are read up to this size, so a huge file or an endless device
@@ -162,6 +165,16 @@ def load_algebra_file(path: str) -> LieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")
+    # the spelling liecap writes is read in bulk, once per file; any other
+    # spelling, and any defect, is read and worded by the loop
+    den, rows = _bulk_rows(dim, brackets) or _loop_rows(path, dim, brackets)
+    return LieAlgebra._from_int_rows(dim, den, rows, labels)
+
+
+def _loop_rows(path: str, dim: int, brackets: list[Any]) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """The common denominator and the int rows of a file's brackets, read
+    one coefficient at a time: every spelling the format allows, and the
+    message of every defect, as InputError."""
     # each coefficient as an int pair (p, q) for p / q, the table over the lcm of the q
     table: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     index = {str(k): k for k in range(dim)}  # the canonical spelling of each key
@@ -216,7 +229,60 @@ def load_algebra_file(path: str) -> LieAlgebra:
         row = rows[key] = [0] * dim
         for k, (num, q) in parsed.items():
             row[k] = num * scale[q]
-    return LieAlgebra._from_int_rows(dim, den, rows, labels)
+    return den, rows
+
+
+def _bulk_rows(dim: int, brackets: list[Any]) -> tuple[int, dict[tuple[int, int], list[int]]] | None:
+    """``_loop_rows`` of a file in the spelling that ``algebra_to_doc``
+    writes, canonical keys "0" ... "dim-1" and string values, read in
+    passes over the whole file: the entry checks per bracket, one alphabet
+    check of the joined values, then ``str.partition`` and ``int`` over the
+    distinct strings and one check and ``int`` per distinct denominator.
+    None for any other spelling and any defect, which ``_loop_rows`` then
+    reads and words."""
+    keys = [str(k) for k in range(dim)]
+    canonical = set(keys)
+    table: dict[tuple[int, int], dict[str, Any]] = {}
+    values: list[Any] = []
+    for entry in brackets:
+        if type(entry) is not dict:
+            return None
+        i, j, coeffs = entry.get("i"), entry.get("j"), entry.get("coeffs", {})
+        # type() is: a JSON true is an int, and not an index
+        if type(i) is not int or type(j) is not int or not 0 <= i < j < dim:
+            return None
+        if type(coeffs) is not dict or not coeffs.keys() <= canonical:
+            return None
+        table[(i, j)] = coeffs
+        values += coeffs.values()
+    if len(table) != len(brackets):  # a repeated (i, j)
+        return None
+    try:
+        text = "".join(values)
+    except TypeError:  # a JSON number, true or null
+        return None
+    # the ASCII alphabet of the format: no space, "_", newline or other digits
+    if not text.isascii() or text.encode().translate(None, b"0123456789+-/"):
+        return None
+    strings = list(set(values))
+    # each tuple partition makes is dropped at once: kept, they would set off
+    # the garbage collector about twice per file
+    heads = list(map(itemgetter(0), map(str.partition, strings, itertools.repeat("/"))))
+    tails = list(map(str.removeprefix, strings, heads))  # "" or "/q"
+    qs: dict[str, int] = {}
+    try:
+        nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
+        for tail in set(tails):
+            if not _DENOMINATOR_RE.fullmatch(tail):
+                return None
+            qs[tail] = int(tail[1:]) if tail else 1
+    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
+        return None
+    den = lcm(1, *qs.values())
+    scale = {tail: den // q for tail, q in qs.items()}
+    scaled = dict(zip(strings, map(mul, nums, map(scale.__getitem__, tails))))
+    scaled[None] = 0  # coeffs.get of a key the bracket leaves out
+    return den, {ij: list(map(scaled.__getitem__, map(coeffs.get, keys))) for ij, coeffs in table.items()}
 
 
 def load_input(text: str) -> tuple[LieAlgebra, str]:

@@ -421,6 +421,85 @@ def test_loader_matches_fraction_reading(spelled_file, data):
     assert cli.load_algebra_file(str(spelled_file))._key() == LieAlgebra(dim, table)._key()
 
 
+# Coefficient values and keys that a file may hold in place of one canonical
+# entry: spellings the format rejects, some that int() or the regex would take
+# alone, JSON values that are not strings, and valid spellings that
+# algebra_to_doc never writes
+HOSTILE_VALUES = [
+    " 1", "1_0", "+-1", "", "1/", "1/0", "1/02", "1/+2", "1/2/3", "1/-2", "-", "/2",
+    "1/" + "1" * 5000, "1" * 5000, "\u0663", "\uff11", "1/\u0663", "3\n", "1/2\n", "1 /2",
+    1, -3, True, False, 1.0, None, [], {},
+    "+1/2", "05", "-0", "0/7", "3/6", "-12/8",
+]
+HOSTILE_KEYS = ["00", "01", "+1", " 1", "1 ", "\u0661", "99", "-1", "", "1" * 5000]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_bulk_pass_agrees_with_the_loop(data):
+    # a canonical file with string values, as algebra_to_doc writes it, then
+    # perhaps one value, key or entry made hostile: the bulk pass returns the
+    # loop's (den, rows) or declines, and declines on every file the loop rejects
+    dim = data.draw(st.integers(1, 6))
+    pool = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    pairs = list(combinations(range(dim), 2))
+    brackets = []
+    for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6) if pairs else st.just([])):
+        row = data.draw(st.lists(pool, min_size=dim, max_size=dim))
+        brackets.append({"i": i, "j": j, "coeffs": {str(k): str(x) for k, x in enumerate(row) if x}})
+    change = data.draw(st.sampled_from(["none", "value", "key", "entry"]))
+    target = data.draw(st.sampled_from(brackets)) if brackets else {"i": 0, "j": 1, "coeffs": {}}
+    coeffs = target["coeffs"]
+    if change == "value":
+        key = data.draw(st.sampled_from([*coeffs, str(dim - 1)]))
+        coeffs[key] = data.draw(st.sampled_from(HOSTILE_VALUES))
+    elif change == "key":
+        key = data.draw(st.sampled_from(HOSTILE_KEYS + [f"0{k}" for k in range(dim)]))
+        coeffs[key] = data.draw(st.sampled_from(["1", "-2/3"]))
+    elif change == "entry":
+        entry = data.draw(
+            st.sampled_from(
+                [
+                    dict(target),  # a repeated (i, j)
+                    {"i": target["j"], "j": target["i"], "coeffs": {}},
+                    {"i": True, "j": dim - 1, "coeffs": {}},
+                    {"i": 0, "j": dim, "coeffs": {}},
+                    {"i": 0, "j": 1.0, "coeffs": {}},
+                    {"i": 0, "j": 1, "coeffs": ["1"]},
+                    {"i": 0, "j": 1},
+                    ["i", "j"],
+                    "0 1",
+                ]
+            )
+        )
+        brackets.insert(data.draw(st.integers(0, len(brackets))), entry)
+    bulk = bulk_against_loop(dim, brackets)
+    if change == "none":
+        assert bulk is not None  # the spelling the pass is for is never declined
+
+
+def bulk_against_loop(dim, brackets):
+    """Read ``brackets`` with the bulk pass and with the loop; assert that
+    the pass returns the loop's (den, rows) or declines, and declines
+    whenever the loop rejects.  Returns the pass's reading."""
+    bulk = cli._bulk_rows(dim, brackets)
+    try:
+        loop = cli._loop_rows("in.json", dim, brackets)
+    except cli.InputError:
+        assert bulk is None
+    else:
+        assert bulk is None or bulk == loop
+    return bulk
+
+
+def test_bulk_pass_on_each_hostile_entry():
+    # every hostile value and key once, in a file that is otherwise canonical
+    for value in HOSTILE_VALUES:
+        bulk_against_loop(3, [{"i": 0, "j": 1, "coeffs": {"2": value}}, {"i": 1, "j": 2, "coeffs": {"0": "1/3"}}])
+    for key in HOSTILE_KEYS:
+        bulk_against_loop(3, [{"i": 0, "j": 1, "coeffs": {"2": "1", key: "1/3"}}])
+
+
 def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):
     text = json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]})
     path = tmp_path / "in.json"

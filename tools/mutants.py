@@ -548,6 +548,57 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bulk pass: the alphabet check dropped",
+        "cli.py",
+        'if not text.isascii() or text.encode().translate(None, b"0123456789+-/"):',
+        "if not text.isascii():",
+        (
+            "tests/test_cli.py::test_file_diagnostics[leading-space]",
+        ),
+    ),
+    Mutant(
+        "bulk pass: the denominator check dropped",
+        "cli.py",
+        "if not _DENOMINATOR_RE.fullmatch(tail):",
+        "if False:",
+        (
+            "tests/test_cli.py::test_file_diagnostics[zero-denominator]",
+            "tests/test_cli.py::test_file_diagnostics[zero-led-denominator]",
+        ),
+    ),
+    Mutant(
+        "bulk pass: the denominator int outside the try",
+        "cli.py",
+        """        nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
+        for tail in set(tails):
+            if not _DENOMINATOR_RE.fullmatch(tail):
+                return None
+            qs[tail] = int(tail[1:]) if tail else 1
+    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
+        return None
+""",
+        """        nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
+    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
+        return None
+    for tail in set(tails):
+        if not _DENOMINATOR_RE.fullmatch(tail):
+            return None
+        qs[tail] = int(tail[1:]) if tail else 1
+""",
+        (
+            "tests/test_cli.py::test_file_diagnostics[long-denominator]",
+        ),
+    ),
+    Mutant(
+        "bulk pass: the canonical-keys test dropped",
+        "cli.py",
+        "if type(coeffs) is not dict or not coeffs.keys() <= canonical:",
+        "if type(coeffs) is not dict:",
+        (
+            "tests/test_cli.py::test_file_diagnostics[aliased-key-first-zero]",
+        ),
+    ),
+    Mutant(
         "expression syntax: \\d instead of [0-9]",
         "cli.py",
         r'_EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")',
