@@ -165,124 +165,93 @@ def load_algebra_file(path: str) -> LieAlgebra:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")
-    # the spelling liecap writes is read in bulk, once per file; any other
-    # spelling, and any defect, is read and worded by the loop
-    den, rows = _bulk_rows(dim, brackets) or _loop_rows(path, dim, brackets)
+    den, rows = _bracket_rows(path, dim, brackets)
     return LieAlgebra._from_int_rows(dim, den, rows, labels)
 
 
-def _loop_rows(path: str, dim: int, brackets: list[Any]) -> tuple[int, dict[tuple[int, int], list[int]]]:
-    """The common denominator and the int rows of a file's brackets, read
-    one coefficient at a time: every spelling the format allows, and the
-    message of every defect, as InputError."""
-    # each coefficient as an int pair (p, q) for p / q, the table over the lcm of the q
-    table: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-    index = {str(k): k for k in range(dim)}  # the canonical spelling of each key
-    # each distinct coefficient string is matched and converted once; only
-    # strings are kept, since a JSON true equals 1 and would hit a cached 1
-    rationals: dict[str, tuple[int, int]] = {}
-    for idx, entry in enumerate(brackets):
-        where = f"{path}: brackets[{idx}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where} must be an object")
-        i, j = entry.get("i"), entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise InputError(f"{where}: 'i' and 'j' must be integers")
-        if not (0 <= i < j < dim):
-            raise InputError(f"{where}: need 0 <= i < j < dim, got ({i}, {j})")
-        coeffs = entry.get("coeffs", {})
-        if not isinstance(coeffs, dict):
-            raise InputError(f"{where}: 'coeffs' must be an object")
-        parsed: dict[int, tuple[int, int]] = {}
-        for key, val in coeffs.items():
-            k = index.get(key)
-            if k is None:  # not the canonical spelling: "01", "²", too long, out of range
-                # str.isdigit alone accepts digits such as "²" that int() rejects
-                if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
-                    raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
-                try:
-                    k = int(key)
-                except ValueError:  # longer than the int-string conversion limit
-                    raise InputError(f"{where}: coefficient key has too many digits") from None
-                if not 0 <= k < dim:
-                    raise InputError(f"{where}: coefficient index {k} out of range")
-            if k in parsed:  # "1" and "01" name one index
-                raise InputError(f"{where}: coefficient index {k} is given twice")
-            if isinstance(val, str):
-                pq = rationals.get(val)
-                if pq is None:
-                    pq = rationals[val] = _rational(val, k, where)
-                parsed[k] = pq
-            elif isinstance(val, int) and not isinstance(val, bool):
-                parsed[k] = (val, 1)
-            else:
-                raise InputError(f"{where}: coefficient {val!r} is not an exact rational string")
-        if (i, j) in table:
-            raise InputError(f"{path}: duplicate bracket entry ({i}, {j})")
-        table[(i, j)] = parsed
-    # every denominator is that of a cached string, or 1 for a JSON int
-    qs = {1, *(q for _, q in rationals.values())}
-    den = lcm(*qs)
-    scale = {q: den // q for q in qs}
-    rows: dict[tuple[int, int], list[int]] = {}
-    for key, parsed in table.items():
-        row = rows[key] = [0] * dim
-        for k, (num, q) in parsed.items():
-            row[k] = num * scale[q]
-    return den, rows
-
-
-def _bulk_rows(dim: int, brackets: list[Any]) -> tuple[int, dict[tuple[int, int], list[int]]] | None:
-    """``_loop_rows`` of a file in the spelling that ``algebra_to_doc``
-    writes, canonical keys "0" ... "dim-1" and string values, read in
-    passes over the whole file: the entry checks per bracket, one alphabet
-    check of the joined values, then ``str.partition`` and ``int`` over the
-    distinct strings and one check and ``int`` per distinct denominator.
-    None for any other spelling and any defect, which ``_loop_rows`` then
-    reads and words."""
+def _bracket_rows(path: str, dim: int, brackets: list[Any]) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """The common denominator and the int rows of a file's brackets, or
+    InputError.  Each bracket is checked as it is met, and a bracket whose
+    keys are not the canonical "0" ... "dim-1" is respelled key by key.
+    The values are read in passes over the whole file: one alphabet check
+    of the joined values, then ``str.partition`` and ``int`` over the
+    distinct values and one check and ``int`` per distinct denominator.
+    If a pass fails, the values are walked in file order and the first bad
+    one is worded, so an entry or key defect is reported before any value
+    defect."""
     keys = [str(k) for k in range(dim)]
     canonical = set(keys)
     table: dict[tuple[int, int], dict[str, Any]] = {}
     values: list[Any] = []
-    for entry in brackets:
+    for idx, entry in enumerate(brackets):
         if type(entry) is not dict:
-            return None
+            raise InputError(f"{path}: brackets[{idx}] must be an object")
         i, j, coeffs = entry.get("i"), entry.get("j"), entry.get("coeffs", {})
         # type() is: a JSON true is an int, and not an index
-        if type(i) is not int or type(j) is not int or not 0 <= i < j < dim:
-            return None
-        if type(coeffs) is not dict or not coeffs.keys() <= canonical:
-            return None
+        if type(i) is not int or type(j) is not int:
+            raise InputError(f"{path}: brackets[{idx}]: 'i' and 'j' must be integers")
+        if not 0 <= i < j < dim:
+            raise InputError(f"{path}: brackets[{idx}]: need 0 <= i < j < dim, got ({i}, {j})")
+        if type(coeffs) is not dict:
+            raise InputError(f"{path}: brackets[{idx}]: 'coeffs' must be an object")
+        if not coeffs.keys() <= canonical:  # "01", "²", too long, out of range
+            coeffs = _respelled(f"{path}: brackets[{idx}]", dim, coeffs)
+        if (i, j) in table:
+            raise InputError(f"{path}: duplicate bracket entry ({i}, {j})")
         table[(i, j)] = coeffs
         values += coeffs.values()
-    if len(table) != len(brackets):  # a repeated (i, j)
-        return None
     try:
-        text = "".join(values)
-    except TypeError:  # a JSON number, true or null
-        return None
-    # the ASCII alphabet of the format: no space, "_", newline or other digits
-    if not text.isascii() or text.encode().translate(None, b"0123456789+-/"):
-        return None
-    strings = list(set(values))
-    # each tuple partition makes is dropped at once: kept, they would set off
-    # the garbage collector about twice per file
-    heads = list(map(itemgetter(0), map(str.partition, strings, itertools.repeat("/"))))
-    tails = list(map(str.removeprefix, strings, heads))  # "" or "/q"
-    qs: dict[str, int] = {}
+        text, ints = "".join(values), False
+    except TypeError:  # a value that is not a string: an int reads as its string, any other fails the alphabet check
+        text, ints = "".join(map(str, values)), True
     try:
+        # the ASCII alphabet of the format: no space, "_", newline or other digits
+        if not text.isascii() or text.encode().translate(None, b"0123456789+-/"):
+            raise ValueError
+        strings = list(set(values))  # strings and ints only, so a JSON true is not taken for a 1
+        texts = list(map(str, strings)) if ints else strings
+        # each tuple partition makes is dropped at once: kept, they would set off
+        # the garbage collector about twice per file
+        heads = list(map(itemgetter(0), map(str.partition, texts, itertools.repeat("/"))))
+        tails = list(map(str.removeprefix, texts, heads))  # "" or "/q"
         nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
+        qs: dict[str, int] = {}
         for tail in set(tails):
             if not _DENOMINATOR_RE.fullmatch(tail):
-                return None
+                raise ValueError
             qs[tail] = int(tail[1:]) if tail else 1
-    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
-        return None
+    except ValueError:  # a malformed value, or longer than the int-string conversion limit
+        for idx, coeffs in enumerate(table.values()):  # the table holds the brackets in file order
+            for key, val in coeffs.items():
+                if type(val) is str:
+                    _rational(val, int(key), f"{path}: brackets[{idx}]")
+                elif type(val) is not int:
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+        raise  # not reached: the walk words every value the passes reject
     den = lcm(1, *qs.values())
     scale = {tail: den // q for tail, q in qs.items()}
     scaled = dict(zip(strings, map(mul, nums, map(scale.__getitem__, tails))))
     scaled[None] = 0  # coeffs.get of a key the bracket leaves out
     return den, {ij: list(map(scaled.__getitem__, map(coeffs.get, keys))) for ij, coeffs in table.items()}
+
+
+def _respelled(where: str, dim: int, coeffs: dict[str, Any]) -> dict[str, Any]:
+    """``coeffs`` with each key in its canonical spelling, or InputError."""
+    respelled: dict[str, Any] = {}
+    for key, val in coeffs.items():
+        # str.isdigit alone accepts digits such as "²" that int() rejects
+        if not (key.isascii() and key.isdigit()):
+            raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
+        try:
+            k = int(key)
+        except ValueError:  # longer than the int-string conversion limit
+            raise InputError(f"{where}: coefficient key has too many digits") from None
+        if not 0 <= k < dim:
+            raise InputError(f"{where}: coefficient index {k} out of range")
+        if str(k) in respelled:  # "1" and "01" name one index
+            raise InputError(f"{where}: coefficient index {k} is given twice")
+        respelled[str(k)] = val
+    return respelled
 
 
 def load_input(text: str) -> tuple[LieAlgebra, str]:

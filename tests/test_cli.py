@@ -336,6 +336,18 @@ def test_verify_paper_json(capsys):
             "too many digits",
             id="long-denominator",
         ),
+        # a file with several defects reports its first entry or key defect
+        # in file order, and its first value defect only when it has neither
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1.5"}}, {"i": 0, "j": 2}, "0 1"]},
+            "brackets[2] must be an object",
+            id="bad-value-then-bad-entry",
+        ),
+        pytest.param(
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1.5", "01": "1", "1": "1"}}]},
+            "coefficient index 1 is given twice",
+            id="bad-value-then-aliased-key",
+        ),
     ],
 )
 def test_file_diagnostics(tmp_path, monkeypatch, capsys, request, doc, message):
@@ -423,81 +435,114 @@ def test_loader_matches_fraction_reading(spelled_file, data):
 
 # Coefficient values and keys that a file may hold in place of one canonical
 # entry: spellings the format rejects, some that int() or the regex would take
-# alone, JSON values that are not strings, and valid spellings that
-# algebra_to_doc never writes
-HOSTILE_VALUES = [
+# alone, and JSON values that are not strings; then valid spellings that
+# algebra_to_doc never writes, each with the value or index it reads as
+REJECTED_VALUES = [
     " 1", "1_0", "+-1", "", "1/", "1/0", "1/02", "1/+2", "1/2/3", "1/-2", "-", "/2",
     "1/" + "1" * 5000, "1" * 5000, "\u0663", "\uff11", "1/\u0663", "3\n", "1/2\n", "1 /2",
-    1, -3, True, False, 1.0, None, [], {},
-    "+1/2", "05", "-0", "0/7", "3/6", "-12/8",
+    True, False, 1.0, None, [], {},
 ]
-HOSTILE_KEYS = ["00", "01", "+1", " 1", "1 ", "\u0661", "99", "-1", "", "1" * 5000]
+VALID_VALUES = [
+    ("+1/2", Fraction(1, 2)), ("05", Fraction(5)), ("-0", Fraction(0)), ("0/7", Fraction(0)),
+    ("3/6", Fraction(1, 2)), ("-12/8", Fraction(-3, 2)), (1, Fraction(1)), (-3, Fraction(-3)),
+]
+REJECTED_KEYS = ["+1", " 1", "1 ", "\u0661", "99", "-1", "", "1" * 5000]
+VALID_KEYS = [(f"0{k}", k) for k in range(6)]  # "01" names index 1
+# entries that a file may hold beside its brackets, each made from a bracket
+# t of the file and the dimension: a repeated (i, j), whose coeffs are left
+# out, then entries that are not brackets
+ENTRIES = [
+    lambda t, dim: {"i": t["i"], "j": t["j"]},
+    lambda t, dim: {"i": t["j"], "j": t["i"], "coeffs": {}},
+    lambda t, dim: {"i": True, "j": dim - 1, "coeffs": {}},
+    lambda t, dim: {"i": 0, "j": dim, "coeffs": {}},
+    lambda t, dim: {"i": 0, "j": 1.0, "coeffs": {}},
+    lambda t, dim: {"i": 0, "j": 1, "coeffs": ["1"]},
+    lambda t, dim: ["i", "j"],
+    lambda t, dim: "0 1",
+]
+# (kind, item, reading): the Fraction or index a valid value or key reads as,
+# and None for a rejected one
+CHANGES = [
+    ("none", None, None),
+    *(("value", value, None) for value in REJECTED_VALUES),
+    *(("value", value, read) for value, read in VALID_VALUES),
+    *(("key", key, None) for key in REJECTED_KEYS),
+    *(("key", key, k) for key, k in VALID_KEYS),
+    *(("entry", make, None) for make in ENTRIES),
+]
+
+
+def check_change(path, dim, table, change, idx, choice):
+    """Write ``table`` as algebra_to_doc writes it, with ``change`` made at
+    its bracket ``idx``, and load it.  A rejected change must raise
+    InputError naming the changed entry, or "duplicate bracket entry" for a
+    repeated (i, j); any other file must load to the algebra of the
+    Fractions it spells.  ``choice`` is the key of a changed value, the
+    value of a new key, or the position of a new entry."""
+    table = {ij: list(row) for ij, row in table.items()}
+    brackets = [
+        {"i": i, "j": j, "coeffs": {str(k): str(x) for k, x in enumerate(row) if x}} for (i, j), row in table.items()
+    ]
+    kind, item, read = change
+    target = brackets[idx]
+    coeffs, row = target["coeffs"], table[(target["i"], target["j"])]
+    rejected = None  # the start of the message a rejected change must raise
+    if kind == "value":
+        coeffs[choice] = item
+        if read is None:
+            rejected = f"brackets[{idx}]"
+        else:
+            row[int(choice)] = read
+    elif kind == "key":
+        if read is None or read >= dim or str(read) in coeffs:  # not an index, out of range, or "1" and "01"
+            rejected = f"brackets[{idx}]"
+        else:
+            row[read] = Fraction(choice)
+        coeffs[item] = choice
+    elif kind == "entry":
+        brackets.insert(choice, item(target, dim))
+        rejected = "duplicate bracket entry" if item is ENTRIES[0] else f"brackets[{choice}]"
+    path.write_text(json.dumps({"dim": dim, "brackets": brackets}))
+    if rejected is None:
+        expected = LieAlgebra(dim, {ij: tuple(row) for ij, row in table.items()})
+        assert cli.load_algebra_file(str(path))._key() == expected._key()
+    else:
+        with pytest.raises(cli.InputError) as caught:
+            cli.load_algebra_file(str(path))
+        assert str(caught.value).startswith(f"{path}: {rejected}")
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_bulk_pass_agrees_with_the_loop(data):
-    # a canonical file with string values, as algebra_to_doc writes it, then
-    # perhaps one value, key or entry made hostile: the bulk pass returns the
-    # loop's (den, rows) or declines, and declines on every file the loop rejects
-    dim = data.draw(st.integers(1, 6))
+@given(data=st.data())
+def check_drawn_changes(path, data):
+    # a canonical file drawn with string values, and one drawn change
+    dim = data.draw(st.integers(2, 6))
     pool = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     pairs = list(combinations(range(dim), 2))
-    brackets = []
-    for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6) if pairs else st.just([])):
-        row = data.draw(st.lists(pool, min_size=dim, max_size=dim))
-        brackets.append({"i": i, "j": j, "coeffs": {str(k): str(x) for k, x in enumerate(row) if x}})
-    change = data.draw(st.sampled_from(["none", "value", "key", "entry"]))
-    target = data.draw(st.sampled_from(brackets)) if brackets else {"i": 0, "j": 1, "coeffs": {}}
-    coeffs = target["coeffs"]
-    if change == "value":
-        key = data.draw(st.sampled_from([*coeffs, str(dim - 1)]))
-        coeffs[key] = data.draw(st.sampled_from(HOSTILE_VALUES))
-    elif change == "key":
-        key = data.draw(st.sampled_from(HOSTILE_KEYS + [f"0{k}" for k in range(dim)]))
-        coeffs[key] = data.draw(st.sampled_from(["1", "-2/3"]))
-    elif change == "entry":
-        entry = data.draw(
-            st.sampled_from(
-                [
-                    dict(target),  # a repeated (i, j)
-                    {"i": target["j"], "j": target["i"], "coeffs": {}},
-                    {"i": True, "j": dim - 1, "coeffs": {}},
-                    {"i": 0, "j": dim, "coeffs": {}},
-                    {"i": 0, "j": 1.0, "coeffs": {}},
-                    {"i": 0, "j": 1, "coeffs": ["1"]},
-                    {"i": 0, "j": 1},
-                    ["i", "j"],
-                    "0 1",
-                ]
-            )
-        )
-        brackets.insert(data.draw(st.integers(0, len(brackets))), entry)
-    bulk = bulk_against_loop(dim, brackets)
-    if change == "none":
-        assert bulk is not None  # the spelling the pass is for is never declined
+    table = {
+        ij: data.draw(st.lists(pool, min_size=dim, max_size=dim))
+        for ij in data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=6))
+    }
+    change = data.draw(st.sampled_from(CHANGES))
+    idx = data.draw(st.integers(0, len(table) - 1))
+    coeffs = [str(k) for k, x in enumerate(list(table.values())[idx]) if x]
+    choices = {
+        "none": st.none(),
+        "value": st.sampled_from([*coeffs, str(dim - 1)]),
+        "key": st.sampled_from(["1", "-2/3"]),
+        "entry": st.integers(0, len(table)),
+    }
+    check_change(path, dim, table, change, idx, data.draw(choices[change[0]]))
 
 
-def bulk_against_loop(dim, brackets):
-    """Read ``brackets`` with the bulk pass and with the loop; assert that
-    the pass returns the loop's (den, rows) or declines, and declines
-    whenever the loop rejects.  Returns the pass's reading."""
-    bulk = cli._bulk_rows(dim, brackets)
-    try:
-        loop = cli._loop_rows("in.json", dim, brackets)
-    except cli.InputError:
-        assert bulk is None
-    else:
-        assert bulk is None or bulk == loop
-    return bulk
-
-
-def test_bulk_pass_on_each_hostile_entry():
-    # every hostile value and key once, in a file that is otherwise canonical
-    for value in HOSTILE_VALUES:
-        bulk_against_loop(3, [{"i": 0, "j": 1, "coeffs": {"2": value}}, {"i": 1, "j": 2, "coeffs": {"0": "1/3"}}])
-    for key in HOSTILE_KEYS:
-        bulk_against_loop(3, [{"i": 0, "j": 1, "coeffs": {"2": "1", key: "1/3"}}])
+def test_loader_against_an_independent_reading(spelled_file):
+    # every change once in a fixed file, since the drawn ones may miss some
+    table = {(0, 1): [Fraction(0), Fraction(0), Fraction(1, 3)], (1, 2): [Fraction(2), Fraction(0), Fraction(-1, 2)]}
+    for change in CHANGES:
+        choice = {"none": None, "value": "2", "key": "-2/3", "entry": 1}[change[0]]
+        check_change(spelled_file, 3, table, change, 0, choice)
+    check_drawn_changes(spelled_file)
 
 
 def test_input_size_is_bounded(tmp_path, capsys, monkeypatch):

@@ -516,24 +516,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "loader: the value cache also keeps JSON ints",
+        "loader: the join's int retry leaves out a JSON true, which then reads as the 1 it equals",
         "cli.py",
-        """            if isinstance(val, str):
-                pq = rationals.get(val)
-                if pq is None:
-                    pq = rationals[val] = _rational(val, k, where)
-                parsed[k] = pq
-            elif isinstance(val, int) and not isinstance(val, bool):
-                parsed[k] = (val, 1)
-""",
-        """            pq = rationals.get(val) if isinstance(val, (str, int)) else None
-            if pq is not None:
-                parsed[k] = pq
-            elif isinstance(val, str):
-                parsed[k] = rationals[val] = _rational(val, k, where)
-            elif isinstance(val, int) and not isinstance(val, bool):
-                parsed[k] = rationals[val] = (val, 1)
-""",
+        'text, ints = "".join(map(str, values)), True',
+        'text, ints = "".join([str(v) for v in values if type(v) in (str, int)]), True',
         (
             "tests/test_cli.py::test_file_diagnostics[true-after-int]",
         ),
@@ -541,14 +527,14 @@ MUTANTS = (
     Mutant(
         "loader: the repeated-index check skipped for canonical keys",
         "cli.py",
-        'if k in parsed:  # "1" and "01" name one index',
-        'if key not in index and k in parsed:',
+        'if str(k) in respelled:  # "1" and "01" name one index',
+        "if key != str(k) and str(k) in respelled:",
         (
             "tests/test_cli.py::test_file_diagnostics[aliased-key-first-zero]",
         ),
     ),
     Mutant(
-        "bulk pass: the alphabet check dropped",
+        "loader: the alphabet check dropped",
         "cli.py",
         'if not text.isascii() or text.encode().translate(None, b"0123456789+-/"):',
         "if not text.isascii():",
@@ -557,7 +543,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bulk pass: the denominator check dropped",
+        "loader: the denominator check dropped",
         "cli.py",
         "if not _DENOMINATOR_RE.fullmatch(tail):",
         "if False:",
@@ -567,35 +553,52 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bulk pass: the denominator int outside the try",
+        "loader: the denominator int outside the try",
         "cli.py",
-        """        nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
-        for tail in set(tails):
-            if not _DENOMINATOR_RE.fullmatch(tail):
-                return None
-            qs[tail] = int(tail[1:]) if tail else 1
-    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
-        return None
+        """            qs[tail] = int(tail[1:]) if tail else 1
+    except ValueError:  # a malformed value, or longer than the int-string conversion limit
+        for idx, coeffs in enumerate(table.values()):  # the table holds the brackets in file order
+            for key, val in coeffs.items():
+                if type(val) is str:
+                    _rational(val, int(key), f"{path}: brackets[{idx}]")
+                elif type(val) is not int:
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+        raise  # not reached: the walk words every value the passes reject
+    den = lcm(1, *qs.values())
 """,
-        """        nums = list(map(int, heads))  # in this alphabet, int() takes exactly [+-]?[0-9]+
-    except ValueError:  # a malformed numerator, or longer than the int-string conversion limit
-        return None
-    for tail in set(tails):
-        if not _DENOMINATOR_RE.fullmatch(tail):
-            return None
-        qs[tail] = int(tail[1:]) if tail else 1
+        """            qs[tail] = tail[1:] or "1"
+    except ValueError:  # a malformed value, or longer than the int-string conversion limit
+        for idx, coeffs in enumerate(table.values()):  # the table holds the brackets in file order
+            for key, val in coeffs.items():
+                if type(val) is str:
+                    _rational(val, int(key), f"{path}: brackets[{idx}]")
+                elif type(val) is not int:
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+        raise  # not reached: the walk words every value the passes reject
+    qs = {tail: int(q) for tail, q in qs.items()}
+    den = lcm(1, *qs.values())
 """,
         (
             "tests/test_cli.py::test_file_diagnostics[long-denominator]",
         ),
     ),
     Mutant(
-        "bulk pass: the canonical-keys test dropped",
+        "loader: the canonical-keys test dropped",
         "cli.py",
-        "if type(coeffs) is not dict or not coeffs.keys() <= canonical:",
-        "if type(coeffs) is not dict:",
+        'if not coeffs.keys() <= canonical:  # "01", "²", too long, out of range',
+        "if False:",
         (
             "tests/test_cli.py::test_file_diagnostics[aliased-key-first-zero]",
+        ),
+    ),
+    Mutant(
+        "loader: the wording walk skips values that are not strings",
+        "cli.py",
+        "elif type(val) is not int:",
+        "elif False:",
+        (
+            "tests/test_cli.py::test_file_diagnostics[float-one]",
+            "tests/test_cli.py::test_file_diagnostics[true-after-int]",
         ),
     ),
     Mutant(
