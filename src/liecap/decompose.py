@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, SpanBuilder, _combine, _dot, _lowest
+from .linalg import Matrix, SpanBuilder, _dot, _lowest
 from .lie import LieAlgebra, _once
 
 
@@ -160,17 +160,17 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
 @_once
 def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     """The decomposition of a gated algebra, certified from the Gram
-    products of its basis p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the
-    abelian factor.
+    products (``LieAlgebra._gram_products``) of its basis
+    p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the abelian factor.
 
     Every bracket is certified f(x, y) z as the Gram matrix is read, and
     z is the basis vector p_2m, so the rewritten constants are
     [p_i, p_j] = f(p_i, p_j) p_2m: they are those of H(m) + A(k) exactly
     when, for i < j, f(p_i, p_j) is 1 at (i, m + i) with i < m and 0
-    elsewhere.  Then the pairs are independent modulo everything else
-    (pair a combination with b_i and a_i), so the basis is invertible
-    exactly when z and the abelian rows are independent, which one rank
-    check tests."""
+    elsewhere: the nonzero Gram products are those m.  Then the pairs
+    are independent modulo everything else (pair a combination with b_i
+    and a_i), so the basis is invertible exactly when z and the abelian
+    rows are independent, which one rank check tests."""
     dg, g = _gram(algebra)
     pairs = _symplectic_basis(dg, g)
     derived = algebra.derived_subalgebra()
@@ -187,13 +187,10 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     vectors = [p[0] for p in pairs] + [p[1] for p in pairs] + [(derived._rows[0], derived._den)]
     vectors += [(row, factor._den) for row in factor._rows]
 
-    # certify: f(p_i, p_j) = (x_i G x_j) / (d_i d_j dg) for p_i = x_i / d_i
-    for i, (x, dx) in enumerate(vectors):
-        xg = _combine(x, g, n)
-        for j in range(i + 1, n):
-            y, dy = vectors[j]
-            if _dot(xg, y) != (dx * dy * dg if j == m + i and i < m else 0):
-                raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
+    # certify: the Gram product of p_i = x_i / d_i and p_j is d_i d_j dg f(p_i, p_j)
+    expected = {(i, m + i): [vectors[i][1] * vectors[m + i][1] * dg] for i in range(m)}
+    if algebra._gram_products([x for x, _ in vectors]) != expected:
+        raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
     sb = SpanBuilder(n)
     for x, _ in vectors[2 * m :]:
         sb.add_int_row(list(x))

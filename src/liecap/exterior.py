@@ -51,7 +51,9 @@ from ``_wedge_class``.
 dimensions, the multiplier and the exterior center are taken instead
 through the canonical split L = L1 + A(k) off an abelian direct factor
 (``LieAlgebra._abelian_split``): only L1 ^ L1 is built, in a basis that
-lists [L, L] first, and A enters through the Kunneth terms
+lists the RREF basis of [L, L] first, so that L1 is read off the Gram
+products of that basis (``LieAlgebra._gram_products``) with no solve,
+and A enters through the Kunneth terms
 
   (L1 + A) ^ (L1 + A)  =  L1 ^ L1  +  L1/[L1, L1] (x) A  +  Lambda^2 A.
 
@@ -73,6 +75,7 @@ from .linalg import (
     Vector,
     _combine,
     _kernel,
+    _lowest,
     _projection_rows,
     _Record,
     _set,
@@ -281,25 +284,29 @@ def _wedge_class(square: ExteriorSquare, u: Iterable[tuple[int, int]], j: int) -
 def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """``(L1, [L, L], A)`` for the canonical split L = L1 + A of a valid
     algebra, with m = dim [L, L] = dim [L1, L1] and k = dim A.  L1 is
-    written in the first dim - k vectors of the split basis, from one
-    change of basis.  Cached per algebra, like ``exterior_square``, so
-    the entry points read [L, L] and A from here, not from the instance
-    they were given.
+    written in the first n1 = dim - k vectors f_i = b_i / den of the
+    split basis, read off their Gram products
+    (``LieAlgebra._gram_products``) with no solve.  Cached per algebra,
+    like ``exterior_square``, so the entry points read [L, L] and A from
+    here, not from the instance they were given.
 
-    The rewritten table must be block diagonal, with every bracket in the
-    first m coordinates: then L1 is closed under the bracket and A is
-    central, and since the basis is invertible and [L, L] is spanned by
-    those m vectors, A meets [L, L] in 0.  Raises ConstructionError
-    otherwise."""
+    The split basis must open with the RREF basis z_1..z_m of [L, L]:
+    then f_r = z_r, so the product of f_i and f_j, which is d den^2 times
+    the coordinates of [f_i, f_j] on the z_r, for the algebra's
+    denominator d, gives its first m coordinates in the split basis,
+    and the rest are 0.  No product may involve a vector of A: then L1
+    is closed under the bracket and A is central, and since the basis is
+    invertible by construction, A meets [L, L] in 0.  Raises
+    ConstructionError otherwise."""
     algebra.require_valid()
     split = algebra._abelian_split()
     derived = algebra.derived_subalgebra()
     m, n1 = derived.dim, algebra.dim - split.factor.dim
-    rewritten = algebra._change_basis(split.den, split.basis)
-    for (_, j), c in rewritten._rows.items():
-        if j >= n1 or any(c[m:]):
-            raise ConstructionError("the split basis does not split off a central direct factor")
-    return rewritten._leading_block(n1), derived, split.factor
+    products = algebra._gram_products(split.basis)
+    if _lowest(split.den, split.basis[:m]) != (derived._den, derived._rows) or any(j >= n1 for _, j in products):
+        raise ConstructionError("the split basis does not split off a central direct factor")
+    table = {key: w + [0] * (n1 - m) for key, w in products.items()}
+    return LieAlgebra._from_int_rows(n1, algebra._den * split.den**2, table), derived, split.factor
 
 
 def exterior_square_dim(algebra: LieAlgebra) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from functools import update_wrapper
 from itertools import combinations, takewhile
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -73,7 +73,7 @@ class _DerivedCoordinates(NamedTuple):
     matrices, ``forms[r][a][b] = d [e_a, e_b]_r``: the coordinates of [e_a, e_b]
     times the common denominator d of the integer table, which the
     algebra holds as ``_den``.  It is the one stored form of the bracket,
-    which ``validate``, ``center``, ``bracket_span``, ``_change_basis``,
+    which ``validate``, ``center``, ``bracket_span``, ``_gram_products``,
     ``decompose._gram`` and ``exterior_square`` read, and that nothing
     mutates.  For an int vector w, [w, e_b]_r is entry b of the
     combination of the rows of ``forms[r]`` at the nonzero entries of w,
@@ -442,20 +442,24 @@ class LieAlgebra(_Record):
         Quotient coordinates are the non-pivot columns of the RREF of
         N's basis, so the construction is canonical: representatives of
         the quotient basis are the ambient unit vectors at those
-        columns, and their labels are carried over.  One change of basis
-        writes L in those q = dim L / N unit vectors followed by N's RREF
-        rows; the projection kills N and sends the unit vectors to the
-        quotient basis, so the first q coordinates of a bracket of the
-        first q vectors are its image in L / N.
+        columns, and their labels are carried over.  The projection
+        (``linalg._projection_rows``, int rows over one denominator d)
+        kills N and sends those unit vectors to the quotient basis, so
+        the bracket of the classes of e_a and e_b, for section columns
+        a < b, is the projection of the stored row d [e_a, e_b]: its dot
+        product with each projection row, over d times the algebra's
+        denominator.
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         n = self.dim
         cols, d, rows = _projection_rows(n, ideal._den, dict(zip(ideal.pivot_cols(), ideal._rows)))
-        # the unit vectors at cols, over the denominator of N's rows
-        section = [[ideal._den * (t == c) for t in range(n)] for c in cols]
-        rewritten = self._change_basis(ideal._den, [*section, *ideal._rows])
-        quotient = rewritten._leading_block(len(cols), [self.labels[c] for c in cols])
+        consts = {}
+        for (s, a), (t, b) in combinations(enumerate(cols), 2):
+            c = self._rows.get((a, b))
+            if c:
+                consts[(s, t)] = [_dot(r, c) for r in rows]
+        quotient = LieAlgebra._from_int_rows(len(cols), d * self._den, consts, [self.labels[c] for c in cols])
         return quotient, Matrix._from_ints(n, d, rows)
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
@@ -463,66 +467,56 @@ class LieAlgebra(_Record):
 
         Works on ints in the certified coordinates of [L, L] (see
         ``_DerivedCoordinates``): [f_i, f_j] is formed as an m-vector,
-        m = dim [L, L], of the Gram products (p_i G_r) . p_j with the
-        forms G_r, where the row p_i G_r comes from the bracket kernel and
-        an f_i with p_i G_r = 0 for every r brackets to zero.  The m basis
-        vectors z_r of [L, L] are written in the f basis once: forward
-        elimination of [p^T | Z^T], then back substitution on the m
-        right-hand sides only.  That costs O(n^3 m), not O(n^4).  Raises
+        m = dim [L, L], of the Gram products of the rows of p
+        (``_gram_products``).  The m basis vectors z_r of [L, L] are
+        written in the f basis by one elimination of [p^T | Z^T], read
+        off its reduced rows (``SpanBuilder._reduced_rows``).  Raises
         ValueError if p is not square invertible of matching size, and
         DerivedBasisError if a bracket escapes the computed [L, L], a
         defect.
         """
         if p.rows != self.dim or p.cols != self.dim:
             raise ValueError("change of basis matrix has wrong shape")
-        return self._change_basis(*_over_common_denominator(p.data))
-
-    def _change_basis(self, dp: int, pi: Sequence[Sequence[int]]) -> "LieAlgebra":
-        """``change_basis`` on ints, for p = pi / dp with n int rows pi of
-        length n over a positive common denominator dp."""
         n = self.dim
-        derived, forms, _ = self._derived_coordinates()
-        # row k of [dp p^T | D Z^T]; forward elimination leaves row k led by column k
+        dp, pi = _over_common_denominator(p.data)
+        derived = self.derived_subalgebra()
+        # row k of [dp p^T | D Z^T]; p is invertible exactly when the pivots are the first n columns
         sb = SpanBuilder(n + derived.dim)
         for k in range(n):
             sb.add_int_row([row[k] for row in pi] + [z[k] for z in derived._rows])
         if sb.pivot_cols() != tuple(range(n)):
             raise ValueError("matrix is singular")
-        # back substitution on the m right-hand sides only: ys[r] / dy is
-        # D / dp times the coordinates of z_r in the f basis
-        ys = [[0] * n for _ in forms]
-        dy = 1
-        for k in range(n - 1, -1, -1):
-            u = sb._pivots[k]  # zero before column k, its lead u[k] > 0
-            if not any(u[k + 1 :]):
-                continue  # u[k] y[k] = 0 for every r
-            # y[k] is still 0, so u . y runs over the solved y[t], t > k
-            num = [b * dy - _dot(u[:n], y) for b, y in zip(u[n:], ys)]
-            g = gcd(u[k], *num)
-            f = u[k] // g
-            if f != 1:
-                ys = [[f * x for x in y] for y in ys]
-                dy *= f
-            for y, x in zip(ys, num):
-                y[k] = x // g
-        ts = [[_combine(row, g, n) for g in forms] for row in pi]  # ts[i][r][b] = dp d [f_i, e_b]_r
-        # [f_i, f_j] = 0 unless both brackets [f_i, -] and [f_j, -] are nonzero
-        live = [i for i, t in enumerate(ts) if any(map(any, t))]
-        consts: dict[tuple[int, int], list[int]] = {}
-        for k, i in enumerate(live):
-            for j in live[k + 1 :]:
-                w = [_dot(tr, pi[j]) for tr in ts[i]]  # dp^2 d [f_i, f_j]_r
-                if any(w):
-                    consts[(i, j)] = _combine(w, ys, n)
-        # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp ys[r] / (dy D)
+        # reduced row k is dy (e_k | x_k), x_k[r] being D / dp times coordinate k of z_r
+        dy, reduced = sb._reduced_rows()
+        xs = list(zip(*(reduced[k][n:] for k in range(n))))  # xs[r][k] = dy x_k[r]
+        consts = {key: _combine(w, xs, n) for key, w in self._gram_products(pi).items()}
+        # [f_i, f_j] = sum_r w_r / (dp^2 d) z_r, and z_r = dp / (dy D) sum_k xs[r][k] f_k
         return LieAlgebra._from_int_rows(n, dp * self._den * derived._den * dy, consts)
 
-    def _leading_block(self, size: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
-        """The brackets among the first ``size`` basis vectors, cut to
-        their first ``size`` coordinates: the algebra those vectors span
-        modulo the span of the rest, when that span is an ideal."""
-        block = {(i, j): c[:size] for (i, j), c in self._rows.items() if j < size}
-        return LieAlgebra._from_int_rows(size, self._den, block, labels)
+    def _gram_products(self, rows: Sequence[Sequence[int]]) -> dict[tuple[int, int], list[int]]:
+        """The nonzero brackets [v_i, v_j], i < j, of the int vectors
+        v_i = rows[i], keyed by (i, j): entry r is the Gram product
+        (v_i G_r) . v_j with the certified forms G_r (see
+        ``_DerivedCoordinates``), which is d times coordinate r of
+        [v_i, v_j] on the RREF basis of [L, L], for the algebra's
+        denominator d.  The row v_i G_r comes from the bracket kernel,
+        and a v_i with v_i G_r = 0 for every r brackets to zero with
+        every vector, so it takes part in no dot product.  The one
+        routine that brackets vectors: ``change_basis``, the split of
+        ``exterior`` and the certificate of ``decompose`` read it.
+        Raises DerivedBasisError if a bracket escapes the computed
+        [L, L], a defect."""
+        n = self.dim
+        forms = self._derived_coordinates().forms
+        ts = [[_combine(v, g, n) for g in forms] for v in rows]  # ts[i][r][b] = d [v_i, e_b]_r
+        live = [i for i, t in enumerate(ts) if any(map(any, t))]
+        products = {}
+        for k, i in enumerate(live):
+            for j in live[k + 1 :]:
+                w = [_dot(t, rows[j]) for t in ts[i]]
+                if any(w):
+                    products[(i, j)] = w
+        return products
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ def _normalize_int(row: list[int]) -> list[int]:
     """A nonzero int row divided by its gcd, signed so that its lead is
     positive.  The sign rule keeps every pivot lead positive, so the
     ``a == 1`` shortcut of ``_cross`` applies whenever the lead divides
-    the entry it clears, and the back substitution of
-    ``lie._change_basis`` reads each lead u[k] > 0."""
+    the entry it clears."""
     g = math.gcd(*row)
     if next(filter(None, row)) < 0:
         g = -g

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import core_projection, full_width_projection, null_space, symbol_exterior_square
+from conftest import FractionBracketOracle, core_projection, full_width_projection, null_space, symbol_exterior_square
 
 from liecap import cli, exterior, lie
 from liecap.exterior import (
@@ -32,7 +32,7 @@ from liecap.exterior import (
     quotient_exterior_dim,
 )
 from liecap.lie import InvalidAlgebraError, LieAlgebra, abelian, direct_sum, heisenberg, scramble
-from liecap.linalg import SpanBuilder, Subspace, unit_vector, vec_add, zero_vector
+from liecap.linalg import Matrix, SpanBuilder, Subspace, unit_vector, vec_add, zero_vector
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -608,6 +608,36 @@ def test_split_matches_full_construction(frozen_catalog):
         assert split == (sq.quotient_dim, sq.multiplier_dim(), _full_exterior_center(algebra)), name
     # the perfect, k = 1 case is the one whose Z^ takes in A
     assert exterior_center(direct_sum(SL2, abelian(1))) == Subspace.span(4, [unit_vector(4, 3)])
+
+
+def _oracle_factor(algebra):
+    """L1 from the Fraction oracle: L rewritten in the split basis by
+    ``FractionBracketOracle.change_basis``, which inverts the basis, cut
+    to the brackets of the first n1 = dim - k vectors and their first n1
+    coordinates."""
+    split = algebra._abelian_split()
+    n, n1 = algebra.dim, algebra.dim - split.factor.dim
+    p = Matrix.from_rows([[Fraction(x, split.den) for x in row] for row in split.basis], cols=n)
+    rewritten = FractionBracketOracle(algebra).change_basis(p)
+    return LieAlgebra(n1, {(i, j): c[:n1] for (i, j), c in rewritten.brackets.items() if j < n1})
+
+
+def test_split_factor_matches_fraction_oracle(frozen_catalog):
+    # the split reads L1 off the Gram products of its basis, with no solve
+    extra = [
+        (f"L_{n}{a} scrambled", scramble(direct_sum(filiform(n), abelian(2)) if a else filiform(n), 60 + n))
+        for n in range(6, 10)
+        for a in ("", "+A(2)")
+    ]
+    h1h1 = direct_sum(heisenberg(1), heisenberg(1))
+    for k in range(3):
+        extra += [
+            (f"sl2+A({k})", direct_sum(SL2, abelian(k))),
+            (f"r2+A({k}) scrambled", scramble(direct_sum(R2, abelian(k)), 70 + k)),
+            (f"H(1)+H(1)+A({k}) scrambled", scramble(direct_sum(h1h1, abelian(k)), 73 + k)),
+        ]
+    for name, algebra in frozen_catalog + extra:
+        assert exterior._split_factor(algebra)[0] == _oracle_factor(algebra), name
 
 
 def test_split_is_block_diagonal(monkeypatch, tmp_path):

@@ -497,10 +497,10 @@ def test_change_basis_preserves_invariants(seed):
 
 
 def _library_bases(algebra, rng):
-    """The sparse bases the library hands its own change of basis: the
-    split basis of L = L1 + A, the quotient section over the center (the
-    unit vectors at its non-pivot columns, then its RREF rows) and a
-    seeded permutation of the unit vectors."""
+    """Sparse bases that the library builds: the split basis of
+    L = L1 + A, the quotient section over the center (the unit vectors
+    at its non-pivot columns, then its RREF rows) and a seeded
+    permutation of the unit vectors."""
     n = algebra.dim
     split = algebra._abelian_split()
     center = algebra.center()
@@ -517,8 +517,8 @@ def _library_bases(algebra, rng):
 
 @pytest.mark.parametrize("name", ["H(2)+A(2)", "H(1)+H(1)+A(1)", "L_6", "sl2+A(2)", "r2+A(3)"])
 def test_change_basis_on_library_bases_matches_fraction_oracle(name):
-    # the back substitution and the Gram products on the sparse bases the
-    # library feeds itself, in the standard basis and scrambled
+    # the read-off of the reduced rows and the Gram products on sparse
+    # bases, in the standard basis and scrambled
     algebra = {
         "H(2)+A(2)": direct_sum(heisenberg(2), abelian(2)),
         "H(1)+H(1)+A(1)": direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(1)),

@@ -197,6 +197,27 @@ def test_kernel_matches_gauss_jordan_null_space(m):
     assert Subspace(m.cols, kernel.basis) == kernel
 
 
+# Bit lengths that the stored pivot entries of the span tests stay
+# within: the largest measured over these tests is 772 bits on the
+# 2^70 entries of the wide-entry test and 26 bits on the small entries
+# of the others, so each bound leaves at least 2x headroom.
+WIDE_PIVOT_BITS = 1600
+SMALL_PIVOT_BITS = 64
+
+
+def _bounded_span(ncols, rows, bits):
+    """A ``SpanBuilder`` fed ``rows`` one at a time, checking after each
+    row that no stored pivot entry is longer than ``bits`` bits.  An
+    elimination step that does not clear its entry lets the entries
+    compound with every row: the check fails it at once, where the
+    elimination alone would run for minutes."""
+    sb = SpanBuilder(ncols)
+    for row in rows:
+        sb.add(row)
+        assert max((abs(x).bit_length() for p in sb._pivots.values() for x in p), default=0) <= bits, row
+    return sb
+
+
 def _mapped(basis, coords):
     """The Fraction rows sum_r c[r] b_r for the coordinate rows c in the
     Fraction basis rows b_r."""
@@ -211,26 +232,39 @@ def _mapped(basis, coords):
 
 @st.composite
 def image_cases(draw):
-    """(basis, coordinates): a subspace of Q^n and an RREF subspace of the
-    coordinates in its basis."""
+    """``(n, rows, coords)``: rows that span a subspace of Q^n, and
+    coordinate rows with one entry per row drawn, which the test cuts to
+    the dimension of the span."""
     n = draw(st.integers(0, 6))
-    basis = Subspace.span(n, draw(st.lists(st.lists(fractions_st, min_size=n, max_size=n), max_size=4)))
-    coords = draw(st.lists(st.lists(fractions_st, min_size=basis.dim, max_size=basis.dim), max_size=4))
-    return basis, Subspace.span(basis.dim, coords)
+    rows = draw(st.lists(st.lists(fractions_st, min_size=n, max_size=n), max_size=4))
+    coords = draw(st.lists(st.lists(fractions_st, min_size=len(rows), max_size=len(rows)), max_size=4))
+    return n, rows, coords
+
+
+def _dense(n, seed, bound):
+    """A dense n x n int matrix with entries up to ``bound`` in absolute
+    value; full rank for the seeds used below."""
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(image_cases())
-@example((Subspace.span(3, [["1/2", 0, 1], [0, "2/3", 3]]), Subspace.span(2, [[1, "3/4"]])))
-@example((Subspace.span(4, [[0, 2, 0, 1], [0, 0, 3, "1/5"]]), Subspace.full(2)))
-@example((Subspace.zero(3), Subspace.zero(0)))
+@example((3, [["1/2", 0, 1], [0, "2/3", 3]], [[1, "3/4"]]))
+@example((4, [[0, 2, 0, 1], [0, 0, 3, "1/5"]], [[1, 0], [0, 1]]))
+@example((3, [], []))
+# dense rows, each reduced through every earlier pivot: a broken
+# elimination step fails on them before any drawn case needs shrinking
+@example((6, _dense(6, 6, 5), _dense(6, 1, 5)[:3]))
 def test_image_read_off_matches_span(case):
     # RREF coordinate rows mapped through an RREF basis are already the
     # RREF rows of their span: no second elimination is needed
-    basis, coords = case
+    n, rows, coord_rows = case
+    basis = _bounded_span(n, rows, SMALL_PIVOT_BITS).subspace()
+    coords = _bounded_span(basis.dim, [c[: basis.dim] for c in coord_rows], SMALL_PIVOT_BITS).subspace()
     image = basis._image(coords._den, coords._rows)
-    assert image == Subspace.span(basis.ambient_dim, _mapped(basis.basis, coords.basis.data))
-    assert Subspace(basis.ambient_dim, image.basis) == image
+    assert image == _bounded_span(n, _mapped(basis.basis, coords.basis.data), SMALL_PIVOT_BITS).subspace()
+    assert Subspace(n, image.basis) == image
     assert image.dim == coords.dim
 
 
@@ -240,9 +274,7 @@ def test_image_read_off_matches_span(case):
 def projection_of(ncols, relations):
     """The section columns and the public projection that kill the span
     of ``relations``, from ``_projection_rows`` and ``Matrix._from_ints``."""
-    sb = SpanBuilder(ncols)
-    for r in relations:
-        sb.add(r)
+    sb = _bounded_span(ncols, relations, SMALL_PIVOT_BITS)
     section, d, rows = _projection_rows(ncols, *sb._reduced_rows())
     # one common denominator: every row is d times e_q plus pivot entries
     assert [row[q] for row, q in zip(rows, section)] == [d] * len(section)
@@ -274,6 +306,7 @@ def test_quotient_rank_two_relations():
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_rows=5, max_cols=5))
+@example(Matrix.from_rows(_dense(5, 5, 5)[:3]))  # dense, with two section columns
 def test_quotient_projection_properties(m):
     section, projection = projection_of(m.cols, list(m.data))
     assert len(section) == m.cols - m.rank()
@@ -324,24 +357,17 @@ def wide_entry_matrices(draw):
     return c, rows
 
 
-def _dense(n, seed):
-    """A dense n x n int matrix with entries up to 2^70 in absolute value;
-    full rank for the seeds used below."""
-    rng = random.Random(seed)
-    return n, [[rng.randint(-(2**70), 2**70) for _ in range(n)] for _ in range(n)]
-
-
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(wide_entry_matrices())
-@example(_dense(10, 1))
-@example(_dense(12, 2))
+@example((10, _dense(10, 1, 2**70)))
+@example((12, _dense(12, 2, 2**70)))
 def test_span_matches_gauss_jordan_on_wide_entries(case):
     # a row reduced through more than 8 pivots is divided by its gcd on
     # the way (SpanBuilder._reduce), and the Jordan step clears up to 11
     # entries above each pivot: the canonical basis is still the Fraction
     # Gauss-Jordan one
     c, rows = case
-    assert [list(r) for r in Subspace.span(c, rows).basis.data] == _gauss_jordan(rows, c)
+    assert [list(r) for r in _bounded_span(c, rows, WIDE_PIVOT_BITS).subspace().basis.data] == _gauss_jordan(rows, c)
 
 
 def test_subspace_contains_and_coordinates():
@@ -503,8 +529,7 @@ def test_span_builder_tracks_rank_growth():
 
 def test_span_builder_pivot_leads_are_positive():
     # a row fed with a negative lead is stored divided by minus its gcd:
-    # the a == 1 shortcut of _cross and the back substitution of
-    # lie._change_basis read each pivot lead as positive
+    # the a == 1 shortcut of _cross reads each pivot lead as positive
     sb = SpanBuilder(3)
     assert sb.add_int_row([0, -2, 4])
     assert sb.add_int_row([-3, 6, 9])
