@@ -61,7 +61,8 @@ _READ_CHUNK = 1024 * 1024
 # walks C(n, 3) triples and L ^ L has C(n, 2) columns, so without a bound
 # an input like A(100000) never finishes.
 _MAX_DIM = 64
-# A usage error quotes at most this many characters of an argument.
+# An error message quotes at most this many characters of an argument or
+# of a key, value or integer read from a file.
 _MAX_ECHO = 80
 
 
@@ -90,7 +91,7 @@ def parse_expression(text: str) -> LieAlgebra:
         params.append((kind, value))
     dim = sum(value if kind == "A" else 2 * value + 1 for kind, value in params)
     if dim > _MAX_DIM:
-        raise UsageError(f"dimension {dim} exceeds the limit of {_MAX_DIM}")
+        raise UsageError(f"dimension {_echo(dim)} exceeds the limit of {_MAX_DIM}")
     terms = [abelian(value) if kind == "A" else heisenberg(value) for kind, value in params]
     algebra = terms[0]
     for t in terms[1:]:
@@ -106,7 +107,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise InputError(f"duplicate key {key!r} in a JSON object")
+                raise InputError(f"duplicate key {_echo(repr(key))} in a JSON object")
             seen.add(key)
     return obj
 
@@ -115,7 +116,7 @@ def _rational(text: str, k: int, where: str) -> tuple[int, int]:
     """The int pair (p, q) of the coefficient string ``"p"`` or ``"p/q"``
     at index ``k``, or InputError."""
     if not _RATIONAL_RE.fullmatch(text):
-        raise InputError(f"{where}: coefficient {text!r} is not an exact rational string")
+        raise InputError(f"{where}: coefficient {_echo(repr(text))} is not an exact rational string")
     num, _, den = text.partition("/")
     try:
         return int(num), int(den) if den else 1
@@ -157,7 +158,7 @@ def load_algebra_file(path: str) -> LieAlgebra:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"{path}: 'dim' must be a non-negative integer")
     if dim > _MAX_DIM:
-        raise InputError(f"{path}: dimension {dim} exceeds the limit of {_MAX_DIM}")
+        raise InputError(f"{path}: dimension {_echo(dim)} exceeds the limit of {_MAX_DIM}")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
@@ -191,7 +192,7 @@ def _bracket_rows(path: str, dim: int, brackets: list[Any]) -> tuple[int, dict[t
         if type(i) is not int or type(j) is not int:
             raise InputError(f"{path}: brackets[{idx}]: 'i' and 'j' must be integers")
         if not 0 <= i < j < dim:
-            raise InputError(f"{path}: brackets[{idx}]: need 0 <= i < j < dim, got ({i}, {j})")
+            raise InputError(f"{path}: brackets[{idx}]: need 0 <= i < j < dim, got {_echo((i, j))}")
         if type(coeffs) is not dict:
             raise InputError(f"{path}: brackets[{idx}]: 'coeffs' must be an object")
         if not coeffs.keys() <= canonical:  # "01", "²", too long, out of range
@@ -226,7 +227,7 @@ def _bracket_rows(path: str, dim: int, brackets: list[Any]) -> tuple[int, dict[t
                 if type(val) is str:
                     _rational(val, int(key), f"{path}: brackets[{idx}]")
                 elif type(val) is not int:
-                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {_echo(val)} is not an exact rational string")
         raise  # not reached: the walk words every value the passes reject
     den = lcm(1, *qs.values())
     scale = {tail: den // q for tail, q in qs.items()}
@@ -241,13 +242,13 @@ def _respelled(where: str, dim: int, coeffs: dict[str, Any]) -> dict[str, Any]:
     for key, val in coeffs.items():
         # str.isdigit alone accepts digits such as "²" that int() rejects
         if not (key.isascii() and key.isdigit()):
-            raise InputError(f"{where}: coefficient key {key!r} is not a basis index")
+            raise InputError(f"{where}: coefficient key {_echo(repr(key))} is not a basis index")
         try:
             k = int(key)
         except ValueError:  # longer than the int-string conversion limit
             raise InputError(f"{where}: coefficient key has too many digits") from None
         if not 0 <= k < dim:
-            raise InputError(f"{where}: coefficient index {k} out of range")
+            raise InputError(f"{where}: coefficient index {_echo(k)} out of range")
         if str(k) in respelled:  # "1" and "01" name one index
             raise InputError(f"{where}: coefficient index {k} is given twice")
         respelled[str(k)] = val
@@ -266,12 +267,12 @@ def load_input(text: str) -> tuple[LieAlgebra, str]:
     raise UsageError(f"not a builtin expression or readable file: {_echo(text)}")
 
 
-def _echo(text: str) -> str:
-    """An argument as a usage error quotes it: a long one is cut to a
-    prefix and its length, so it cannot flood stderr."""
-    if len(text) <= _MAX_ECHO:
-        return text
-    return f"{text[:_MAX_ECHO]}... ({len(text)} characters)"
+def _echo(value: object) -> str:
+    """A string as an error message quotes it, or the repr of any other
+    value (an int, a pair of ints, a list read from a file): a long one
+    is cut to a prefix and its length, so it cannot flood stderr."""
+    text = value if isinstance(value, str) else repr(value)
+    return text if len(text) <= _MAX_ECHO else f"{text[:_MAX_ECHO]}... ({len(text)} characters)"
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:

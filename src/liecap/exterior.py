@@ -73,12 +73,10 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vector,
-    _combine,
     _kernel,
     _lowest,
     _projection_rows,
     _Record,
-    _set,
     vector,
 )
 from .lie import LieAlgebra
@@ -109,19 +107,6 @@ class ExteriorSquare(_Record):
     """
 
     _fields = ("dim", "section", "d", "columns", "on_section", "den", "derived")
-
-    def __init__(
-        self,
-        dim: int,
-        section: tuple[int, ...],
-        d: int,
-        columns: tuple[tuple[tuple[int, int], ...], ...],
-        on_section: tuple[tuple[int, ...], ...],
-        den: int,
-        derived: Subspace,
-    ):
-        for name, value in zip(self._fields, (dim, section, d, columns, on_section, den, derived)):
-            _set(self, name, value)
 
     @property
     def ambient_dim(self) -> int:
@@ -360,18 +345,21 @@ def exterior_center(algebra: LieAlgebra) -> Subspace:
     unless k = 1 and L1 is perfect.  Z^(L1) lies in Z(L1), which lies in
     [L, L] because A takes in every central direction outside [L, L]: so
     the second condition always holds, and Z^(L1) vanishes past the
-    first m coordinates, which is checked instead of intersecting."""
+    first m coordinates, which is checked instead of intersecting.
+
+    The first m split basis vectors are the RREF basis of [L, L], so the
+    RREF rows of Z^(L1) are RREF coordinate rows on that basis, and Z^(L)
+    is read off them (``Subspace._image``) without eliminating again.
+    Only when k = 1 and L1 is perfect is A spanned in with it."""
     factor, derived, a = _split_factor(algebra)
-    # the first m split basis vectors are the RREF basis of [L, L]
     m = derived.dim
-    sb = SpanBuilder(algebra.dim)
-    for x in _square_center(factor)._rows:
-        if any(x[m:]):
-            raise ConstructionError("the exterior center of L1 leaves [L, L]")
-        sb.add_int_row(_combine(x, derived._rows, algebra.dim))
+    center = _square_center(factor)
+    if any(any(x[m:]) for x in center._rows):
+        raise ConstructionError("the exterior center of L1 leaves [L, L]")
+    image = derived._image(center._den, center._rows)
     if a.dim == 1 and m == factor.dim:
-        sb.add_int_row(list(a._rows[0]))
-    return sb.subspace()
+        return Subspace.span(algebra.dim, image.basis.data + a.basis.data)
+    return image
 
 
 def is_capable(algebra: LieAlgebra) -> bool:

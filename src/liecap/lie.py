@@ -47,7 +47,6 @@ from .linalg import (
     _over_common_denominator,
     _projection_rows,
     _Record,
-    _set,
     random_invertible,
     vector,
     zero_vector,
@@ -220,8 +219,7 @@ class LieAlgebra(_Record):
         den, reduced = _lowest(den, rows.values())
         stored = {key: c for key, c in zip(rows, reduced) if any(c)}
         key_hash = hash((dim, den, tuple(sorted(stored.items()))))
-        for name, value in zip(self.__slots__, (dim, labels, den, MappingProxyType(stored), key_hash, {})):
-            _set(self, name, value)
+        _Record.__init__(self, dim, labels, den, MappingProxyType(stored), key_hash, {})
 
     def _key(self) -> tuple:
         # the tables compare as dicts, in any order; the kept hash reads them sorted

@@ -18,8 +18,9 @@ reversed, and reads the kernel's RREF straight off the projection rows:
 ``kernel_basis``, ``LieAlgebra.center`` and the exterior center all end
 there.  An image is read off the same way: ``Subspace._image`` maps
 RREF coordinate rows through an RREF basis, which gives RREF rows
-without a second elimination (``LieAlgebra.bracket_span`` and the
-exterior center).
+without a second elimination: ``LieAlgebra.bracket_span``, and
+``exterior._square_center`` and ``exterior_center``, which read Z^(L1)
+off the center's basis and Z^(L) off that of [L, L].
 
 The public values (``Matrix`` entries, ``Subspace`` bases, vectors) are
 ``fractions.Fraction``s, but the work runs on plain ``int``.  The
@@ -56,7 +57,9 @@ is the one rule that brings int rows over a denominator to lowest terms:
 ``ExteriorSquare`` are plain classes on ``_Record``, which makes them
 immutable, comparable and hashable without ``dataclasses``:
 that module imports ``inspect``, ``ast`` and ``dis``, which a fresh
-interpreter would load for every ``liecap`` command.
+interpreter would load for every ``liecap`` command.  ``_Record.__init__``
+is the one writer of their fields; only ``Matrix.data``, which makes its
+``Fraction``s on first read, writes one again.
 """
 
 from __future__ import annotations
@@ -257,15 +260,28 @@ class SpanBuilder:
 # matrices
 
 
+_set = object.__setattr__
+
+
 class _Record:
-    """Base of the immutable value classes: ``__init__`` sets each
-    attribute once through ``object.__setattr__``, after which assigning
-    or deleting one raises.  A value equals, and hashes as, a value of its
-    own class with the same ``_key()``, by default the ``_fields``, the
-    constructor's arguments."""
+    """Base of the immutable value classes: ``_Record.__init__`` sets each
+    stored field once, in the order of the class's ``__slots__``, or of
+    its ``_fields`` when it has no slots, after which assigning or
+    deleting one raises.  It is the one writer of a value's fields; a
+    subclass checks its arguments and hands it every field.  A value
+    equals, and hashes as, a value of its own class with the same
+    ``_key()``, by default the ``_fields``, the constructor's
+    arguments."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        names = self.__slots__ or self._fields
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, {len(values)} given")
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -293,9 +309,6 @@ class _Record:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-_set = object.__setattr__
-
-
 class Matrix(_Record):
     """Immutable dense matrix of Fractions, row major.
 
@@ -313,12 +326,9 @@ class Matrix(_Record):
             raise ValueError("negative matrix dimension")
         if len(data) != rows:
             raise ValueError("row count mismatch")
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged matrix rows")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_data", data)
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged matrix rows")
+        _Record.__init__(self, rows, cols, data, None, None)
 
     @classmethod
     def _from_ints(cls, cols: int, d: int, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -326,8 +336,7 @@ class Matrix(_Record):
         positive denominator d, from a caller that hands the rows over;
         nothing is checked."""
         m = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (len(rows), cols, None, d, rows)):
-            _set(m, name, value)
+        _Record.__init__(m, len(rows), cols, None, d, rows)
         return m
 
     @property
@@ -415,8 +424,7 @@ class Subspace(_Record):
         canonical = Subspace.span(ambient_dim, basis.data)
         if canonical.basis != basis:
             raise ValueError("subspace basis is not in reduced echelon form")
-        for name, value in zip(self.__slots__, (ambient_dim, canonical._den, canonical._rows, basis)):
-            _set(self, name, value)
+        _Record.__init__(self, ambient_dim, canonical._den, canonical._rows, basis)
 
     @classmethod
     def _from_rref_ints(cls, ambient_dim: int, den: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -426,8 +434,7 @@ class Subspace(_Record):
         denominators, the canonical form."""
         den, rows = _lowest(den, rows)
         s = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (ambient_dim, den, rows, Matrix._from_ints(ambient_dim, den, rows))):
-            _set(s, name, value)
+        _Record.__init__(s, ambient_dim, den, rows, Matrix._from_ints(ambient_dim, den, rows))
         return s
 
     def _key(self) -> tuple:
@@ -494,7 +501,9 @@ class Subspace(_Record):
         coordinate row c led by t maps to sum_r c[r] r_r, which vanishes
         before the pivot of r_t, holds d D there and 0 at every other
         pivot: the mapped rows are RREF rows over d D, for this basis's
-        denominator D, and are not eliminated again."""
+        denominator D, and are not eliminated again.  ``bracket_span``,
+        ``exterior._square_center`` and ``exterior_center`` read their
+        images off here."""
         n = self.ambient_dim
         return Subspace._from_rref_ints(n, d * self._den, [_combine(c, self._rows, n) for c in coords])
 

@@ -394,6 +394,30 @@ class FractionBracketOracle:
         return LieAlgebra(len(section), consts, labels), projection
 
 
+def filiform(n):
+    """L_n: [e_1, e_i] = e_{i+1} for 1 < i < n, nilpotent of class n - 1."""
+    from liecap.lie import LieAlgebra
+    from liecap.linalg import unit_vector
+
+    return LieAlgebra(n, {(0, i): unit_vector(n, i + 1) for i in range(1, n - 1)})
+
+
+def invariants(algebra):
+    """The dimensions of [L, L], Z(L), L ^ L, M(L) and Z^(L) and the
+    capability verdict of mode "both": none of them depends on the basis."""
+    from liecap.capability import decide_capability
+    from liecap.exterior import exterior_center, exterior_square_dim, multiplier_dim
+
+    return (
+        algebra.derived_subalgebra().dim,
+        algebra.center().dim,
+        exterior_square_dim(algebra),
+        multiplier_dim(algebra),
+        exterior_center(algebra).dim,
+        decide_capability(algebra, mode="both").capable,
+    )
+
+
 @pytest.fixture(scope="session")
 def frozen_catalog():
     from liecap.capability import catalog

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+from conftest import invariants
 from liecap.capability import decide_capability
 from liecap.decompose import heisenberg_decompose
 from liecap.exterior import (
@@ -197,24 +198,13 @@ def test_criterion_10_decomposition_round_trip():
     assert elapsed < 60.0
 
 
-def _invariants(algebra):
-    return (
-        algebra.derived_subalgebra().dim,
-        algebra.center().dim,
-        exterior_square_dim(algebra),
-        multiplier_dim(algebra),
-        exterior_center(algebra).dim,
-        decide_capability(algebra, mode="both").capable,
-    )
-
-
 def test_criterion_11_basis_invariance(frozen_catalog):
     checked = 0
     for idx, (name, algebra) in enumerate(frozen_catalog):
-        base = _invariants(algebra)
+        base = invariants(algebra)
         for s in range(10):
             copy = scramble(algebra, 40_000 + 10 * idx + s)
-            assert _invariants(copy) == base, (name, s)
+            assert invariants(copy) == base, (name, s)
             checked += 1
     ok = checked == 10 * len(frozen_catalog)
     _report(11, ok, f"six invariants unchanged under {checked} random changes of basis")

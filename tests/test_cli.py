@@ -640,6 +640,36 @@ def test_unrecognized_argument_echo_is_bounded(capsys):
     assert len(err) < 200
 
 
+_HUGE = "x" * 5_000_000
+_DIGITS = int("7" * 4000)  # under the int-string conversion limit, so JSON reads it
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": _HUGE}}]}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {_HUGE: "1"}}]}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": list(range(500_000))}}]}),
+        '{"dim": 3, "%s": 1, "%s": 2}' % (_HUGE, _HUGE),
+        json.dumps({"dim": 3, "brackets": [{"i": _DIGITS, "j": 1, "coeffs": {}}]}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": _DIGITS, "coeffs": {}}]}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {str(_DIGITS): "1"}}]}),
+        json.dumps({"dim": _DIGITS, "brackets": []}),
+    ],
+    ids=["coefficient", "key", "int-list-value", "duplicate-top-level-key", "long-i", "long-j", "long-index", "long-dim"],
+)
+def test_quoted_file_input_is_bounded(tmp_path, capsys, text):
+    # an error quotes a key, value or integer of the file through _echo
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) <= 300
+    assert "characters)" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify-paper"], ["verify-paper", "--json"], ["scramble", "H(2)+A(3)", "--seed", "9"]],
@@ -689,10 +719,11 @@ def test_non_ascii_digits_are_not_expressions(capsys, expression):
 
 
 @pytest.mark.parametrize(
-    "expression", ["A(1000000000)", "H(1000000000)", "H(32)", "A(40)+A(25)", "A(" + "9" * 5000 + ")"]
+    "expression",
+    ["A(1000000000)", "H(1000000000)", "H(32)", "A(40)+A(25)", "A(" + "7" * 4000 + ")", "A(" + "9" * 5000 + ")"],
 )
 def test_expression_dimension_is_bounded(capsys, monkeypatch, expression):
-    # refused before any algebra is built
+    # refused before any algebra is built; a 4,000-digit dimension is quoted cut short
     monkeypatch.setattr(cli, "abelian", None)
     monkeypatch.setattr(cli, "heisenberg", None)
     for argv in (["analyze", expression], ["scramble", expression, "--seed", "1"]):
@@ -701,6 +732,7 @@ def test_expression_dimension_is_bounded(capsys, monkeypatch, expression):
         assert out == ""
         assert err.startswith("usage error: dimension ")
         assert err.endswith(f"exceeds the limit of {cli._MAX_DIM}\n")
+        assert len(err) <= 300
 
 
 def test_file_dimension_is_bounded(tmp_path, capsys):

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import central_extensions, core_projection, full_width_projection
-from liecap.capability import decide_capability
+from conftest import central_extensions, core_projection, full_width_projection, invariants
 from liecap.exterior import (
     exterior_center,
     exterior_square,
@@ -18,17 +17,6 @@ from liecap.exterior import (
     multiplier_dim,
 )
 from liecap.linalg import Subspace
-
-
-def _invariants(algebra):
-    return (
-        algebra.derived_subalgebra().dim,
-        algebra.center().dim,
-        exterior_square_dim(algebra),
-        multiplier_dim(algebra),
-        exterior_center(algebra).dim,
-        decide_capability(algebra, mode="both").capable,
-    )
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
@@ -53,4 +41,4 @@ def test_exterior_square_properties_on_central_extensions(pair):
     # the collapse criterion against membership in Z^(L)
     for x in center.basis.data:
         assert ideal_in_exterior_center(algebra, Subspace.span(n, [x])) == exterior.contains(x)
-    assert _invariants(scrambled) == _invariants(algebra)
+    assert invariants(scrambled) == invariants(algebra)

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FractionBracketOracle, core_projection, full_width_projection, null_space, symbol_exterior_square
+from conftest import (
+    FractionBracketOracle,
+    core_projection,
+    filiform,
+    full_width_projection,
+    null_space,
+    symbol_exterior_square,
+)
 
 from liecap import cli, exterior, lie
 from liecap.exterior import (
@@ -362,11 +369,6 @@ def _d3_rows_without(ibr, dropped):
     return rows
 
 
-def filiform(n):
-    """L_n: [e_1, e_i] = e_{i+1} for 2 <= i < n."""
-    return LieAlgebra(n, {(0, i): unit_vector(n, i + 1) for i in range(1, n - 1)})
-
-
 FILIFORM_4 = filiform(4)  # [e1,e2]=e3, [e1,e3]=e4
 SL2 = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})  # e, f, h
 R2 = LieAlgebra(2, {(0, 1): (0, 1)})  # [x, y] = y
@@ -467,6 +469,9 @@ def test_square_is_immutable_and_compares_by_its_fields():
     fields = (square.dim, square.section, square.d, square.columns, square.on_section, square.den, square.derived)
     again = ExteriorSquare(*fields)
     assert again == square and hash(again) == hash(square)
+    for wrong in (fields[:-1], (*fields, None)):  # _Record.__init__ takes one value per field
+        with pytest.raises(TypeError, match="ExteriorSquare takes 7 values"):
+            ExteriorSquare(*wrong)
     assert again != exterior_square(abelian(5))
     assert copy.deepcopy(square) == square
 
@@ -601,6 +606,15 @@ def test_split_matches_full_construction(frozen_catalog):
         ("A(1)", abelian(1)),
         ("L_7+A(2) scrambled", scramble(direct_sum(filiform(7), abelian(2)), 3)),
         ("L_9 scrambled", scramble(filiform(9), 4)),
+        # dim [L, L] = 2: Z^(L1) is read off over a denominator other than 1
+        *(
+            (f"{name} scrambled {seed}", scramble(algebra, seed))
+            for name, algebra in [
+                ("H(2)+H(1)+A(1)", direct_sum(direct_sum(heisenberg(2), heisenberg(1)), abelian(1))),
+                ("H(3)+H(1)", direct_sum(heisenberg(3), heisenberg(1))),
+            ]
+            for seed in (1, 2, 3)
+        ),
     ]
     for name, algebra in frozen_catalog + extra:
         sq = exterior_square(algebra)

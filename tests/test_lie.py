@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FractionBracketOracle, raw_jacobi_residual
+from conftest import FractionBracketOracle, filiform, raw_jacobi_residual
 from liecap import lie
 from liecap.cli import build_report
 from liecap.capability import named_members
@@ -522,7 +522,7 @@ def test_change_basis_on_library_bases_matches_fraction_oracle(name):
     algebra = {
         "H(2)+A(2)": direct_sum(heisenberg(2), abelian(2)),
         "H(1)+H(1)+A(1)": direct_sum(direct_sum(heisenberg(1), heisenberg(1)), abelian(1)),
-        "L_6": _filiform(6),
+        "L_6": filiform(6),
         "sl2+A(2)": direct_sum(SL2, abelian(2)),
         "r2+A(3)": direct_sum(R2, abelian(3)),
     }[name]
@@ -612,17 +612,12 @@ def test_integer_commutator_code_matches_fraction_oracle(frozen_catalog):
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
-def _filiform(n):
-    """L_n: [e_1, e_i] = e_{i+1} for 1 < i < n, nilpotent of class n - 1."""
-    return LieAlgebra(n, {(0, i): unit_vector(n, i + 1) for i in range(1, n - 1)})
-
-
 NOT_JACOBI = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1), (1, 3): (0, 0, 0, 1)})  # fails at (0, 1, 2)
 
 
 # [L, L] is not a central line here: dim [L, L] >= 2 (all but r2+A(k)) or
 # [L, [L, L]] != 0 (all but H(1)+H(1)), and one table fails Jacobi
-NOT_A_CENTRAL_LINE = {f"L_{n}": _filiform(n) for n in range(4, 10)} | {
+NOT_A_CENTRAL_LINE = {f"L_{n}": filiform(n) for n in range(4, 10)} | {
     "H(1)+H(1)": direct_sum(heisenberg(1), heisenberg(1)),
     "sl2": SL2,
     "r2+A(1)": direct_sum(R2, abelian(1)),

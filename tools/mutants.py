@@ -198,6 +198,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "exterior center: Z^ read off over the wrong denominator",
+        "exterior.py",
+        "image = derived._image(center._den, center._rows)",
+        "image = derived._image(1, center._rows)",
+        (
+            "tests/test_exterior.py::test_split_matches_full_construction",
+        ),
+    ),
+    Mutant(
+        "exterior center: the check that Z^(L1) stays in [L, L] dropped",
+        "exterior.py",
+        """    if any(any(x[m:]) for x in center._rows):
+        raise ConstructionError("the exterior center of L1 leaves [L, L]")
+""",
+        "",
+        (
+            "tests/test_exterior.py::test_split_checks_exterior_center_inside_derived",
+        ),
+    ),
+    Mutant(
         "_once: stores a raised exception",
         "lie.py",
         """        if compute not in memo:
@@ -446,6 +466,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_Record: the check of the number of values dropped",
+        "linalg.py",
+        """        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, {len(values)} given")
+""",
+        "",
+        (
+            "tests/test_exterior.py::test_square_is_immutable_and_compares_by_its_fields",
+        ),
+    ),
+    Mutant(
         "Subspace constructor: canonical comparison dropped",
         "linalg.py",
         """        if canonical.basis != basis:
@@ -499,8 +530,8 @@ MUTANTS = (
     Mutant(
         "Matrix._from_ints: cols reported as the row count",
         "linalg.py",
-        "(len(rows), cols, None, d, rows)",
-        "(cols, cols, None, d, rows)",
+        "_Record.__init__(m, len(rows), cols, None, d, rows)",
+        "_Record.__init__(m, cols, cols, None, d, rows)",
         (
             "tests/test_exterior.py::test_field_sanity",
             "tests/test_linalg.py::test_values_are_immutable_and_hashable",
@@ -594,7 +625,7 @@ MUTANTS = (
                 if type(val) is str:
                     _rational(val, int(key), f"{path}: brackets[{idx}]")
                 elif type(val) is not int:
-                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {_echo(val)} is not an exact rational string")
         raise  # not reached: the walk words every value the passes reject
     den = lcm(1, *qs.values())
 """,
@@ -605,7 +636,7 @@ MUTANTS = (
                 if type(val) is str:
                     _rational(val, int(key), f"{path}: brackets[{idx}]")
                 elif type(val) is not int:
-                    raise InputError(f"{path}: brackets[{idx}]: coefficient {val!r} is not an exact rational string")
+                    raise InputError(f"{path}: brackets[{idx}]: coefficient {_echo(val)} is not an exact rational string")
         raise  # not reached: the walk words every value the passes reject
     qs = {tail: int(q) for tail, q in qs.items()}
     den = lcm(1, *qs.values())
