@@ -61,8 +61,8 @@ _READ_CHUNK = 1024 * 1024
 # walks C(n, 3) triples and L ^ L has C(n, 2) columns, so without a bound
 # an input like A(100000) never finishes.
 _MAX_DIM = 64
-# An error message quotes at most this many characters of an argument or
-# of a key, value or integer read from a file.
+# An error message quotes at most this many bytes, in UTF-8, of an argument
+# or of a key, value or integer read from a file.
 _MAX_ECHO = 80
 
 
@@ -270,9 +270,18 @@ def load_input(text: str) -> tuple[LieAlgebra, str]:
 def _echo(value: object) -> str:
     """A string as an error message quotes it, or the repr of any other
     value (an int, a pair of ints, a list read from a file): a long one
-    is cut to a prefix and its length, so it cannot flood stderr."""
+    is cut to a prefix and its length, so it cannot flood stderr.  The
+    prefix is at most ``_MAX_ECHO`` bytes in UTF-8 and ends at a
+    character boundary; a lone surrogate counts as its 3 bytes."""
     text = value if isinstance(value, str) else repr(value)
-    return text if len(text) <= _MAX_ECHO else f"{text[:_MAX_ECHO]}... ({len(text)} characters)"
+    # more than _MAX_ECHO characters are more than _MAX_ECHO bytes
+    data = text[: _MAX_ECHO + 1].encode("utf-8", "surrogatepass")
+    if len(data) <= _MAX_ECHO:
+        return text
+    cut = _MAX_ECHO
+    while data[cut] & 0xC0 == 0x80:  # a continuation byte: its character does not fit
+        cut -= 1
+    return f"{data[:cut].decode('utf-8', 'surrogatepass')}... ({len(text)} characters)"
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:

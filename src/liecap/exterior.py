@@ -19,7 +19,7 @@ The quotient is taken with canonical coordinates (non-pivot columns of
 the relation RREF), which makes all reported bases and projections
 deterministic.
 
-One cached construction, ``exterior_square``, holds L ^ L on ints:
+One shared construction, ``exterior_square``, holds L ^ L on ints:
 the section columns, the projection of ``linalg._projection_rows`` over
 its one common denominator, stored by columns, and d2 on the section.
 Its projection and commutator map are ``Matrix._from_ints`` matrices of
@@ -65,7 +65,7 @@ independent witness the formulas are checked against.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .linalg import (
@@ -79,7 +79,7 @@ from .linalg import (
     _Record,
     vector,
 )
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _shared
 
 
 class ConstructionError(RuntimeError):
@@ -89,8 +89,8 @@ class ConstructionError(RuntimeError):
 class ExteriorSquare(_Record):
     """The exterior square of an algebra of dimension ``dim`` in
     canonical quotient coordinates, held on ints.  It holds nothing else
-    of the algebra: the cache in ``exterior_square`` hands one instance to
-    every equal algebra, whatever its labels.
+    of the algebra: ``exterior_square`` hands one instance to every equal
+    algebra while one of them is alive, whatever its labels.
 
     ``section`` lists the section columns of Lambda^2 L (basis e_i ^ e_j,
     i < j, in lexicographic order), one per quotient coordinate.
@@ -216,15 +216,10 @@ def _relation_projection(
     return section, d, tuple(map(tuple, columns)), pivots
 
 
-# Bounded so that a long-lived caller does not keep every algebra it ever
-# asked about alive; verify-paper uses 31 distinct algebras.
-_SQUARE_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+@_shared
 def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
-    """Build L ^ L with its commutator map, self-checked.  Cached per
-    algebra, for the most recently used ``_SQUARE_CACHE_SIZE`` algebras."""
+    """Build L ^ L with its commutator map, self-checked.  Shared by
+    ``lie._shared`` between equal algebras while one of them is alive."""
     algebra.require_valid()
     n = algebra.dim
     pairs = list(itertools.combinations(range(n), 2))
@@ -265,15 +260,16 @@ def _wedge_class(square: ExteriorSquare, u: Iterable[tuple[int, int]], j: int) -
     return out
 
 
-@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+@_shared
 def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """``(L1, [L, L], A)`` for the canonical split L = L1 + A of a valid
     algebra, with m = dim [L, L] = dim [L1, L1] and k = dim A.  L1 is
     written in the first n1 = dim - k vectors f_i = b_i / den of the
     split basis, read off their Gram products
-    (``LieAlgebra._gram_products``) with no solve.  Cached per algebra,
-    like ``exterior_square``, so the entry points read [L, L] and A from
-    here, not from the instance they were given.
+    (``LieAlgebra._gram_products``) with no solve.  Shared like
+    ``exterior_square``, so the entry points read [L, L] and A from
+    here, not from the instance they were given; the value holds L1,
+    so L1's own shared results live as long as the entry.
 
     The split basis must open with the RREF basis z_1..z_m of [L, L]:
     then f_r = z_r, so the product of f_i and f_j, which is d den^2 times
@@ -307,9 +303,9 @@ def multiplier_dim(algebra: LieAlgebra) -> int:
     return exterior_square_dim(algebra) - _split_factor(algebra)[1].dim
 
 
-@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+@_shared
 def _square_center(algebra: LieAlgebra) -> Subspace:
-    """{x : x ^ y = 0 for every y} in L ^ L.  Cached per algebra, like
+    """{x : x ^ y = 0 for every y} in L ^ L.  Shared like
     ``exterior_square``.
 
     Such an x is central, since [x, y] is the commutator of x ^ y, so

@@ -14,14 +14,17 @@ A ``LieAlgebra`` is immutable, so every invariant of it is computed at
 most once per instance: a function under ``_once`` keeps its value in
 the instance's one memo dict, and a module built on this one memoizes
 its own invariants of an algebra the same way.  The memo lives and dies
-with the instance and is not shared between equal algebras.  A shared cache
-(``functools.lru_cache`` on these methods) keeps algebras and their
-invariants alive after their last use, and it raised the peak memory
-of ``analyze --method formula`` on scrambled H(m) + A(k) by about 6%.
-The ``exterior`` caches are shared instead, since different algebras
-share equal factors L1 and equal quotients: with per-instance memos,
-``verify-paper``, which builds each of its own algebras once, builds
-64 exterior squares instead of 14.
+with the instance and is not shared between equal algebras, so what an
+instance computes never depends on which equal algebras are alive.  A
+cache that holds its keys (a ``functools`` LRU cache on these methods)
+keeps algebras and their invariants alive after their last use, and it
+raised the peak memory of ``analyze --method formula`` on scrambled
+H(m) + A(k) by about 6%.  The ``exterior`` results are shared instead,
+through ``_shared``, since different algebras share equal factors L1
+and equal quotients: with per-instance memos, ``verify-paper``, which
+builds each of its own algebras once, builds 64 exterior squares
+instead of 14.  ``_shared`` keeps a value only while an algebra equal
+to the one it was computed for is alive, so it needs no capacity.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from itertools import combinations, takewhile
 from math import lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from weakref import WeakKeyDictionary
 
 from .linalg import (
     Fraction,
@@ -141,12 +145,44 @@ def _once(compute: Callable[["LieAlgebra"], T]) -> Callable[["LieAlgebra"], T]:
     return update_wrapper(once, compute)
 
 
-class LieAlgebra(_Record):
+def _shared(compute: Callable[["LieAlgebra"], T]) -> Callable[["LieAlgebra"], T]:
+    """Share an invariant of an algebra between equal algebras while one
+    of them is alive.
+
+    The value of ``compute(algebra)`` is kept in a
+    ``weakref.WeakKeyDictionary`` keyed by the algebra: a call with an
+    algebra equal to a live key returns the stored value, and the entry
+    goes when its key is collected.  As under ``_once``, a value is
+    stored only when ``compute`` returns, never when it raises, and the
+    result is a plain function with the name and docstring of
+    ``compute``.  A value must not reference its key algebra, or the
+    entry would never go."""
+    memo: WeakKeyDictionary = WeakKeyDictionary()
+
+    def shared(algebra: "LieAlgebra") -> T:
+        value = memo.get(algebra, memo)  # the memo itself marks a miss
+        if value is memo:
+            value = memo[algebra] = compute(algebra)
+        return value
+
+    return update_wrapper(shared, compute)
+
+
+class _WeakRecord(_Record):
+    """A ``linalg._Record`` that can be weakly referenced.  The
+    ``__weakref__`` slot sits on this base, so the ``__slots__`` of a
+    subclass, which ``_Record.__init__`` reads, name only its fields."""
+
+    __slots__ = ("__weakref__",)
+
+
+class LieAlgebra(_WeakRecord):
     """A Lie algebra over Q given by structure constants.
 
     Instances are immutable, comparable and hashable through
-    ``linalg._Record``; equality compares dimensions and bracket tables
-    (labels are presentation only).  The table is stored once, as ints:
+    ``linalg._Record``, and ``_WeakRecord`` lets ``_shared`` hold them
+    weakly; equality compares dimensions and bracket tables (labels are
+    presentation only).  The table is stored once, as ints:
     the lcm d of the reduced denominators and the int tuple d [e_i, e_j]
     of every nonzero bracket with i < j.  That is canonical, so it serves
     as the key, whose hash is kept.  All derived computations are exact

@@ -641,6 +641,7 @@ def test_unrecognized_argument_echo_is_bounded(capsys):
 
 
 _HUGE = "x" * 5_000_000
+_WIDE = "\U0001F600" * 100_000  # four bytes a character in UTF-8
 _DIGITS = int("7" * 4000)  # under the int-string conversion limit, so JSON reads it
 
 
@@ -655,11 +656,17 @@ _DIGITS = int("7" * 4000)  # under the int-string conversion limit, so JSON read
         json.dumps({"dim": 3, "brackets": [{"i": 0, "j": _DIGITS, "coeffs": {}}]}),
         json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {str(_DIGITS): "1"}}]}),
         json.dumps({"dim": _DIGITS, "brackets": []}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {_WIDE: "1"}}]}),
+        json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": _WIDE}}]}),
     ],
-    ids=["coefficient", "key", "int-list-value", "duplicate-top-level-key", "long-i", "long-j", "long-index", "long-dim"],
+    ids=[
+        "coefficient", "key", "int-list-value", "duplicate-top-level-key", "long-i", "long-j", "long-index", "long-dim",
+        "four-byte-key", "four-byte-coefficient",
+    ],
 )
 def test_quoted_file_input_is_bounded(tmp_path, capsys, text):
-    # an error quotes a key, value or integer of the file through _echo
+    # an error quotes a key, value or integer of the file through _echo,
+    # cut by its length in bytes
     path = tmp_path / "in.json"
     path.write_text(text)
     code, out, err = run(capsys, "validate", str(path))

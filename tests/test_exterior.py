@@ -5,11 +5,17 @@ differential check against the n^2-symbol construction."""
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -89,7 +95,8 @@ def test_field_sanity():
 
 
 def test_construction_is_cached():
-    assert exterior_square(heisenberg(2)) is exterior_square(heisenberg(2))
+    first, second = heisenberg(2), heisenberg(2)  # equal, and both alive
+    assert exterior_square(first) is exterior_square(second)
 
 
 def test_commutator_map_is_surjective():
@@ -451,11 +458,12 @@ def test_cached_square_carries_no_algebra():
     # equal algebras share one cached square, whatever their labels, so
     # the square must hold nothing of the algebra that built it, also once
     # its Fraction matrices have been made
-    first = exterior_square(abelian(3))
+    a3, labelled = abelian(3), LieAlgebra(3, {(0, 1): (0, 0, 1)}, labels=("x", "y", "z"))
+    first = exterior_square(a3)
     second = exterior_square(LieAlgebra(3, {}))
     assert second is first
     assert second.dim == 3
-    square = exterior_square(LieAlgebra(3, {(0, 1): (0, 0, 1)}, labels=("x", "y", "z")))
+    square = exterior_square(labelled)
     assert square is exterior_square(heisenberg(1))
     assert (square.projection.rows, square.commutator_map.rows) == (3, 1)
     for sq in (second, square):
@@ -476,9 +484,85 @@ def test_square_is_immutable_and_compares_by_its_fields():
     assert copy.deepcopy(square) == square
 
 
-def test_exterior_square_cache_is_bounded():
-    maxsize = exterior_square.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < 10_000
+def test_equal_live_algebras_share_one_square():
+    # a result is shared while an algebra equal to the one it was built
+    # for is alive; once that one is collected, an equal algebra rebuilds it
+    first = scramble(direct_sum(heisenberg(1), abelian(3)), 4_205)
+    twin = scramble(direct_sum(heisenberg(1), abelian(3)), 4_205)
+    assert twin == first and twin is not first
+    square = exterior_square(first)
+    assert exterior_square(twin) is square
+    assert exterior._split_factor(twin) is exterior._split_factor(first)
+    del first
+    gc.collect()
+    rebuilt = exterior_square(twin)
+    assert rebuilt == square and rebuilt is not square
+
+
+def test_shared_results_go_with_their_algebra():
+    # no entry keeps its key alive: the split holds L1, which keys the
+    # square and Z^(L1), and all of them go with L
+    algebra = scramble(direct_sum(heisenberg(2), abelian(2)), 4_206)
+    assert not exterior_center(algebra).is_zero()
+    factor = exterior._split_factor(algebra)[0]
+    refs = [weakref.ref(x) for x in (algebra, factor, exterior_square(factor))]
+    del algebra, factor
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+# every shared function, with a dependency that only its computation calls
+SHARED = [
+    (exterior_square, "_relation_projection"),
+    (exterior._split_factor, "_lowest"),
+    (exterior._square_center, "_kernel"),
+]
+
+
+def test_every_shared_function_is_covered():
+    code = lie._shared(lambda algebra: None).__code__
+    found = {f for f in vars(exterior).values() if getattr(f, "__code__", None) is code}
+    assert found == {f for f, _ in SHARED}
+
+
+@pytest.mark.parametrize("call, dependency", SHARED, ids=[f.__name__ for f, _ in SHARED])
+def test_failed_build_is_raised_again(monkeypatch, call, dependency):
+    algebra = scramble(direct_sum(heisenberg(2), abelian(1)), 4_207)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(exterior, dependency, failing)
+    for count in (1, 2):
+        with pytest.raises(RuntimeError, match="injected failure"):
+            call(algebra)
+        assert len(calls) == count
+    monkeypatch.undo()
+    assert call(algebra) is call(algebra)
+
+
+def test_verify_paper_shares_its_exterior_results():
+    # verify-paper's algebras share equal factors L1 and equal quotients:
+    # counted in a fresh interpreter, where no algebra another test keeps
+    # alive can serve a result, it builds 14 squares, 31 splits and 5
+    # exterior centers of L1 (a split kept per instance makes 57 splits)
+    script = """if True:
+        from liecap import cli, exterior
+        counts = {}
+        for name in ("_relation_projection", "_lowest", "_kernel"):
+            def counted(*args, _name=name, _f=getattr(exterior, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _f(*args)
+            setattr(exterior, name, counted)
+        passed = all(check["pass"] for check in cli._verify_checks())
+        print(passed, counts["_relation_projection"], counts["_lowest"], counts["_kernel"])
+    """
+    src = str(Path(exterior.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "14", "31", "5"]
 
 
 def test_core_matches_full_width_elimination(frozen_catalog):
@@ -672,12 +756,13 @@ def test_split_is_block_diagonal(monkeypatch, tmp_path):
 def test_split_checks_brackets_stay_in_derived_coordinates():
     # H(1)+A(1) with the split basis [e1, e3, e2, e4]: the [L, L] row comes
     # second and A stays last, so every bracket stays inside L1 (j < n1),
-    # but [f1, f3] = f2 lands in coordinate 1, past m = 1
-    algebra = LieAlgebra(4, {(0, 1): (0, 0, 1, 0)})
+    # but [f1, f3] = 3 f2 lands in coordinate 1, past m = 1.  The split is
+    # shared while an equal algebra is alive, so the table is one that no
+    # other test builds
+    algebra = LieAlgebra(4, {(0, 1): (0, 0, 3, 0)})
     e = [[int(t == i) for t in range(4)] for i in range(4)]
     split = lie._AbelianSplit(Subspace.span(4, [e[3]]), 1, [e[0], e[2], e[1], e[3]])
     algebra._memo[LieAlgebra._abelian_split.__wrapped__] = split
-    exterior._split_factor.cache_clear()  # an equal algebra may hold the true split
     with pytest.raises(ConstructionError, match="central direct factor"):
         exterior._split_factor(algebra)
 

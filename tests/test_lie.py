@@ -189,11 +189,9 @@ def test_key_does_not_depend_on_how_constants_are_written():
     ]
     algebras = [LieAlgebra(5, b) for b in spellings]
     assert all(a == algebras[0] and hash(a) == hash(algebras[0]) for a in algebras)
-    before = exterior_square.cache_info()
+    # equal and alive at once, so they share one square
     squares = [exterior_square(a) for a in algebras]
-    after = exterior_square.cache_info()
     assert all(sq is squares[0] for sq in squares)
-    assert after.misses - before.misses <= 1
     # rational constants: strings against Fractions written over 6
     strings = LieAlgebra(3, {(0, 1): ("0", "1/2", "-2/3")})
     fractions = LieAlgebra(3, {(0, 1): (0, Fraction(3, 6), Fraction(-4, 6))})

@@ -254,6 +254,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_shared: keys held strongly, in a plain dict",
+        "lie.py",
+        "memo: WeakKeyDictionary = WeakKeyDictionary()",
+        "memo: dict = {}",
+        (
+            "tests/test_exterior.py::test_shared_results_go_with_their_algebra",
+            "tests/test_exterior.py::test_equal_live_algebras_share_one_square",
+        ),
+    ),
+    Mutant(
+        # the answers stay right: only the count of builds shows it
+        "_split_factor memoized per instance, not shared between equal algebras",
+        "exterior.py",
+        """@_shared
+def _split_factor(""",
+        """from .lie import _once
+
+
+@_once
+def _split_factor(""",
+        (
+            "tests/test_exterior.py::test_verify_paper_shares_its_exterior_results",
+        ),
+    ),
+    Mutant(
         "_gram: the check that the derived generator is central dropped",
         "decompose.py",
         """    if any(b[0] for b in coords.beta[0].values()):
