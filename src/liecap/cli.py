@@ -271,17 +271,13 @@ def _echo(value: object) -> str:
     """A string as an error message quotes it, or the repr of any other
     value (an int, a pair of ints, a list read from a file): a long one
     is cut to a prefix and its length, so it cannot flood stderr.  The
-    prefix is at most ``_MAX_ECHO`` bytes in UTF-8 and ends at a
-    character boundary; a lone surrogate counts as its 3 bytes."""
+    prefix is at most ``_MAX_ECHO`` bytes in UTF-8, and a character cut
+    at its end is dropped whole; a lone surrogate is measured as the
+    escape that stderr writes for it."""
     text = value if isinstance(value, str) else repr(value)
     # more than _MAX_ECHO characters are more than _MAX_ECHO bytes
-    data = text[: _MAX_ECHO + 1].encode("utf-8", "surrogatepass")
-    if len(data) <= _MAX_ECHO:
-        return text
-    cut = _MAX_ECHO
-    while data[cut] & 0xC0 == 0x80:  # a continuation byte: its character does not fit
-        cut -= 1
-    return f"{data[:cut].decode('utf-8', 'surrogatepass')}... ({len(text)} characters)"
+    data = text[: _MAX_ECHO + 1].encode("utf-8", "backslashreplace")
+    return text if len(data) <= _MAX_ECHO else f"{data[:_MAX_ECHO].decode('utf-8', 'ignore')}... ({len(text)} characters)"
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:

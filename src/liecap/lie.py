@@ -168,21 +168,13 @@ def _shared(compute: Callable[["LieAlgebra"], T]) -> Callable[["LieAlgebra"], T]
     return update_wrapper(shared, compute)
 
 
-class _WeakRecord(_Record):
-    """A ``linalg._Record`` that can be weakly referenced.  The
-    ``__weakref__`` slot sits on this base, so the ``__slots__`` of a
-    subclass, which ``_Record.__init__`` reads, name only its fields."""
-
-    __slots__ = ("__weakref__",)
-
-
-class LieAlgebra(_WeakRecord):
+class LieAlgebra(_Record):
     """A Lie algebra over Q given by structure constants.
 
     Instances are immutable, comparable and hashable through
-    ``linalg._Record``, and ``_WeakRecord`` lets ``_shared`` hold them
-    weakly; equality compares dimensions and bracket tables (labels are
-    presentation only).  The table is stored once, as ints:
+    ``linalg._Record``, and weakly referable, so that ``_shared`` can
+    key them; equality compares dimensions and bracket tables (labels
+    are presentation only).  The table is stored once, as ints:
     the lcm d of the reduced denominators and the int tuple d [e_i, e_j]
     of every nonzero bracket with i < j.  That is canonical, so it serves
     as the key, whose hash is kept.  All derived computations are exact
@@ -200,6 +192,7 @@ class LieAlgebra(_WeakRecord):
         "_rows",
         "_hash",
         "_memo",
+        "__weakref__",
     )
 
     def __init__(

@@ -265,19 +265,20 @@ _set = object.__setattr__
 
 class _Record:
     """Base of the immutable value classes: ``_Record.__init__`` sets each
-    stored field once, in the order of the class's ``__slots__``, or of
-    its ``_fields`` when it has no slots, after which assigning or
-    deleting one raises.  It is the one writer of a value's fields; a
-    subclass checks its arguments and hands it every field.  A value
-    equals, and hashes as, a value of its own class with the same
-    ``_key()``, by default the ``_fields``, the constructor's
-    arguments."""
+    stored field once, in the order of the class's ``__slots__`` other
+    than ``__weakref__``, or of its ``_fields`` when it has no slots,
+    after which assigning or deleting one raises.  It is the one writer
+    of a value's fields; a subclass checks its arguments and hands it
+    every field.  A value equals, and hashes as, a value of its own
+    class with the same ``_key()``, by default the ``_fields``, the
+    constructor's arguments."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init__(self, *values: object) -> None:
-        names = self.__slots__ or self._fields
+        # a "__weakref__" slot, which lets a value key a weak memo, is no field
+        names = [name for name in self.__slots__ if name != "__weakref__"] or self._fields
         if len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} values, {len(values)} given")
         for name, value in zip(names, values):

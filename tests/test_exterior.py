@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -548,7 +549,8 @@ def test_verify_paper_shares_its_exterior_results():
     # counted in a fresh interpreter, where no algebra another test keeps
     # alive can serve a result, it builds 14 squares, 31 splits and 5
     # exterior centers of L1 (a split kept per instance makes 57 splits)
-    script = """if True:
+    script = textwrap.dedent(
+        """
         from liecap import cli, exterior
         counts = {}
         for name in ("_relation_projection", "_lowest", "_kernel"):
@@ -558,7 +560,8 @@ def test_verify_paper_shares_its_exterior_results():
             setattr(exterior, name, counted)
         passed = all(check["pass"] for check in cli._verify_checks())
         print(passed, counts["_relation_projection"], counts["_lowest"], counts["_kernel"])
-    """
+        """
+    )
     src = str(Path(exterior.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
