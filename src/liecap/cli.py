@@ -163,6 +163,10 @@ def load_algebra_file(path: str) -> LieAlgebra:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
             raise InputError(f"{path}: 'labels' must be a list of {dim} strings")
+        # the reports print labels as they are: a newline would forge a line
+        for label in labels:
+            if not label.isprintable():
+                raise InputError(f"{path}: label {_echo(repr(label))} is not printable")
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")

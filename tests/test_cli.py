@@ -678,6 +678,37 @@ def test_quoted_file_input_is_bounded(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "label",
+    ["a\nb: x", "x\ncapable: yes", "\r", "\t", "\x00", "\x1b[2J", "\u2028", "\ud800", "\n" + _HUGE],
+    ids=["newline", "forged-verdict", "carriage-return", "tab", "nul", "escape", "line-separator",
+         "lone-surrogate", "long"],
+)
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_unprintable_label_is_rejected(tmp_path, capsys, command, label):
+    # the text report prints labels as they are, so a label with a line
+    # break would print a line of its own, such as a fake verdict
+    path = tmp_path / "in.json"
+    doc = algebra_to_doc(heisenberg(1))
+    doc["labels"][1] = label
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: {path}: label '") and err.endswith(" is not printable\n")
+    assert err[:-1].isprintable()
+    assert len(err.encode()) <= 300 + len(str(path))
+
+
+def test_printable_labels_are_kept(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    doc = dict(algebra_to_doc(heisenberg(1)), labels=["x 1", "α", "z: 3"])
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    assert "labels: x 1 α z: 3\n" in out
+
+
+@pytest.mark.parametrize(
     "argv",
     [["verify-paper"], ["verify-paper", "--json"], ["scramble", "H(2)+A(3)", "--seed", "9"]],
     ids=["verify-paper", "verify-paper-json", "scramble"],

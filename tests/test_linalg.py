@@ -363,11 +363,31 @@ def wide_entry_matrices(draw):
 @example((12, _dense(12, 2, 2**70)))
 def test_span_matches_gauss_jordan_on_wide_entries(case):
     # a row reduced through more than 8 pivots is divided by its gcd on
-    # the way (SpanBuilder._reduce), and the Jordan step clears up to 11
+    # the way (SpanBuilder.add_int_row), and the Jordan step clears up to 11
     # entries above each pivot: the canonical basis is still the Fraction
     # Gauss-Jordan one
     c, rows = case
     assert [list(r) for r in _bounded_span(c, rows, WIDE_PIVOT_BITS).subspace().basis.data] == _gauss_jordan(rows, c)
+
+
+_NINE = _dense(10, 1, 2**70)[:9]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(wide_entry_matrices())
+# all-zero rows; rows that vanish on their first, second and ninth step,
+# the last after the row was divided by its gcd on the way
+@example((3, [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 0, 0], [0, 1, 1], [1, 3, 4], [0, 0, 5], [7, 0, 1]]))
+@example((10, _NINE + [_combine(range(1, 10), _NINE, 10), [0] * 10, [1] * 10]))
+def test_each_answer_is_whether_the_rank_grew(case):
+    # add_int_row reports each row on its own: a row that vanishes on the
+    # way does not enlarge the span, and one that keeps an entry with no
+    # pivot does
+    c, rows = case
+    sb = SpanBuilder(c)
+    for t, row in enumerate(rows):
+        grew = len(_gauss_jordan(rows[: t + 1], c)) > len(_gauss_jordan(rows[:t], c))
+        assert sb.add_int_row(list(row)) is grew, (t, row)
 
 
 def test_subspace_contains_and_coordinates():

@@ -411,6 +411,19 @@ def _split_factor(""",
         ),
     ),
     Mutant(
+        "forward reduction: a row that vanishes reported as enlarging",
+        "linalg.py",
+        """                if not any(rest):
+                    return False
+""",
+        """                if not any(rest):
+                    return True
+""",
+        (
+            "tests/test_linalg.py::test_each_answer_is_whether_the_rank_grew",
+        ),
+    ),
+    Mutant(
         "elimination step: x + b y in the a == 1 shortcut",
         "linalg.py",
         "return [s - b * t for s, t in zip(x, y)]",
