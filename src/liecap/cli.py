@@ -17,7 +17,6 @@ import re
 import sys
 from math import lcm
 from operator import itemgetter, mul
-from pathlib import Path
 from typing import Any
 
 from . import capability, exterior
@@ -262,11 +261,7 @@ def _respelled(where: str, dim: int, coeffs: dict[str, Any]) -> dict[str, Any]:
 def load_input(text: str) -> tuple[LieAlgebra, str]:
     if _EXPR_RE.match(text):
         return parse_expression(text), text.strip()
-    try:
-        found = Path(text).exists()
-    except OSError:  # e.g. a name too long for the file system (Python < 3.13)
-        found = False
-    if found:
+    if os.path.exists(text):  # False also for a name the file system cannot hold
         return load_algebra_file(text), text
     raise UsageError(f"not a builtin expression or readable file: {_echo(text)}")
 
@@ -282,6 +277,15 @@ def _echo(value: object) -> str:
     # more than _MAX_ECHO characters are more than _MAX_ECHO bytes
     data = text[: _MAX_ECHO + 1].encode("utf-8", "backslashreplace")
     return text if len(data) <= _MAX_ECHO else f"{data[:_MAX_ECHO].decode('utf-8', 'ignore')}... ({len(text)} characters)"
+
+
+def _printable(text: str) -> str:
+    """text with each character that is not printable replaced by the
+    escape that ``repr`` gives it (``\\n``, ``\\x1b``, ``\\udcff``), so a
+    path or an argument printed in a report or a diagnostic stays on its
+    one line; printable characters, ASCII or not, are kept.  A lone
+    surrogate prints as stderr's ``backslashreplace`` would write it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict[str, Any]:
@@ -338,7 +342,7 @@ def build_report(algebra: LieAlgebra, source: str, method: str) -> dict[str, Any
 
 def render_report(report: dict[str, Any]) -> str:
     lines = []
-    lines.append(f"source: {report['input']['source']}")
+    lines.append(f"source: {_printable(report['input']['source'])}")
     lines.append(f"dim: {report['input']['dim']}")
     if report["input"]["labels"]:
         lines.append("labels: " + " ".join(report["input"]["labels"]))
@@ -564,13 +568,13 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_USAGE
     except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        print(f"usage error: {_printable(str(e))}", file=sys.stderr)
         return EXIT_USAGE
     except (InputError, InvalidAlgebraError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_printable(str(e))}", file=sys.stderr)
         return EXIT_INVALID
     except (ConstructionError, DecompositionCheckError, DerivedBasisError, CapabilityDisagreement) as e:
-        print(f"internal check failed: {e}", file=sys.stderr)
+        print(f"internal check failed: {_printable(str(e))}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, SpanBuilder, _dot, _lowest
+from .linalg import Matrix, SpanBuilder, _combine, _dot, _lowest
 from .lie import LieAlgebra, _once
 
 
@@ -58,14 +58,16 @@ def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
     derived line, which makes f canonical.  g is the one form of the
     algebra's certified [L, L] coordinates (see
     ``lie._DerivedCoordinates``), shared with the algebra: nothing may
-    mutate it.
+    mutate it.  z is checked central through the one bracket kernel: the
+    combination of the rows of g at the int row D z, d D [z, e_b] for
+    every b, must be zero.
     """
     # each bracket is certified a multiple of z as its coordinate is read
-    coords = algebra._derived_coordinates()
+    derived, (g,) = algebra._derived_coordinates()
     # z must be central or the structure constants are inconsistent
-    if any(b[0] for b in coords.beta[0].values()):
+    if any(_combine(derived._rows[0], g, algebra.dim)):
         raise DecompositionCheckError("derived generator is not central")
-    return algebra._den, coords.forms[0]
+    return algebra._den, g
 
 
 def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _Row]]:

@@ -228,7 +228,7 @@ def exterior_square(algebra: LieAlgebra) -> ExteriorSquare:
     # d2: e_a ^ e_b -> [e_a, e_b] in the coordinates of the RREF basis
     # of [L, L], which the algebra certifies as it reads them off; the
     # forms hold them times the algebra's denominator, on ints
-    derived, forms, _ = algebra._derived_coordinates()
+    derived, forms = algebra._derived_coordinates()
     on_section = tuple(tuple(g[a][b] for g in forms) for a, b in (pairs[q] for q in section))
     # d2 o d3 = 0 exactly when d2 factors through the projection: on a
     # section column it does by construction, and at a relation pivot p

@@ -80,30 +80,11 @@ class _DerivedCoordinates(NamedTuple):
     ``decompose._gram`` and ``exterior_square`` read, and that nothing
     mutates.  For an int vector w, [w, e_b]_r is entry b of the
     combination of the rows of ``forms[r]`` at the nonzero entries of w,
-    ``linalg._combine(w, forms[r], n)``: the one bracket kernel.  With
-    D z_r the int row that the derived ``Subspace`` holds over its
-    denominator D, ``beta[r][b]`` is d D times the coordinates of
-    [z_r, e_b], for every b with [z_r, e_b] != 0; a missing b has
-    [z_r, e_b] = 0.
+    ``linalg._combine(w, forms[r], n)``: the one bracket kernel.
     """
 
     derived: Subspace
     forms: list[list[list[int]]]
-    beta: list[dict[int, list[int]]]
-
-    def jacobiator(self, i: int, j: int, k: int) -> list[int]:
-        """-d^2 D times the coordinates of the Jacobiator
-        [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] for
-        i < j < k: zero exactly when the Jacobiator is, since it lies in
-        [L, L]."""
-        out = [0] * len(self.beta)
-        for p, q, col, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-            for g, b in zip(self.forms, self.beta):
-                x = g[p][q]
-                if x:
-                    for s, y in enumerate(b.get(col, ())):
-                        out[s] += sign * x * y
-        return out
 
 
 class _AbelianSplit(NamedTuple):
@@ -309,22 +290,38 @@ class LieAlgebra(_Record):
         Jacobiator lies in [L, L], so it is evaluated in the m = dim [L, L]
         coordinates of that subspace, on the integer forms (each term
         scales by the same factor, so vanishing is unaffected): the pass
-        costs O(n^3 m^2), not O(n^5).  A triple is skipped when none of
-        its three pairs has a stored bracket, since then every term of
-        its Jacobiator is zero.  The verdict is cached on the
-        instance.  Raises DerivedBasisError if a bracket escapes the
-        computed [L, L], a defect.
+        costs O(n^3 m^2), not O(n^5).  Its table beta expands the int row
+        D z_r of each basis vector of [L, L], over the derived denominator
+        D, through the forms: ``beta[r][b]`` is d D times the coordinates
+        of [z_r, e_b] for every b with [z_r, e_b] != 0, and a missing b
+        has [z_r, e_b] = 0.  The signed sum of the terms
+        ``forms[r][p][q] * beta[r][col]`` of a triple i < j < k is -d^2 D
+        times the coordinates of its Jacobiator
+        [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]].  A
+        triple is skipped when none of its three pairs has a stored
+        bracket, since then every term of its Jacobiator is zero.  The
+        verdict is cached on the instance.  Raises DerivedBasisError if a
+        bracket escapes the computed [L, L], a defect.
         """
-        coords = self._derived_coordinates()
+        n = self.dim
+        derived, forms = self._derived_coordinates()
+        beta = [{b: c for b, c in enumerate(zip(*[_combine(z, g, n) for g in forms])) if any(c)} for z in derived._rows]
         # every term of a Jacobiator carries a beta factor: when [L, L] is
         # central, as in every 2-step nilpotent algebra, all of them vanish
-        if not any(x for row in coords.beta for col in row.values() for x in col):
+        if not any(beta):
             return None
         rows = self._rows
-        for i, j, k in combinations(range(self.dim), 3):
+        for i, j, k in combinations(range(n), 3):
             if (i, j) not in rows and (j, k) not in rows and (i, k) not in rows:
                 continue
-            if any(coords.jacobiator(i, j, k)):
+            out = [0] * len(forms)
+            for p, q, col, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+                for g, b in zip(forms, beta):
+                    x = g[p][q]
+                    if x:
+                        for s, y in enumerate(b.get(col, ())):
+                            out[s] += sign * x * y
+            if any(out):
                 return (i, j, k)
         return None
 
@@ -339,10 +336,9 @@ class LieAlgebra(_Record):
         rebuild goes to one ``SpanBuilder``, whose basis is read again and
         certifies the rows read before it again.  So every bracket is
         certified in the final basis, in ints, as its form entries are
-        read off.  beta expands each D z_r through the forms, since
-        D d [z_r, e_b] = sum_t (D z_r)_t d [e_t, e_b].  Computed once per
-        instance.  Raises DerivedBasisError if a bracket is not recomposed
-        from the basis it enlarged, a defect."""
+        read off.  Computed once per instance.  Raises DerivedBasisError
+        if a bracket is not recomposed from the basis it enlarged, a
+        defect."""
         n = self.dim
         keys, brackets = list(self._rows), list(self._rows.values())
         sb = SpanBuilder(n)
@@ -362,11 +358,7 @@ class LieAlgebra(_Record):
                 if x:
                     g[i][j] = x
                     g[j][i] = -x
-        beta = []
-        for z in derived._rows:
-            rows = [_combine(z, g, n) for g in forms]  # rows[s][b] = d D [z_r, e_b]_s
-            beta.append({b: list(c) for b, c in enumerate(zip(*rows)) if any(c)} if any(map(any, rows)) else {})
-        return _DerivedCoordinates(derived, forms, beta)
+        return _DerivedCoordinates(derived, forms)
 
     def require_valid(self) -> None:
         violation = self.validate()
@@ -426,7 +418,7 @@ class LieAlgebra(_Record):
         if s.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         n = self.dim
-        derived, forms, _ = self._derived_coordinates()
+        derived, forms = self._derived_coordinates()
         sb = SpanBuilder(derived.dim)
         for w in s._rows:
             for col in zip(*[_combine(w, g, n) for g in forms]):

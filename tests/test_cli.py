@@ -709,6 +709,35 @@ def test_printable_labels_are_kept(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("x\ncapable: yes.json", "x\\ncapable: yes.json"),
+        ("\x1b[2J.json", "\\x1b[2J.json"),
+        ("α\u2028capable: no.json", "α\\u2028capable: no.json"),
+        ("\tα b.json", "\\tα b.json"),
+    ],
+    ids=["forged-verdict", "escape", "line-separator", "tab"],
+)
+def test_unprintable_path_is_escaped(tmp_path, monkeypatch, capsys, name, shown):
+    # a path prints on the one line that names it, with each unprintable
+    # character escaped as repr escapes it, so it cannot forge a verdict line
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps(algebra_to_doc(heisenberg(1))))
+    code, out, _ = run(capsys, "analyze", name)
+    assert code == EXIT_OK
+    lines = out.split("\n")
+    assert lines[0] == f"source: {shown}"
+    assert [line for line in lines if line.startswith("capable:")] == ["capable: yes"]
+    # the diagnostics: a missing path, and a file that is not JSON
+    code, out, err = run(capsys, "analyze", "missing " + name)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: not a builtin expression or readable file: missing {shown}\n")
+    Path(name).write_text("not json")
+    code, out, err = run(capsys, "analyze", name)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith(f"error: {shown}: ") and err.count("\n") == 1 and err[:-1].isprintable()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["verify-paper"], ["verify-paper", "--json"], ["scramble", "H(2)+A(3)", "--seed", "9"]],
     ids=["verify-paper", "verify-paper-json", "scramble"],

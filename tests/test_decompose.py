@@ -350,17 +350,24 @@ def test_decomposition_is_a_value_with_a_lazy_basis_change(monkeypatch, capsys):
 
 
 def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
-    # beta[0] = {0: [1]} claims [z, e_1] = z for z = e_3 of H(1) + A(1);
-    # with [e_1, e_2] = z the only bracket every Jacobiator still vanishes,
-    # so the gate passes and only _gram's central check sees it
+    # a form that also claims [z, e_1] = z for z = e_3 of H(1) + A(1): with
+    # [e_1, e_2] = z every Jacobiator still vanishes, so validate passes.
+    # z is then in [L, [L, L]], so the gate is passed by patching the
+    # nilpotency check too, and only _gram's central check sees the defect
     derived_coordinates = LieAlgebra._derived_coordinates
 
     def noncentral(self):
-        return derived_coordinates(self)._replace(beta=[{0: [1]}])
+        coords = derived_coordinates(self)
+        g = [list(row) for row in coords.forms[0]]
+        g[2][0], g[0][2] = 1, -1
+        return coords._replace(forms=[g])
 
     monkeypatch.setattr(LieAlgebra, "_derived_coordinates", noncentral)
+    monkeypatch.setattr(LieAlgebra, "is_nilpotent", lambda self: True)
+    L = direct_sum(heisenberg(1), abelian(1))
+    assert L.validate() is None
     with pytest.raises(DecompositionCheckError, match="derived generator is not central"):
-        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
+        heisenberg_decompose(L)
     assert main(["analyze", "H(1)+A(1)", "--method", "formula"]) == EXIT_INTERNAL
     assert "derived generator is not central" in capsys.readouterr().err
 

@@ -113,20 +113,22 @@ def test_validate_agrees_with_raw_expansion_on_valid_input():
 def test_validate_skips_the_triples_when_the_derived_algebra_is_central(monkeypatch):
     # every Jacobiator term carries a factor [z_r, e_k], which vanishes when
     # [L, L] is central, so a 2-step nilpotent table evaluates no triple
+    central = scramble(direct_sum(heisenberg(3), abelian(2)), 17)
+    filiform = scramble(LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)}), 3)
     calls = []
-    jacobiator = lie._DerivedCoordinates.jacobiator
 
-    def counted(self, i, j, k):
-        calls.append((i, j, k))
-        return jacobiator(self, i, j, k)
+    def counted(iterable, r):
+        # the triples validate draws from lie's combinations
+        for t in combinations(iterable, r):
+            calls.append(t)
+            yield t
 
-    monkeypatch.setattr(lie._DerivedCoordinates, "jacobiator", counted)
-    assert scramble(direct_sum(heisenberg(3), abelian(2)), 17).validate() is None
+    monkeypatch.setattr(lie, "combinations", counted)
+    assert central.validate() is None
     assert calls == []
     # a 3-step algebra still evaluates its triples
-    filiform = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
-    assert scramble(filiform, 3).validate() is None
-    assert calls
+    assert filiform.validate() is None
+    assert len(calls) == 4
 
 
 def _raw_first_violation(dim, table):
@@ -153,11 +155,17 @@ def test_validate_witness_matches_raw_expansion():
     # the first triple at which the direct Fraction expansion is nonzero
     rng = random.Random(2011)
     tables = [(dim, _random_table(rng, dim)) for dim in range(8) for _ in range(300)]
-    for seed, (_, algebra) in enumerate(named_members()):
-        base = scramble(algebra, 500 + seed)
+    bases = [scramble(algebra, 500 + seed) for seed, (_, algebra) in enumerate(named_members())]
+    # deep tables, whose pass reaches the triples: filiform L_n with m = n - 2,
+    # and L_4 + A(k), L_4 + H(1), whose m stays 2 or 3 as n grows
+    bases += [scramble(filiform(n), 600 + n) for n in range(5, 9)]
+    others = (abelian(2), abelian(5), heisenberg(1))
+    bases += [scramble(direct_sum(filiform(4), other), 700 + seed) for seed, other in enumerate(others)]
+    for base in bases:
         n = base.dim
         if n < 3:
             continue
+        tables.append((n, dict(base.brackets)))
         for _ in range(10):
             # one entry of one bracket moved
             table = dict(base.brackets)
@@ -172,7 +180,7 @@ def test_validate_witness_matches_raw_expansion():
         expected = _raw_first_violation(dim, dict(algebra.brackets))
         assert algebra.validate() == expected, (dim, table)
         witnesses.append(expected)
-    # 2,570 tables: about a third invalid, with witnesses spread over the triples
+    # 2,664 tables: about a third invalid, with witnesses spread over the triples
     assert len(witnesses) - witnesses.count(None) > 800
     assert len(set(witnesses)) > 25
 

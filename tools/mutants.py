@@ -59,6 +59,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "validate: the Jacobi table's columns read one index late",
+        "lie.py",
+        "enumerate(zip(*[_combine(z, g, n) for g in forms]))",
+        "enumerate(zip(*[_combine(z, g, n) for g in forms]), 1)",
+        (
+            "tests/test_lie.py::test_validate_witness_matches_raw_expansion",
+        ),
+    ),
+    Mutant(
         "quotient: brackets read at the first q columns, not the section columns",
         "lie.py",
         "for (s, a), (t, b) in combinations(enumerate(cols), 2):",
@@ -281,7 +290,7 @@ def _split_factor(""",
     Mutant(
         "_gram: the check that the derived generator is central dropped",
         "decompose.py",
-        """    if any(b[0] for b in coords.beta[0].values()):
+        """    if any(_combine(derived._rows[0], g, algebra.dim)):
         raise DecompositionCheckError("derived generator is not central")
 """,
         "",
