@@ -162,10 +162,11 @@ def load_algebra_file(path: str) -> LieAlgebra:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
             raise InputError(f"{path}: 'labels' must be a list of {dim} strings")
-        # the reports print labels as they are: a newline would forge a line
+        # the reports print labels as they are, joined by spaces: a label
+        # with a newline would forge a line, one with a space read as two
         for label in labels:
-            if not label.isprintable():
-                raise InputError(f"{path}: label {_echo(repr(label))} is not printable")
+            if label.split() != [label] or not label.isprintable():
+                raise InputError(f"{path}: label {_echo(repr(label))} is not one printable word")
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise InputError(f"{path}: 'brackets' must be a list")
@@ -268,14 +269,14 @@ def load_input(text: str) -> tuple[LieAlgebra, str]:
 
 def _echo(value: object) -> str:
     """A string as an error message quotes it, or the repr of any other
-    value (an int, a pair of ints, a list read from a file): a long one
-    is cut to a prefix and its length, so it cannot flood stderr.  The
-    prefix is at most ``_MAX_ECHO`` bytes in UTF-8, and a character cut
-    at its end is dropped whole; a lone surrogate is measured as the
-    escape that stderr writes for it."""
-    text = value if isinstance(value, str) else repr(value)
+    value (an int, a pair of ints, a list read from a file), escaped by
+    ``_printable``: a long one is cut to a prefix and the length of the
+    escaped text, so it cannot flood stderr.  The prefix is at most
+    ``_MAX_ECHO`` bytes of the escaped text in UTF-8, and a character
+    cut at its end is dropped whole."""
+    text = _printable(value if isinstance(value, str) else repr(value))
     # more than _MAX_ECHO characters are more than _MAX_ECHO bytes
-    data = text[: _MAX_ECHO + 1].encode("utf-8", "backslashreplace")
+    data = text[: _MAX_ECHO + 1].encode()
     return text if len(data) <= _MAX_ECHO else f"{data[:_MAX_ECHO].decode('utf-8', 'ignore')}... ({len(text)} characters)"
 
 
@@ -283,8 +284,10 @@ def _printable(text: str) -> str:
     """text with each character that is not printable replaced by the
     escape that ``repr`` gives it (``\\n``, ``\\x1b``, ``\\udcff``), so a
     path or an argument printed in a report or a diagnostic stays on its
-    one line; printable characters, ASCII or not, are kept.  A lone
-    surrogate prints as stderr's ``backslashreplace`` would write it."""
+    one line; printable characters, ASCII or not, are kept.  The result
+    is printable, so escaping it again changes nothing: the one escape
+    of every text the CLI prints from outside, whole for a path and
+    through ``_echo`` for a quote."""
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 

@@ -631,13 +631,35 @@ def test_over_long_path_is_usage_error(capsys):
     assert "not a builtin expression or readable file" in err
 
 
-def test_unrecognized_argument_echo_is_bounded(capsys):
-    argument = "B(" + "9" * 4997 + ")"
+@pytest.mark.parametrize(
+    "argument, shown, length",
+    [
+        ("B(" + "9" * 4997 + ")", "B(999", 5000),
+        ("\x1b" * 200, "\\x1b" * 20, 800),
+        ("\u2028" * 200, "\\u2028" * 13, 1200),
+        ("x" * 30 + "\udcff" * 100, "x" * 30 + "\\udcff" * 8, 630),
+    ],
+    ids=["long", "escape", "line-separator", "lone-surrogate"],
+)
+def test_unrecognized_argument_echo_is_bounded(capsys, argument, shown, length):
+    # the quote is cut after its unprintable characters are escaped, so
+    # the bound holds for the escapes too
     code, _, err = run(capsys, "analyze", argument)
     assert code == EXIT_USAGE
-    assert err.startswith("usage error: not a builtin expression or readable file: B(999")
-    assert "(5000 characters)" in err
-    assert len(err) < 200
+    assert len(err.encode("utf-8", "backslashreplace")) <= 160  # as stderr encodes it
+    assert err.startswith(f"usage error: not a builtin expression or readable file: {shown}")
+    assert err.endswith(f"... ({length} characters)\n") and err.count("\n") == 1
+
+
+@given(st.one_of(st.text(), st.integers(), st.lists(st.integers()).map(tuple)))
+@example("\x1b" * 81)
+def test_echo_is_printable_and_bounded(value):
+    out = cli._echo(value)
+    assert out.isprintable()  # so it holds no line break
+    assert cli._printable(out) == out
+    escaped = cli._printable(value if isinstance(value, str) else repr(value))
+    head = out.removesuffix(f"... ({len(escaped)} characters)")
+    assert escaped.startswith(head) and len(head.encode()) <= cli._MAX_ECHO
 
 
 _HUGE = "x" * 5_000_000
@@ -679,14 +701,17 @@ def test_quoted_file_input_is_bounded(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "label",
-    ["a\nb: x", "x\ncapable: yes", "\r", "\t", "\x00", "\x1b[2J", "\u2028", "\ud800", "\n" + _HUGE],
+    ["a\nb: x", "x\ncapable: yes", "\r", "\t", "\x00", "\x1b[2J", "\u2028", "\ud800", "\n" + _HUGE,
+     "x 1", "", " ", "a\u00a0b"],
     ids=["newline", "forged-verdict", "carriage-return", "tab", "nul", "escape", "line-separator",
-         "lone-surrogate", "long"],
+         "lone-surrogate", "long", "space", "empty", "blank", "no-break-space"],
 )
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_unprintable_label_is_rejected(tmp_path, capsys, command, label):
-    # the text report prints labels as they are, so a label with a line
-    # break would print a line of its own, such as a fake verdict
+    # the text report prints labels as they are, joined by spaces, so a
+    # label with a line break would print a line of its own, such as a
+    # fake verdict, and an empty label or one with a space would read as
+    # a different number of labels
     path = tmp_path / "in.json"
     doc = algebra_to_doc(heisenberg(1))
     doc["labels"][1] = label
@@ -694,18 +719,25 @@ def test_unprintable_label_is_rejected(tmp_path, capsys, command, label):
     code, out, err = run(capsys, command, str(path))
     assert code == EXIT_INVALID
     assert out == ""
-    assert err.startswith(f"error: {path}: label '") and err.endswith(" is not printable\n")
+    assert err.startswith(f"error: {path}: label '") and err.endswith(" is not one printable word\n")
     assert err[:-1].isprintable()
     assert len(err.encode()) <= 300 + len(str(path))
 
 
+def test_label_with_a_space_is_rejected_in_json_mode(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(algebra_to_doc(heisenberg(1)), labels=["x", "y 1", "z"])))
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: {path}: label 'y 1' is not one printable word\n")
+
+
 def test_printable_labels_are_kept(tmp_path, capsys):
     path = tmp_path / "in.json"
-    doc = dict(algebra_to_doc(heisenberg(1)), labels=["x 1", "α", "z: 3"])
+    doc = dict(algebra_to_doc(heisenberg(1)), labels=["x1", "α", "z:3"])
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == EXIT_OK
-    assert "labels: x 1 α z: 3\n" in out
+    assert "labels: x1 α z:3\n" in out
 
 
 @pytest.mark.parametrize(

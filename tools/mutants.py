@@ -712,6 +712,25 @@ def _split_factor(""",
         ),
     ),
     Mutant(
+        "_echo cuts the raw text",
+        "cli.py",
+        "text = _printable(value if isinstance(value, str) else repr(value))",
+        "text = value if isinstance(value, str) else repr(value)",
+        (
+            "tests/test_cli.py::test_unrecognized_argument_echo_is_bounded",
+            "tests/test_cli.py::test_echo_is_printable_and_bounded",
+        ),
+    ),
+    Mutant(
+        "label rule: whitespace accepted",
+        "cli.py",
+        "if label.split() != [label] or not label.isprintable():",
+        "if not label.isprintable():",
+        (
+            "tests/test_cli.py::test_unprintable_label_is_rejected",
+        ),
+    ),
+    Mutant(
         "expression syntax: \\d instead of [0-9]",
         "cli.py",
         r'_EXPR_RE = re.compile(r"^\s*[AH]\([0-9]+\)(\s*\+\s*[AH]\([0-9]+\))*\s*$")',
