@@ -172,32 +172,32 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     elsewhere: the nonzero Gram products are those m.  Then the pairs
     are independent modulo everything else (pair a combination with b_i
     and a_i), so the basis is invertible exactly when z and the abelian
-    rows are independent, which one rank check tests."""
+    rows are independent, which holds as they are picked: the abelian
+    rows are the RREF rows of the center that enlarge span{z}, taken by
+    one elimination that starts from z."""
     dg, g = _gram(algebra)
     pairs = _symplectic_basis(dg, g)
     derived = algebra.derived_subalgebra()
+    center = algebra.center()
     m = len(pairs)
     n = algebra.dim
     k = n - 2 * m - 1
 
-    # the radical of the form is Z(L), so the complement of span{z} inside
-    # it is the abelian factor of the canonical split L = L1 + A
-    factor = algebra._abelian_split().factor
-    if factor.dim != k:
+    # the radical of the form is Z(L), so the center rows that enlarge
+    # span{z} complete the pairs and z to a basis
+    sb = SpanBuilder(n)
+    sb.add_int_row(list(derived._rows[0]))
+    abelian = [row for row in center._rows if sb.add_int_row(list(row))]
+    if len(abelian) != k:
         raise DecompositionCheckError("the abelian factor does not complete the Heisenberg pairs")
 
     vectors = [p[0] for p in pairs] + [p[1] for p in pairs] + [(derived._rows[0], derived._den)]
-    vectors += [(row, factor._den) for row in factor._rows]
+    vectors += [(row, center._den) for row in abelian]
 
     # certify: the Gram product of p_i = x_i / d_i and p_j is d_i d_j dg f(p_i, p_j)
     expected = {(i, m + i): [vectors[i][1] * vectors[m + i][1] * dg] for i in range(m)}
     if algebra._gram_products([x for x, _ in vectors]) != expected:
         raise DecompositionCheckError("rewritten constants do not match H(m) + A(k)")
-    sb = SpanBuilder(n)
-    for x, _ in vectors[2 * m :]:
-        sb.add_int_row(list(x))
-    if sb.rank != k + 1:
-        raise DecompositionCheckError("the basis is singular: z lies in the span of the abelian factor")
 
     dp = lcm(*(d for _, d in vectors))
     return Decomposition(m, k, Matrix._from_ints(n, dp, [[x * (dp // d) for x in row] for row, d in vectors]))

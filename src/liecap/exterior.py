@@ -49,11 +49,11 @@ from ``_wedge_class``.
 
 ``exterior_square`` builds L ^ L for the algebra as given.  The
 dimensions, the multiplier and the exterior center are taken instead
-through the canonical split L = L1 + A(k) off an abelian direct factor
-(``LieAlgebra._abelian_split``): only L1 ^ L1 is built, in a basis that
-lists the RREF basis of [L, L] first, so that L1 is read off the Gram
-products of that basis (``LieAlgebra._gram_products``) with no solve,
-and A enters through the Kunneth terms
+through the canonical split L = L1 + A(k) off an abelian direct factor,
+which ``_split_factor`` alone builds: only L1 ^ L1 is built, in a basis
+that lists the RREF basis of [L, L] first, so that L1 is read off the
+Gram products of that basis (``LieAlgebra._gram_products``) with no
+solve, and A enters through the Kunneth terms
 
   (L1 + A) ^ (L1 + A)  =  L1 ^ L1  +  L1/[L1, L1] (x) A  +  Lambda^2 A.
 
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .linalg import (
@@ -74,7 +75,6 @@ from .linalg import (
     Subspace,
     Vector,
     _kernel,
-    _lowest,
     _projection_rows,
     _Record,
     vector,
@@ -263,31 +263,46 @@ def _wedge_class(square: ExteriorSquare, u: Iterable[tuple[int, int]], j: int) -
 @_shared
 def _split_factor(algebra: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """``(L1, [L, L], A)`` for the canonical split L = L1 + A of a valid
-    algebra, with m = dim [L, L] = dim [L1, L1] and k = dim A.  L1 is
-    written in the first n1 = dim - k vectors f_i = b_i / den of the
-    split basis, read off their Gram products
-    (``LieAlgebra._gram_products``) with no solve.  Shared like
-    ``exterior_square``, so the entry points read [L, L] and A from
+    algebra, with m = dim [L, L] = dim [L1, L1] and k = dim A.  Shared
+    like ``exterior_square``, so the entry points read [L, L] and A from
     here, not from the instance they were given; the value holds L1,
     so L1's own shared results live as long as the entry.
 
-    The split basis must open with the RREF basis z_1..z_m of [L, L]:
-    then f_r = z_r, so the product of f_i and f_j, which is d den^2 times
-    the coordinates of [f_i, f_j] on the z_r, for the algebra's
+    A is the span of the RREF rows of the center that enlarge the span
+    of [L, L], so A is central and meets [L, L] in 0.  The split basis
+    b_i / den, int rows over one common denominator, lists the RREF
+    basis z_1..z_m of [L, L], then the unit vectors at the non-pivot
+    columns of the RREF of [L, L] + A, which complete it to a complement
+    of A, and then the rows of A; it is invertible by construction.  L1
+    is written in its first n1 = dim - k vectors f_i = b_i / den, read
+    off their Gram products (``LieAlgebra._gram_products``) with no
+    solve: f_r = z_r, so the product of f_i and f_j, which is d den^2
+    times the coordinates of [f_i, f_j] on the z_r, for the algebra's
     denominator d, gives its first m coordinates in the split basis,
-    and the rest are 0.  No product may involve a vector of A: then L1
-    is closed under the bracket and A is central, and since the basis is
-    invertible by construction, A meets [L, L] in 0.  Raises
-    ConstructionError otherwise."""
+    and the rest are 0.  No product may involve a vector of A, or L1
+    would not be closed under the bracket and A would not be central:
+    raises ConstructionError then."""
     algebra.require_valid()
-    split = algebra._abelian_split()
+    n = algebra.dim
     derived = algebra.derived_subalgebra()
-    m, n1 = derived.dim, algebra.dim - split.factor.dim
-    products = algebra._gram_products(split.basis)
-    if _lowest(split.den, split.basis[:m]) != (derived._den, derived._rows) or any(j >= n1 for _, j in products):
+    center = algebra.center()
+    sb = SpanBuilder(n)
+    for z in derived._rows:
+        sb.add_int_row(list(z))
+    factor = [row for row in center._rows if sb.add_int_row(list(row))]
+    pivots = set(sb.pivot_cols())
+    den = lcm(derived._den, center._den)
+    sd, sc = den // derived._den, den // center._den
+    basis = [[sd * x for x in z] for z in derived._rows]
+    basis += [[den * (t == i) for t in range(n)] for i in range(n) if i not in pivots]
+    basis += [[sc * x for x in a] for a in factor]
+    m, n1 = derived.dim, n - len(factor)
+    products = algebra._gram_products(basis)
+    if any(j >= n1 for _, j in products):
         raise ConstructionError("the split basis does not split off a central direct factor")
     table = {key: w + [0] * (n1 - m) for key, w in products.items()}
-    return LieAlgebra._from_int_rows(n1, algebra._den * split.den**2, table), derived, split.factor
+    a = Subspace._from_rref_ints(n, center._den, factor)
+    return LieAlgebra._from_int_rows(n1, algebra._den * den**2, table), derived, a
 
 
 def exterior_square_dim(algebra: LieAlgebra) -> int:

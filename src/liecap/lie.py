@@ -87,24 +87,6 @@ class _DerivedCoordinates(NamedTuple):
     forms: list[list[list[int]]]
 
 
-class _AbelianSplit(NamedTuple):
-    """The canonical split L = L1 + A into an ideal L1 that contains
-    [L, L] and an abelian direct factor A.
-
-    ``factor`` is A: the span of the RREF rows of the center that enlarge
-    the span of [L, L], so A is central with A and [L, L] meeting in 0.
-    The split basis is ``basis`` / ``den``, int rows over one common
-    denominator: the RREF basis of [L, L] (its first dim [L, L] rows),
-    the unit vectors at the non-pivot columns of the RREF of [L, L] + A,
-    which complete it to a complement of A, and then the rows of A: its
-    first dim - k rows span L1.
-    """
-
-    factor: Subspace
-    den: int
-    basis: list[list[int]]
-
-
 T = TypeVar("T")
 
 
@@ -160,10 +142,9 @@ class LieAlgebra(_Record):
     of every nonzero bracket with i < j.  That is canonical, so it serves
     as the key, whose hash is kept.  All derived computations are exact
     and deterministic.  The Jacobi verdict, the derived subalgebra with
-    the brackets in its certified coordinates, the center, the lower
-    central series and the split L = L1 + A off an abelian direct factor
-    are computed at most once per instance, each kept by ``_once`` in the
-    one dict ``_memo``.
+    the brackets in its certified coordinates, the center and the lower
+    central series are computed at most once per instance, each kept by
+    ``_once`` in the one dict ``_memo``.
     """
 
     __slots__ = (
@@ -386,26 +367,6 @@ class LieAlgebra(_Record):
         defect."""
         forms = self._derived_coordinates().forms
         return _kernel(self.dim, (g[j] for j in range(self.dim) for g in forms if any(g[j])))
-
-    @_once
-    def _abelian_split(self) -> _AbelianSplit:
-        """The canonical split L = L1 + A; see ``_AbelianSplit``.  Computed
-        once per instance, from the center and [L, L] alone, eliminated
-        on their int rows."""
-        n = self.dim
-        derived = self.derived_subalgebra()
-        center = self.center()
-        sb = SpanBuilder(n)
-        for z in derived._rows:
-            sb.add_int_row(list(z))
-        factor = [row for row in center._rows if sb.add_int_row(list(row))]
-        pivots = set(sb.pivot_cols())
-        den = lcm(derived._den, center._den)
-        sd, sc = den // derived._den, den // center._den
-        basis = [[sd * x for x in z] for z in derived._rows]
-        basis += [[den * (t == i) for t in range(n)] for i in range(n) if i not in pivots]
-        basis += [[sc * x for x in a] for a in factor]
-        return _AbelianSplit(Subspace._from_rref_ints(n, center._den, factor), den, basis)
 
     def bracket_span(self, s: Subspace) -> Subspace:
         """[L, S] for a subspace S.  It lies in [L, L], so the brackets

@@ -69,6 +69,24 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
     return done
 
 
+def split_basis(algebra) -> tuple[list[list[Fraction]], int]:
+    """``(basis, k)``: the basis of the canonical split L = L1 + A by its
+    stated rule, in ``Fraction`` by ``_gauss_jordan``, and k = dim A.  It
+    lists the RREF basis of [L, L], read off the brackets, then the unit
+    vectors at the non-pivot columns of the RREF of [L, L] + A, then A:
+    the RREF rows of the center that enlarge the span, in order."""
+    n = algebra.dim
+    derived = _gauss_jordan([list(c) for c in algebra.brackets.values()], n)
+    span, factor = list(derived), []
+    for row in algebra.center().basis.data:
+        if len(_gauss_jordan(span + [list(row)], n)) > len(span):
+            span.append(list(row))
+            factor.append(list(row))
+    pivots = {next(j for j, x in enumerate(r) if x) for r in _gauss_jordan(span, n)}
+    units = [[Fraction(int(t == i)) for t in range(n)] for i in range(n) if i not in pivots]
+    return derived + units + factor, len(factor)
+
+
 def fraction_solve(vectors: list[list[Fraction]], v: list[Fraction]):
     """The coefficients c with sum_t c[t] vectors[t] = v, for linearly
     independent vectors, by Gauss-Jordan on the augmented rows of

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import form_value, matrix_symplectic_basis, rank_by_minors
-from liecap import capability, decompose
+from liecap import capability, decompose, exterior
 from liecap.cli import EXIT_INTERNAL, EXIT_OK, main
 from liecap.decompose import (
     AbelianAlgebraError,
@@ -298,23 +298,6 @@ def test_certificate_checks_every_gram_product(monkeypatch, edit):
     assert (dec.m, dec.k) == (2, 1)
 
 
-def test_certificate_checks_that_the_basis_is_invertible(monkeypatch):
-    # an abelian factor that contains z passes every Gram product (both
-    # are central) and has dimension k, but z and its rows are dependent
-    L = scramble(direct_sum(heisenberg(1), abelian(2)), 79)
-    split = L._abelian_split()
-    z = L.derived_subalgebra().basis.data[0]
-    factor = Subspace.span(L.dim, [z, split.factor.basis.data[0]])
-    assert factor.dim == split.factor.dim == 2 and factor.contains(z)
-    monkeypatch.setattr(LieAlgebra, "_abelian_split", lambda self: split._replace(factor=factor))
-    for _ in range(2):
-        with pytest.raises(DecompositionCheckError, match="the basis is singular"):
-            heisenberg_decompose(L)
-    monkeypatch.undo()
-    dec = heisenberg_decompose(L)
-    assert (dec.m, dec.k) == (1, 2)
-
-
 def test_decomposition_is_a_value_with_a_lazy_basis_change(monkeypatch, capsys):
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 80)
     dec = heisenberg_decompose(L)
@@ -372,9 +355,52 @@ def test_noncentral_derived_generator_is_a_defect(monkeypatch, capsys):
     assert "derived generator is not central" in capsys.readouterr().err
 
 
-def test_abelian_factor_must_complete_the_pairs(monkeypatch):
-    # with the center lost, the split of H(1) + A(1) has no abelian factor,
-    # one short of the k = 1 the form's radical counts
-    monkeypatch.setattr(LieAlgebra, "center", lambda self: Subspace.zero(self.dim))
-    with pytest.raises(DecompositionCheckError, match="abelian factor does not complete"):
-        heisenberg_decompose(direct_sum(heisenberg(1), abelian(1)))
+def _center_lost(L):
+    # H(1) + A(1) then has no abelian row, one short of the k = 1 the
+    # form's radical counts
+    return Subspace.zero(L.dim)
+
+
+def _center_holding_z(L):
+    # z and one abelian row: a center of dimension k = 2 whose rows pass
+    # every Gram product (both are central), but only one of them
+    # enlarges span{z}
+    z = L.derived_subalgebra().basis.data[0]
+    center = Subspace.span(L.dim, [z, exterior._split_factor(L)[2].basis.data[0]])
+    assert center.dim == 2 and center.contains(z)
+    return center
+
+
+@pytest.mark.parametrize(
+    "algebra, center, expected",
+    [
+        (direct_sum(heisenberg(1), abelian(1)), _center_lost, (1, 1)),
+        (scramble(direct_sum(heisenberg(1), abelian(2)), 79), _center_holding_z, (1, 2)),
+    ],
+    ids=["center lost", "center holding z"],
+)
+def test_abelian_factor_must_complete_the_pairs(monkeypatch, algebra, center, expected):
+    patched = center(algebra)
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: patched)
+    for _ in range(2):
+        with pytest.raises(DecompositionCheckError, match="abelian factor does not complete"):
+            heisenberg_decompose(algebra)
+    monkeypatch.undo()
+    dec = heisenberg_decompose(algebra)
+    assert (dec.m, dec.k) == expected
+
+
+def test_decomposition_agrees_with_the_split(frozen_catalog):
+    # the certificate and the split of exterior pick their abelian rows
+    # apart, each as the RREF rows of the center that enlarge [L, L]
+    corpus = [(name, L) for name, L in frozen_catalog if L.derived_subalgebra().dim == 1 and L.is_nilpotent()]
+    corpus += [
+        (f"H({m})+A({k}) scrambled", scramble(direct_sum(heisenberg(m), abelian(k)), 4_300 + 5 * m + k))
+        for m in range(1, 5)
+        for k in range(5)
+    ]
+    for name, L in corpus:
+        dec = heisenberg_decompose(L)
+        rows, z = dec.basis_change.data, 2 * dec.m
+        assert Subspace.span(L.dim, rows[z + 1 :]) == exterior._split_factor(L)[2], name
+        assert Subspace.span(L.dim, rows[z : z + 1]) == L.derived_subalgebra(), name

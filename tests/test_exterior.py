@@ -28,6 +28,7 @@ from conftest import (
     filiform,
     full_width_projection,
     null_space,
+    split_basis,
     symbol_exterior_square,
 )
 
@@ -515,7 +516,7 @@ def test_shared_results_go_with_their_algebra():
 # every shared function, with a dependency that only its computation calls
 SHARED = [
     (exterior_square, "_relation_projection"),
-    (exterior._split_factor, "_lowest"),
+    (exterior._split_factor, "lcm"),
     (exterior._square_center, "_kernel"),
 ]
 
@@ -553,13 +554,13 @@ def test_verify_paper_shares_its_exterior_results():
         """
         from liecap import cli, exterior
         counts = {}
-        for name in ("_relation_projection", "_lowest", "_kernel"):
+        for name in ("_relation_projection", "lcm", "_kernel"):
             def counted(*args, _name=name, _f=getattr(exterior, name)):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _f(*args)
             setattr(exterior, name, counted)
         passed = all(check["pass"] for check in cli._verify_checks())
-        print(passed, counts["_relation_projection"], counts["_lowest"], counts["_kernel"])
+        print(passed, counts["_relation_projection"], counts["lcm"], counts["_kernel"])
         """
     )
     src = str(Path(exterior.__file__).resolve().parents[1])
@@ -627,6 +628,23 @@ def test_elimination_stops_at_full_rank_on_heisenberg(monkeypatch, m):
     assert rank == touched == 2 * m
     assert total == math.comb(2 * m, 3)
     assert fed < total or m == 2
+
+
+@pytest.mark.parametrize(
+    "algebra, expected",
+    [
+        (heisenberg(6), (24, 60)),
+        (scramble(heisenberg(6), 3), (56, 220)),
+        (scramble(direct_sum(heisenberg(5), abelian(2)), 3), (37, 120)),
+    ],
+    ids=["H(6)", "H(6) scrambled", "H(5)+A(2) scrambled"],
+)
+def test_elimination_stops_at_the_documented_row(monkeypatch, algebra, expected):
+    # the stops the module docstring and the README state: they hold
+    # because the split basis of L1 opens with [L, L]
+    fed, total, touched, rank = _stop(monkeypatch, algebra)
+    assert (fed, total) == expected
+    assert rank == touched
 
 
 @pytest.mark.parametrize(
@@ -712,13 +730,13 @@ def test_split_matches_full_construction(frozen_catalog):
 
 
 def _oracle_factor(algebra):
-    """L1 from the Fraction oracle: L rewritten in the split basis by
-    ``FractionBracketOracle.change_basis``, which inverts the basis, cut
-    to the brackets of the first n1 = dim - k vectors and their first n1
-    coordinates."""
-    split = algebra._abelian_split()
-    n, n1 = algebra.dim, algebra.dim - split.factor.dim
-    p = Matrix.from_rows([[Fraction(x, split.den) for x in row] for row in split.basis], cols=n)
+    """L1 from the Fraction oracle: L rewritten in conftest's
+    ``split_basis`` by ``FractionBracketOracle.change_basis``, which
+    inverts the basis, cut to the brackets of the first n1 = dim - k
+    vectors and their first n1 coordinates."""
+    basis, k = split_basis(algebra)
+    n, n1 = algebra.dim, algebra.dim - k
+    p = Matrix.from_rows(basis, cols=n)
     rewritten = FractionBracketOracle(algebra).change_basis(p)
     return LieAlgebra(n1, {(i, j): c[:n1] for (i, j), c in rewritten.brackets.items() if j < n1})
 
@@ -754,20 +772,6 @@ def test_split_is_block_diagonal(monkeypatch, tmp_path):
         with pytest.raises(ConstructionError, match="central direct factor"):
             entry(algebra)
     assert cli.main(["analyze", str(path), "--method", "oracle"]) == cli.EXIT_INTERNAL
-
-
-def test_split_checks_brackets_stay_in_derived_coordinates():
-    # H(1)+A(1) with the split basis [e1, e3, e2, e4]: the [L, L] row comes
-    # second and A stays last, so every bracket stays inside L1 (j < n1),
-    # but [f1, f3] = 3 f2 lands in coordinate 1, past m = 1.  The split is
-    # shared while an equal algebra is alive, so the table is one that no
-    # other test builds
-    algebra = LieAlgebra(4, {(0, 1): (0, 0, 3, 0)})
-    e = [[int(t == i) for t in range(4)] for i in range(4)]
-    split = lie._AbelianSplit(Subspace.span(4, [e[3]]), 1, [e[0], e[2], e[1], e[3]])
-    algebra._memo[LieAlgebra._abelian_split.__wrapped__] = split
-    with pytest.raises(ConstructionError, match="central direct factor"):
-        exterior._split_factor(algebra)
 
 
 def test_split_checks_exterior_center_inside_derived(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FractionBracketOracle, filiform, raw_jacobi_residual
+from conftest import FractionBracketOracle, filiform, raw_jacobi_residual, split_basis
 from liecap import lie
 from liecap.cli import build_report
 from liecap.capability import named_members
@@ -504,18 +504,17 @@ def test_change_basis_preserves_invariants(seed):
 
 def _library_bases(algebra, rng):
     """Sparse bases that the library builds: the split basis of
-    L = L1 + A, the quotient section over the center (the unit vectors
-    at its non-pivot columns, then its RREF rows) and a seeded
-    permutation of the unit vectors."""
+    L = L1 + A, by conftest's ``split_basis``, the quotient section over
+    the center (the unit vectors at its non-pivot columns, then its RREF
+    rows) and a seeded permutation of the unit vectors."""
     n = algebra.dim
-    split = algebra._abelian_split()
     center = algebra.center()
     pivots = center.pivot_cols()
     section = [unit_vector(n, c) for c in range(n) if c not in pivots] + list(center.basis.data)
     order = list(range(n))
     rng.shuffle(order)
     return {
-        "split": Matrix.from_rows([[Fraction(x, split.den) for x in row] for row in split.basis], cols=n),
+        "split": Matrix.from_rows(split_basis(algebra)[0], cols=n),
         "quotient section": Matrix.from_rows(section, cols=n),
         "permutation": Matrix.from_rows([unit_vector(n, i) for i in order], cols=n),
     }

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _gauss_jordan, det_cofactor, fraction_solve, null_space, rank_by_minors
+from liecap import exterior
 from liecap.lie import heisenberg
 from liecap.linalg import (
     Matrix,
@@ -511,7 +512,7 @@ def test_int_subspace_matches_fraction_gauss_jordan(frozen_catalog):
     for name, algebra in frozen_catalog:
         n = algebra.dim
         terms = [algebra.derived_subalgebra(), algebra.center(), *algebra.lower_central_series()]
-        terms.append(algebra._abelian_split().factor)
+        terms.append(exterior._split_factor(algebra)[2])
         for s in dict.fromkeys(terms):
             vectors = []
             for i in [*range(s.dim), -1, -1]:  # -1: a combination of every row

@@ -29,12 +29,6 @@ MEMOIZED = [
     ("validate", LieAlgebra.validate, _not_lie, (LieAlgebra, "_derived_coordinates")),
     ("_derived_coordinates", LieAlgebra._derived_coordinates, _filiform, (lie, "SpanBuilder")),
     ("center", LieAlgebra.center, _filiform, (lie, "_kernel")),
-    (
-        "_abelian_split",
-        LieAlgebra._abelian_split,
-        lambda: scramble(direct_sum(heisenberg(1), abelian(2)), 4),
-        (LieAlgebra, "center"),
-    ),
     ("_series_terms", LieAlgebra.lower_central_series, _filiform, (LieAlgebra, "bracket_span")),
     (
         "_certified_decomposition",

@@ -309,14 +309,13 @@ def _split_factor(""",
         ),
     ),
     Mutant(
-        "certificate: the check that z and the abelian rows are independent dropped",
+        "certificate: every center row taken as an abelian row, with no enlargement test",
         "decompose.py",
-        """    if sb.rank != k + 1:
-        raise DecompositionCheckError("the basis is singular: z lies in the span of the abelian factor")
-""",
-        "",
+        "abelian = [row for row in center._rows if sb.add_int_row(list(row))]",
+        "abelian = list(center._rows)",
         (
-            "tests/test_decompose.py::test_certificate_checks_that_the_basis_is_invertible",
+            "tests/test_decompose.py::test_decomposition_agrees_with_the_split",
+            "tests/test_decompose.py::test_decompose_canonical_inputs",
         ),
     ),
     Mutant(
@@ -585,12 +584,13 @@ def _split_factor(""",
         ),
     ),
     Mutant(
-        "split: the check that the basis opens with [L, L] dropped",
+        "split: every center row taken into A, with no enlargement test",
         "exterior.py",
-        "if _lowest(split.den, split.basis[:m]) != (derived._den, derived._rows) or any(j >= n1 for _, j in products):",
-        "if any(j >= n1 for _, j in products):",
+        "factor = [row for row in center._rows if sb.add_int_row(list(row))]",
+        "factor = list(center._rows)",
         (
-            "tests/test_exterior.py::test_split_checks_brackets_stay_in_derived_coordinates",
+            "tests/test_decompose.py::test_decomposition_agrees_with_the_split",
+            "tests/test_exterior.py::test_split_factor_matches_fraction_oracle",
         ),
     ),
     Mutant(
