@@ -7,9 +7,11 @@ alternating bilinear form f, a symplectic Gram-Schmidt pass over f
 yields the Heisenberg pairs, and what is left over is the abelian part.
 The decomposition returns an explicit change of basis and re-checks it
 from the Gram products of the new basis, so a returned witness is
-always certified.  It is kept per algebra instance by ``lie._once``,
-like every other invariant of a ``LieAlgebra``, not in a cache shared
-between equal algebras as the exterior squares are (``lie`` says why).
+always certified.  ``heisenberg_decompose``, gate and certificate, is
+kept per algebra instance by ``lie._once``, like every other invariant
+of a ``LieAlgebra``, not in a cache shared between equal algebras as
+the exterior squares are (``lie`` says why).  ``_once`` stores no
+failure, so a rejection is raised again on every call.
 """
 
 from __future__ import annotations
@@ -76,11 +78,14 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
 
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
     f-orthogonal to each other, each vector an int row over its own
-    positive denominator.  The vectors left over span the radical of
-    the form and are dropped: the certificate takes the abelian part
-    from the center.  Pair selection is deterministic:
-    vectors are scanned in ascending index order and the first nonzero
-    pairing wins.
+    positive denominator.  Pair selection is deterministic: each round
+    takes the first working vector a and its first partner among the
+    later working vectors.  A vector with no partner is in the radical
+    of the form; the projections leave it as it is, so it never pairs
+    and leaves the pass at once: the certificate takes the abelian part
+    from the center.  This is the lexicographically first pairing
+    (a, b) of the working vectors, since every vector before that a
+    pairs with nothing.
 
     Each working vector v keeps the Gram column G e_i of the unit vector
     e_i it started from.  v - e_i is a combination of the pairs found so
@@ -96,25 +101,17 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
     # (x, dx, gx): the vector x / dx and the Gram column dg G e_i it keeps
     working = [([int(t == i) for t in range(n)], 1, columns[i]) for i in range(n)]
     pairs: list[tuple[_Row, _Row]] = []
-    while True:
-        hit = None
-        for ai in range(len(working)):
-            for bi in range(ai + 1, len(working)):
-                if _dot(working[ai][0], working[bi][2]):
-                    hit = (ai, bi)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        ai, bi = hit
-        a, da, ga = working[ai]
+    while working:
+        a, da, ga = working[0]
+        bi = next((t for t in range(1, len(working)) if _dot(a, working[t][2])), None)
+        if bi is None:
+            # a is in the radical: no projection moves it, so it never pairs
+            working = working[1:]
+            continue
         v, dv, gv = working[bi]
         c = _dot(a, gv)  # f(a, v) = c / (da dg)
         rest = []
-        for t, item in enumerate(working):
-            if t in (ai, bi):
-                continue
+        for item in working[1:bi] + working[bi + 1 :]:
             x, dx, gx = item
             # project x onto the f-complement of the pair (a, b), b = v / f(a, v):
             # first x + f(x, a) b, with f(x, a) = (x . ga) / (dx dg) ...
@@ -137,36 +134,22 @@ def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _
     return pairs
 
 
+@_once
 def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
     """Certified decomposition L = H(m) + A(k) for nilpotent L with a
     one-dimensional derived subalgebra.
 
     Abelian input raises AbelianAlgebraError (there is no H(0));
     dim [L, L] >= 2 is outside the scope of this routine and raises
-    ValueError.  The gate runs on every call; behind it the certified
-    decomposition is computed once per algebra instance, in the
-    algebra's own memo, and returned again by later calls.  A rejection
-    or a failed certification is raised afresh each time.
-    """
-    algebra.require_valid()
-    derived_dim = algebra.derived_subalgebra().dim
-    if derived_dim == 0:
-        raise AbelianAlgebraError("abelian algebra: nothing to decompose")
-    if derived_dim >= 2:
-        raise ValueError("decomposition requires dim [L, L] = 1")
-    if not algebra.is_nilpotent():
-        raise ValueError("decomposition requires a nilpotent algebra")
-    return _certified_decomposition(algebra)
+    ValueError.  The gate and the certificate run once per algebra
+    instance until they succeed: the decomposition is kept in the
+    algebra's own memo and returned again by later calls, while a
+    rejection or a failed certification is raised afresh each time.
 
-
-@_once
-def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
-    """The decomposition of a gated algebra, certified from the Gram
-    products (``LieAlgebra._gram_products``) of its basis
-    p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the abelian factor.
-
-    Every bracket is certified f(x, y) z as the Gram matrix is read, and
-    z is the basis vector p_2m, so the rewritten constants are
+    The certificate reads the Gram products (``LieAlgebra._gram_products``)
+    of the basis p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the abelian
+    factor.  Every bracket is certified f(x, y) z as the Gram matrix is
+    read, and z is the basis vector p_2m, so the rewritten constants are
     [p_i, p_j] = f(p_i, p_j) p_2m: they are those of H(m) + A(k) exactly
     when, for i < j, f(p_i, p_j) is 1 at (i, m + i) with i < m and 0
     elsewhere: the nonzero Gram products are those m.  Then the pairs
@@ -174,10 +157,18 @@ def _certified_decomposition(algebra: LieAlgebra) -> Decomposition:
     and a_i), so the basis is invertible exactly when z and the abelian
     rows are independent, which holds as they are picked: the abelian
     rows are the RREF rows of the center that enlarge span{z}, taken by
-    one elimination that starts from z."""
+    one elimination that starts from z.
+    """
+    algebra.require_valid()
+    derived = algebra.derived_subalgebra()
+    if derived.dim == 0:
+        raise AbelianAlgebraError("abelian algebra: nothing to decompose")
+    if derived.dim >= 2:
+        raise ValueError("decomposition requires dim [L, L] = 1")
+    if not algebra.is_nilpotent():
+        raise ValueError("decomposition requires a nilpotent algebra")
     dg, g = _gram(algebra)
     pairs = _symplectic_basis(dg, g)
-    derived = algebra.derived_subalgebra()
     center = algebra.center()
     m = len(pairs)
     n = algebra.dim

@@ -505,8 +505,6 @@ class LieAlgebra(_Record):
 
 def abelian(n: int) -> LieAlgebra:
     """A(n): the n-dimensional algebra with all brackets zero."""
-    if n < 0:
-        raise ValueError("negative dimension")
     return LieAlgebra(n, {}, labels=tuple(f"x{i + 1}" for i in range(n)))
 
 

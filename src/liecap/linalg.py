@@ -561,8 +561,6 @@ def _kernel(ncols: int, rows: Iterable[Sequence[int]]) -> Subspace:
 def random_invertible(n: int, rng: random.Random) -> Matrix:
     """Deterministic (given rng) random invertible matrix with small
     rational entries; used for change-of-basis scrambles."""
-    if n == 0:
-        return Matrix(0, 0, ())
     while True:
         data = [
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]

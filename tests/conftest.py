@@ -261,8 +261,10 @@ def matrix_symplectic_basis(gram):
     matrix-vector product.
 
     The same pair selection as the library (ascending scan, first
-    nonzero pairing wins), without its Gram-column shortcut; the
-    differential tests compare the two on the pairs.
+    nonzero pairing wins), without its Gram-column shortcut, and by a
+    double scan that keeps every vector that pairs with nothing, where
+    the library drops it at once; the differential tests compare the
+    two on the pairs.
     """
     from liecap.linalg import Subspace, unit_vector, vec_add, vec_scale
 
@@ -300,7 +302,8 @@ class FractionBracketOracle:
     """The commutator computations of ``LieAlgebra`` redone in
     ``Fraction`` arithmetic from the public ``bracket`` alone: ``ad``
     reads the basis brackets [e_i, e_j] once and extends them linearly,
-    ``change_basis`` brackets the new basis vectors directly, and
+    ``change_basis`` brackets the new basis vectors directly and
+    inverts the basis with ``_gauss_jordan``, and
     ``quotient`` projects the basis brackets at the quotient section.
     Used for a differential test of the library's integer table."""
 
@@ -370,15 +373,22 @@ class FractionBracketOracle:
 
     def change_basis(self, p):
         """Brackets of the rows f_i of p, written in the f basis: the
-        coordinates y of w = sum_k y_k f_k solve p^T y = w."""
+        coordinates y of w = sum_k y_k f_k solve p^T y = w, so y_k is
+        column k of p^-1 dotted with w.  p^-1 is read off the RREF
+        [I | p^-1] of [p | I] by ``_gauss_jordan``, not by the library's
+        elimination, which ``LieAlgebra.change_basis`` runs."""
         from liecap.lie import LieAlgebra
 
-        to_f = p.inverse().transpose()
-        f = p.data
-        consts = {
-            (i, j): to_f.mul_vec(self.bracket(f[i], f[j])) for i in range(self.n) for j in range(i + 1, self.n)
-        }
-        return LieAlgebra(self.n, consts)
+        n, f = self.n, p.data
+        reduced = _gauss_jordan([list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(f)], n)
+        assert len(reduced) == n, "singular basis"
+        to_f = list(zip(*(row[n:] for row in reduced)))
+
+        def coordinates(w):
+            return [sum(x * y for x, y in zip(col, w)) for col in to_f]
+
+        consts = {(i, j): coordinates(self.bracket(f[i], f[j])) for i in range(n) for j in range(i + 1, n)}
+        return LieAlgebra(n, consts)
 
     def quotient(self, s):
         """L / S with its projection, read off the RREF rows z_r of S with

@@ -200,6 +200,34 @@ def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
     assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
 
 
+def _skew_with_zero_rows_first(seed):
+    # a random alternating form whose first r >= 1 rows and columns are
+    # zero, on n = r + s with s >= 1, so the pass meets radical vectors
+    # before its first pairing vector (and, for odd s, after it too)
+    rng = random.Random(seed)
+    r, s = rng.randint(1, 3), rng.randint(1, 6)
+    raw = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)]
+    block = [[raw[i][j] - raw[j][i] for j in range(s)] for i in range(s)]
+    return Matrix.from_rows([[0] * (r + s)] * r + [[0] * r + row for row in block], cols=r + s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda m=m, k=k: gram_matrix(direct_sum(abelian(k), heisenberg(m))) for m in (1, 2, 3) for k in (1, 2, 3)]
+    + [lambda seed=seed: _skew_with_zero_rows_first(seed) for seed in range(12)],
+    ids=[f"A({k})+H({m})" for m in (1, 2, 3) for k in (1, 2, 3)] + [f"skew-{seed}" for seed in range(12)],
+)
+def test_radical_vectors_before_the_first_pair_match_matrix_oracle(make):
+    # a vector that pairs with nothing leaves the pass alone, and the
+    # pairs are still the oracle's (its double scan keeps every vector)
+    gram = make()
+    pairs = symplectic_basis(gram)
+    oracle_pairs, radical = matrix_symplectic_basis(gram)
+    assert pairs == oracle_pairs
+    assert 2 * len(pairs) == gram.rank()
+    assert radical == kernel_basis(gram)
+
+
 def test_lower_central_series_returns_a_fresh_list():
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 3)
     first = L.lower_central_series()
@@ -302,7 +330,7 @@ def test_decomposition_is_a_value_with_a_lazy_basis_change(monkeypatch, capsys):
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 80)
     dec = heisenberg_decompose(L)
     assert dec.basis_change._data is None  # nothing read the Fraction basis yet
-    fresh = decompose._certified_decomposition.__wrapped__(L)
+    fresh = heisenberg_decompose.__wrapped__(L)
     public = Decomposition(dec.m, dec.k, dec.basis_change)
     assert public == dec and hash(public) == hash(dec)
     # a comparison reads the basis of a fresh value

@@ -91,6 +91,13 @@ def test_rref_rank_one():
     assert s.pivot_cols() == (0,)
 
 
+def test_random_invertible_of_size_zero_draws_nothing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert random_invertible(0, rng) == Matrix(0, 0, ())
+    assert rng.getstate() == state
+
+
 def test_rref_of_random_invertible_is_identity():
     # invertibility is certified by an independent cofactor determinant
     rng = random.Random(2024)

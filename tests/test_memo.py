@@ -31,7 +31,7 @@ MEMOIZED = [
     ("center", LieAlgebra.center, _filiform, (lie, "_kernel")),
     ("_series_terms", LieAlgebra.lower_central_series, _filiform, (LieAlgebra, "bracket_span")),
     (
-        "_certified_decomposition",
+        "heisenberg_decompose",
         heisenberg_decompose,
         lambda: scramble(direct_sum(heisenberg(2), abelian(1)), 5),
         (decompose, "_gram"),

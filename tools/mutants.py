@@ -343,6 +343,26 @@ def _split_factor(""",
         ),
     ),
     Mutant(
+        "symplectic pass: the radical drop takes two vectors",
+        "decompose.py",
+        "working = working[1:]",
+        "working = working[2:]",
+        (
+            "tests/test_decompose.py::test_radical_vectors_before_the_first_pair_match_matrix_oracle[A(1)+H(1)]",
+            "tests/test_decompose.py::test_radical_vectors_before_the_first_pair_match_matrix_oracle[skew-1]",
+        ),
+    ),
+    Mutant(
+        "symplectic pass: the partner search starts from the end",
+        "decompose.py",
+        "range(1, len(working))",
+        "reversed(range(1, len(working)))",
+        (
+            "tests/test_decompose.py::test_symplectic_basis_random_skew[5]",
+            "tests/test_decompose.py::test_radical_vectors_before_the_first_pair_match_matrix_oracle[skew-0]",
+        ),
+    ),
+    Mutant(
         "d3: the [e_i, e_k] ^ e_j term dropped",
         "exterior.py",
         "(support.get((j, k)), i, 1), (support.get((i, k)), j, -1))",
