@@ -3,8 +3,9 @@ subalgebra.
 
 Any such algebra is isomorphic to H(m) + A(k) for exactly one pair
 (m, k): writing [x, y] = f(x, y) z for the derived generator z gives an
-alternating bilinear form f, a symplectic Gram-Schmidt pass over f
-yields the Heisenberg pairs, and what is left over is the abelian part.
+alternating bilinear form f whose radical is the center, a symplectic
+Gram-Schmidt pass over f yields the (n - dim Z(L)) / 2 Heisenberg pairs,
+and what is left over is the abelian part.
 The decomposition returns an explicit change of basis and re-checks it
 from the Gram products of the new basis, so a returned witness is
 always certified.  ``heisenberg_decompose``, gate and certificate, is
@@ -72,65 +73,71 @@ def _gram(algebra: LieAlgebra) -> tuple[int, list[list[int]]]:
     return algebra._den, g
 
 
-def _symplectic_basis(dg: int, g: Sequence[Sequence[int]]) -> list[tuple[_Row, _Row]]:
+def _projected(i: int, dg: int, g: Sequence[Sequence[int]], pairs: list[tuple[_Row, _Row]]) -> _Row:
+    """The working vector of the pass that started from e_i: e_i projected
+    onto the f-complement of the pairs found so far, in lowest terms.
+
+    The pairs are f-orthonormal, so the projection steps of the pairs add
+    up to one closed form, e_i + sum_j [f(e_i, a_j) b_j - f(e_i, b_j) a_j],
+    with f(e_i, y) = (g[i] . y) / (dg dy) for y = y / dy: 2 dot products
+    and at most 2 row updates per pair, over one common denominator.
+    """
+    d = dg * lcm(*(da * db for (_, da), (_, db) in pairs))
+    x = [0] * len(g)
+    x[i] = d
+    for (a, da), (b, db) in pairs:
+        q = d // (dg * da * db)
+        s, t = q * _dot(g[i], a), q * _dot(g[i], b)
+        if s:
+            x = [y + s * w for y, w in zip(x, b)]
+        if t:
+            x = [y - t * w for y, w in zip(x, a)]
+    dx, (x,) = _lowest(d, [x])
+    return x, dx
+
+
+def _symplectic_basis(dg: int, g: Sequence[Sequence[int]], m: int) -> list[tuple[_Row, _Row]]:
     """Symplectic Gram-Schmidt over Q on the form with Gram matrix g / dg,
-    for int rows g over a positive denominator dg.
+    for int rows g over a positive denominator dg, stopping after m pairs.
 
     Returns hyperbolic pairs (a_i, b_i) with f(a_i, b_i) = 1 and
     f-orthogonal to each other, each vector an int row over its own
-    positive denominator.  Pair selection is deterministic: each round
-    takes the first working vector a and its first partner among the
-    later working vectors.  A vector with no partner is in the radical
-    of the form; the projections leave it as it is, so it never pairs
-    and leaves the pass at once: the certificate takes the abelian part
-    from the center.  This is the lexicographically first pairing
-    (a, b) of the working vectors, since every vector before that a
-    pairs with nothing.
+    positive denominator: at most m of them, and exactly m when the form
+    has rank 2m, as it has when m is half of n - dim Z(L).  Pair
+    selection is deterministic: each round takes the first working
+    vector a and its first partner among the later working vectors.  A
+    vector with no partner is in the radical of the form; the
+    projections leave it as it is, so it never pairs and leaves the pass
+    at once: the certificate takes the abelian part from the center.
+    This is the lexicographically first pairing (a, b) of the working
+    vectors, since every vector before that a pairs with nothing.
 
-    Each working vector v keeps the Gram column G e_i of the unit vector
-    e_i it started from.  v - e_i is a combination of the pairs found so
-    far, and every x the pass evaluates f(x, v) at is f-orthogonal to
-    those pairs, so f(x, v) = x . G e_i exactly: one O(n) dot product,
-    with a column that never needs updating.  The pass runs on ints: each
-    working vector is an int row over its own denominator, in lowest
-    terms, so every pairing is an int dot product of it with a column of
-    g.  A vector that neither projection step moves stays as it is.
+    The working list holds only the indices i of the unit vectors e_i.
+    Each round builds the full working vector (``_projected``) of just
+    the indices it looks at: the first one, a, and its partner.  Every x
+    the pass evaluates f(x, v) at is f-orthogonal to the pairs found so
+    far, and v - e_i is a combination of them, so f(x, v) = x . G e_i
+    exactly: one O(n) int dot product with a column of g, and the other
+    working vectors are never built.  So the pass does O(m^2 n) row work,
+    and a vector that pairs comes out in lowest terms.
     """
     n = len(g)
     columns = [[row[i] for row in g] for i in range(n)]
-    # (x, dx, gx): the vector x / dx and the Gram column dg G e_i it keeps
-    working = [([int(t == i) for t in range(n)], 1, columns[i]) for i in range(n)]
+    working = list(range(n))
     pairs: list[tuple[_Row, _Row]] = []
-    while working:
-        a, da, ga = working[0]
-        bi = next((t for t in range(1, len(working)) if _dot(a, working[t][2])), None)
+    while working and len(pairs) < m:
+        a, da = _projected(working[0], dg, g, pairs)
+        bi = next((t for t in range(1, len(working)) if _dot(a, columns[working[t]])), None)
         if bi is None:
             # a is in the radical: no projection moves it, so it never pairs
             working = working[1:]
             continue
-        v, dv, gv = working[bi]
-        c = _dot(a, gv)  # f(a, v) = c / (da dg)
-        rest = []
-        for item in working[1:bi] + working[bi + 1 :]:
-            x, dx, gx = item
-            # project x onto the f-complement of the pair (a, b), b = v / f(a, v):
-            # first x + f(x, a) b, with f(x, a) = (x . ga) / (dx dg) ...
-            s = _dot(x, ga)
-            if s:
-                x = [y * dv * c + s * da * w for y, w in zip(x, v)]
-                dx *= dv * c
-            # ... then x - f(x, b) a, with f(x, b) = (x . gv) da / (dx c)
-            s = _dot(x, gv)
-            if s:
-                x = [y * c - s * w for y, w in zip(x, a)]
-                dx *= c
-            if x is not item[0]:
-                dx, (x,) = _lowest(dx, [x])
-            rest.append((x, dx, gx))
+        v, dv = _projected(working[bi], dg, g, pairs)
+        c = _dot(a, columns[working[bi]])  # f(a, v) = c / (da dg)
         # b = v da dg / (dv c), so that f(a, b) = 1
         db, (b,) = _lowest(dv * c, [[y * da * dg for y in v]])
         pairs.append(((a, da), (b, db)))
-        working = rest
+        working = working[1:bi] + working[bi + 1 :]
     return pairs
 
 
@@ -145,6 +152,12 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
     instance until they succeed: the decomposition is kept in the
     algebra's own memo and returned again by later calls, while a
     rejection or a failed certification is raised afresh each time.
+
+    The radical of the form is Z(L), so the pass is told to stop after
+    (n - dim Z(L)) / 2 pairs, read off the center before it runs.  A
+    wrong count cannot give a wrong answer: one too small leaves the
+    abelian factor short of the k it implies, and one too large runs the
+    pass out of partners, which gives the same pairs.
 
     The certificate reads the Gram products (``LieAlgebra._gram_products``)
     of the basis p_0..p_{n-1} = a_1..a_m, b_1..b_m, z, then the abelian
@@ -168,10 +181,11 @@ def heisenberg_decompose(algebra: LieAlgebra) -> Decomposition:
     if not algebra.is_nilpotent():
         raise ValueError("decomposition requires a nilpotent algebra")
     dg, g = _gram(algebra)
-    pairs = _symplectic_basis(dg, g)
     center = algebra.center()
-    m = len(pairs)
     n = algebra.dim
+    # stop the pass at the rank of the form, n - dim Z(L)
+    pairs = _symplectic_basis(dg, g, (n - center.dim) // 2)
+    m = len(pairs)
     k = n - 2 * m - 1
 
     # the radical of the form is Z(L), so the center rows that enlarge

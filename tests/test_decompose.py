@@ -36,9 +36,13 @@ def gram_matrix(algebra):
 
 def symplectic_basis(gram):
     """``_symplectic_basis`` on a ``Fraction`` Gram matrix, brought to int
-    rows over one denominator; its pairs come back as ``Fraction`` vectors."""
+    rows over one denominator; its pairs come back as ``Fraction`` vectors.
+    The pass runs with the exact pair count, half the rank of the form, and
+    with the upper bound n // 2, and both must give the same pairs."""
     dg = math.lcm(*(x.denominator for row in gram.data for x in row))
-    pairs = _symplectic_basis(dg, [[int(x * dg) for x in row] for row in gram.data])
+    g = [[int(x * dg) for x in row] for row in gram.data]
+    pairs = _symplectic_basis(dg, g, gram.rank() // 2)
+    assert _symplectic_basis(dg, g, gram.rows // 2) == pairs
     return [tuple(tuple(Fraction(x, d) for x in row) for row, d in pair) for pair in pairs]
 
 
@@ -200,6 +204,55 @@ def test_gram_column_pass_matches_matrix_oracle(frozen_catalog):
     assert checked == 12 * 11  # H(m) and H(m)+A(k), each with ten scrambles
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gram_column_pass_matches_matrix_oracle_at_n18(m):
+    # the Gram forms of the formula-scrambled families H(m) + A(17 - 2m)
+    gram = gram_matrix(scramble(direct_sum(heisenberg(m), abelian(17 - 2 * m)), 4_500 + m))
+    pairs = symplectic_basis(gram)
+    assert len(pairs) == m
+    assert pairs == matrix_symplectic_basis(gram)[0]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_pair_count_cannot_get_through(monkeypatch, delta):
+    # one pair too few leaves the abelian factor one row short of the k it
+    # implies; one pair too many runs the pass out of partners, so the
+    # pairs, and the certified answer, are those of the exact count
+    L = scramble(direct_sum(heisenberg(3), abelian(2)), 4_540)
+    expected = heisenberg_decompose.__wrapped__(L)
+    symplectic = decompose._symplectic_basis
+    counts = []
+
+    def miscounted(dg, g, m):
+        counts.append(m)
+        return symplectic(dg, g, m + delta)
+
+    monkeypatch.setattr(decompose, "_symplectic_basis", miscounted)
+    if delta < 0:
+        with pytest.raises(DecompositionCheckError, match="abelian factor does not complete"):
+            heisenberg_decompose(L)
+    else:
+        assert heisenberg_decompose(L) == expected
+    assert counts == [3]
+
+
+def test_pass_builds_only_the_vectors_it_pairs(monkeypatch):
+    # H(1) + A(15): one pair, so the pass builds a and its partner and
+    # stops, leaving the 16 radical vectors unbuilt
+    L = scramble(direct_sum(heisenberg(1), abelian(15)), 4_515)
+    projected = decompose._projected
+    built = []
+
+    def counted(i, *args):
+        built.append(i)
+        return projected(i, *args)
+
+    monkeypatch.setattr(decompose, "_projected", counted)
+    dec = heisenberg_decompose(L)
+    assert (dec.m, dec.k) == (1, 15)
+    assert len(built) == 2 and built[0] == 0
+
+
 def _skew_with_zero_rows_first(seed):
     # a random alternating form whose first r >= 1 rows and columns are
     # zero, on n = r + s with s >= 1, so the pass meets radical vectors
@@ -262,9 +315,9 @@ def test_decomposition_is_certified_once(monkeypatch):
     calls = {"_symplectic_basis": 0, "_gram": 0}
     symplectic, gram = decompose._symplectic_basis, decompose._gram
 
-    def counted_symplectic(dg, g):
+    def counted_symplectic(dg, g, m):
         calls["_symplectic_basis"] += 1
-        return symplectic(dg, g)
+        return symplectic(dg, g, m)
 
     def counted_gram(algebra):
         calls["_gram"] += 1
@@ -303,7 +356,7 @@ def test_failed_certification_is_not_memoized(monkeypatch):
     # a pair swapped in the pass fails the certificate, every time
     L = scramble(heisenberg(2), 78)
     symplectic = decompose._symplectic_basis
-    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g: _swap_first_pair(symplectic(dg, g)))
+    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g, m: _swap_first_pair(symplectic(dg, g, m)))
     for _ in range(2):
         with pytest.raises(DecompositionCheckError, match="rewritten constants do not match"):
             heisenberg_decompose(L)
@@ -317,7 +370,7 @@ def test_certificate_checks_every_gram_product(monkeypatch, edit):
     # one wrong Gram product of the pairs fails the certificate
     L = scramble(direct_sum(heisenberg(2), abelian(1)), 78)
     symplectic = decompose._symplectic_basis
-    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g: edit(symplectic(dg, g)))
+    monkeypatch.setattr(decompose, "_symplectic_basis", lambda dg, g, m: edit(symplectic(dg, g, m)))
     for _ in range(2):
         with pytest.raises(DecompositionCheckError, match="rewritten constants do not match"):
             heisenberg_decompose(L)

@@ -11,9 +11,11 @@ copy of ``src/`` and must pass.  Then each row is applied to a fresh
 copy of ``src/``: the old text must occur exactly once, or the row
 fails loudly.  Its tests run with ``PYTHONPATH`` on the copy, the run
 checks that ``liecap`` was imported from that copy, and every named
-node id must fail.  A test run that takes longer than ``TIMEOUT_S``
-is stopped: on the unmutated copy that is an error, and under a mutant
-it kills the row, which is reported as killed by timeout.
+node id must fail.  The run on the unmutated copy, which runs every
+named test at once, may take ``BASELINE_TIMEOUT_S`` and prints how long
+it took; a row's run may take ``TIMEOUT_S``.  A run that outlasts its
+bound is stopped: on the unmutated copy that is an error, and under a
+mutant it kills the row, which is reported as killed by timeout.
 
 The tool never edits a test.  It prints one line per row and exits 1
 when a row's text is not found exactly once, a test fails on the
@@ -33,9 +35,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# Seconds one pytest run may take: on 2 vCPU the unmutated run of every
-# named test takes about 19 s, a row's run about 1 s, and the slowest row
-# (the d3 term, whose failing example hypothesis shrinks) about 9 s.
+# Seconds one pytest run may take.  On a shared 2-vCPU host the unmutated
+# run of every named test takes 35-40 s, so it has a bound of its own; a
+# row's run takes about 1 s, and the slowest row (the d3 term, whose
+# failing example hypothesis shrinks) about 9 s.
+BASELINE_TIMEOUT_S = 300
 TIMEOUT_S = 60
 
 
@@ -329,17 +333,37 @@ def _split_factor(""",
         ),
     ),
     Mutant(
-        "symplectic pass: the second projection step x - f(x, b) a dropped",
+        "symplectic pass: the projection's f(e_i, b_j) a_j term added, not subtracted",
         "decompose.py",
-        """            s = _dot(x, gv)
-            if s:
-                x = [y * c - s * w for y, w in zip(x, a)]
-                dx *= c
-""",
-        "",
+        "x = [y - t * w for y, w in zip(x, a)]",
+        "x = [y + t * w for y, w in zip(x, a)]",
         (
             "tests/test_decompose.py::test_symplectic_basis_random_skew",
             "tests/test_decompose.py::test_decompose_dimension_count",
+        ),
+    ),
+    Mutant(
+        "symplectic pass: the projection's f(e_i, b_j) a_j term dropped",
+        "decompose.py",
+        """        if t:
+            x = [y - t * w for y, w in zip(x, a)]
+""",
+        "",
+        (
+            "tests/test_decompose.py::test_gram_column_pass_matches_matrix_oracle_at_n18",
+            "tests/test_decompose.py::test_decompose_dimension_count",
+        ),
+    ),
+    Mutant(
+        # the answers stay right: the pass runs out of partners, so only
+        # the work and the count handed to the pass show it
+        "symplectic pass: the stop count one pair late",
+        "decompose.py",
+        "_symplectic_basis(dg, g, (n - center.dim) // 2)",
+        "_symplectic_basis(dg, g, (n - center.dim) // 2 + 1)",
+        (
+            "tests/test_decompose.py::test_pass_builds_only_the_vectors_it_pairs",
+            "tests/test_decompose.py::test_wrong_pair_count_cannot_get_through",
         ),
     ),
     Mutant(
@@ -775,14 +799,14 @@ class Failure(Exception):
     pass
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> dict[str, list[str]]:
+def run_tests(src: Path, tests: tuple[str, ...], timeout: float = TIMEOUT_S) -> dict[str, list[str]]:
     """The outcomes (PASSED, FAILED, ERROR) of the test items under each
     node id in ``tests``, run with ``src`` first on the import path, or
-    TIMEOUT for every node id when the run outlasts ``TIMEOUT_S``."""
+    TIMEOUT for every node id when the run outlasts ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-c", RUNNER, "-q", "-rA", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return {test: ["TIMEOUT"] for test in tests}
     imported = None
@@ -834,11 +858,14 @@ def main() -> int:
                     raise Failure(f"{mutant.name}: no tests named")
                 mutated(mutant)
             tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-            baseline = run_tests(fresh_copy(tmp, "baseline"), tests)
+            src = fresh_copy(tmp, "baseline")
+            began = time.perf_counter()
+            baseline = run_tests(src, tests, BASELINE_TIMEOUT_S)
+            took = time.perf_counter() - began
             bad = {t: s for t, s in baseline.items() if set(s) != {"PASSED"}}
             if bad:
-                raise Failure(f"tests that do not pass on the unmutated source: {bad}")
-            print(f"baseline: {len(tests)} tests pass ({time.perf_counter() - start:.1f} s)")
+                raise Failure(f"tests that do not pass on the unmutated source ({took:.1f} s): {bad}")
+            print(f"baseline: {len(tests)} tests pass in {took:.1f} s (bound {BASELINE_TIMEOUT_S} s)")
             for idx, mutant in enumerate(MUTANTS):
                 src = fresh_copy(tmp, f"mutant-{idx}")
                 (src / "liecap" / mutant.module).write_text(mutated(mutant), encoding="utf-8")
